@@ -77,10 +77,10 @@ def _angular_sums(kappa: PlaneModeIndex, kappa_prime: PlaneModeIndex,
     c*(khat) with c*(khat') at mirrored m, picking up the conjugation parity
     of the vector harmonics: (-1)^(m+1) for TE, (-1)^m for TM.
     """
-    t1, p1 = kappa.angles
-    t2, p2 = kappa_prime.angles
-    c1_te, c1_tm = modes._coefficient_table(t1, p1, kappa.g, l_max)
-    c2_te, c2_tm = modes._coefficient_table(t2, p2, kappa_prime.g, l_max)
+    (t1, p1), (t2, p2) = kappa.angles, kappa_prime.angles
+    tables = modes._coefficient_table([t1, t2], [p1, p2], l_max)
+    c1_te, c1_tm = tables[0, kappa.g - 1]
+    c2_te, c2_tm = tables[1, kappa_prime.g - 1]
     if not conjugate_pair:
         m_te = np.einsum("lm,lm->l", np.conj(c1_te), c2_te)
         m_tm = np.einsum("lm,lm->l", np.conj(c1_tm), c2_tm)

@@ -34,8 +34,8 @@ _FIG_CHANNELS = "TM:1,TE:1,TM:2,TE:2,TM:3"
 
 def _fmt(x) -> str:
     """One CSV cell. Floats use repr: shortest decimal that round-trips."""
-    if isinstance(x, float):
-        return repr(x)
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
     return str(x)
 
 
@@ -241,6 +241,7 @@ def cmd_diff_cross_section(res: Resolver):
     inc_phi = res.get("incident_phi", default=0.0, cast=float)
     n_theta = res.get("n_theta", default=91, cast=int)
     det_phi = res.get("detector_phi", default=0.0, cast=float)
+    l_max = res.get("l_max", cast=int)
     res.reject_unknown()
     if n_theta < 2:
         raise ConfigError("n-theta: need at least two detector angles")
@@ -248,12 +249,12 @@ def cmd_diff_cross_section(res: Resolver):
             k * math.sin(inc_theta) * math.sin(inc_phi),
             k * math.cos(inc_theta))
     kappa = PlaneModeIndex(g, kvec)
-    rows = []
-    for theta in np.linspace(0.0, math.pi, n_theta):
-        n = (math.sin(theta) * math.cos(det_phi),
-             math.sin(theta) * math.sin(det_phi),
-             math.cos(theta))
-        rows.append((float(theta), observables.differential_cross_section(spec, kappa, n)))
+    thetas = np.linspace(0.0, math.pi, n_theta)
+    dirs = np.stack([np.sin(thetas) * math.cos(det_phi),
+                     np.sin(thetas) * math.sin(det_phi),
+                     np.cos(thetas)], axis=-1)
+    vals = observables.differential_cross_section(spec, kappa, dirs, l_max=l_max)
+    rows = [(float(t), float(v)) for t, v in zip(thetas, vals)]
     return "diff-cross-section", ("theta", "dsigma_domega"), rows, ()
 
 
@@ -266,6 +267,7 @@ def cmd_g2_map(res: Resolver):
     pol_i = res.get("pol_i", default="z")
     pol_j = res.get("pol_j", default="z")
     r_det = res.get("r_detector", cast=float)
+    l_max = res.get("l_max", cast=int)
     res.reject_unknown()
     if n_phi < 2:
         raise ConfigError("n-phi: need at least two azimuths")
@@ -273,7 +275,7 @@ def cmd_g2_map(res: Resolver):
     kappa2 = PlaneModeIndex(1, (0.0, k, 0.0))
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     grid = observables.g2_map(spec, kappa1, kappa2, pol_i, pol_j,
-                              theta1, theta2, phis, phis, r_detector=r_det)
+                              theta1, theta2, phis, phis, r_detector=r_det, l_max=l_max)
     rows = [(float(p1), float(p2), float(grid.values[i, j]))
             for i, p1 in enumerate(phis) for j, p2 in enumerate(phis)]
     return "g2-map", ("phi1", "phi2", "g2"), rows, ()
@@ -291,6 +293,7 @@ def cmd_bogoliubov(res: Resolver):
     g = res.get("g", default=1, cast=int)
     gp = res.get("gp", default=2, cast=int)
     direction = res.get("direction", default="outgoing")
+    l_max = res.get("l_max", cast=int)
     res.reject_unknown()
     ops = {"V": bogoliubov.coupling_v,
            "B": bogoliubov.b_coefficient,
@@ -309,9 +312,9 @@ def cmd_bogoliubov(res: Resolver):
                 kp * math.cos(kp_theta))
         kappa_p = PlaneModeIndex(gp, kvec)
         if kind == "V":
-            kern = ops[kind](spec, kappa, kappa_p)
+            kern = ops[kind](spec, kappa, kappa_p, l_max=l_max)
         else:
-            kern = ops[kind](spec, kappa, kappa_p, direction=direction)
+            kern = ops[kind](spec, kappa, kappa_p, l_max=l_max, direction=direction)
         rows.append((float(kp), kern.value.real, kern.value.imag, kern.abs_err))
     return "bogoliubov", ("k_prime", "value_re", "value_im", "abs_err"), rows, ()
 
@@ -335,13 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, wavenumber=True):
+    def common(p, wavenumber=True, l_max=True):
         p.add_argument("--epsilon", type=float, help="relative permittivity (>= 1)")
         p.add_argument("--radius", type=float, help="sphere radius R (default 1)")
         if wavenumber:
             p.add_argument("--q", type=float, help="size parameter q = k R")
             p.add_argument("--k", type=float, help="vacuum wavenumber")
-        p.add_argument("--l-max", type=int, dest="l_max", help="multipole cutoff override")
+        if l_max:
+            p.add_argument("--l-max", type=int, dest="l_max", help="multipole cutoff override")
         p.add_argument("--config", help="JSON config file; flags take precedence")
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--output", "-o", help="output file path")
@@ -350,14 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("palpha-scan", help="scattered power fraction over a q grid")
-    common(p, wavenumber=False)
+    common(p, wavenumber=False, l_max=False)
     p.add_argument("--q-min", type=float, dest="q_min")
     p.add_argument("--q-max", type=float, dest="q_max")
     p.add_argument("--q-steps", type=int, dest="q_steps")
     p.add_argument("--channels", help=f"comma list, default {_FIG_CHANNELS}")
 
     p = sub.add_parser("field-map", help="planar |S/k|^2 map of one eigenmode")
-    common(p)
+    common(p, l_max=False)
     p.add_argument("--channel", help="mode channel, e.g. TM:1")
     p.add_argument("--m", type=int)
     p.add_argument("--direction", choices=("outgoing", "incoming"))

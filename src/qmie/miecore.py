@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import specfun
-from .errors import DegenerateChannelError, DomainError
+from .errors import DegenerateChannelError, DomainError, ResourceLimitError
 
 __all__ = [
     "SphereSpec",
@@ -174,9 +174,19 @@ def small_particle_sin_phi(spec: SphereSpec, q: float, channel: ChannelIndex) ->
 
 
 def truncation_order(q: float, margin: int = 4) -> int:
-    """Multipole cutoff for series at size parameter q (Wiscombe-style)."""
+    """Multipole cutoff for series at size parameter q (Wiscombe-style).
+
+    Phase shifts at order l need Bessel orders up to l + 1, so a cutoff whose
+    phase shifts would pass HARD_CAP_LMAX raises ResourceLimitError naming
+    the order q needs; it is never clamped.
+    """
     q = float(q)
     if not math.isfinite(q) or q < 0.0:
         raise DomainError(f"q={q} must be finite and non-negative")
     raw = math.ceil(q + 4.0 * q ** (1.0 / 3.0) + 2.0) + int(margin)
-    return max(4, min(specfun.HARD_CAP_LMAX, raw))
+    if raw + 1 > specfun.HARD_CAP_LMAX:
+        raise ResourceLimitError(
+            f"q={q} needs multipole order {raw}, whose phase shifts need Bessel "
+            f"order {raw + 1}, above the hard cap {specfun.HARD_CAP_LMAX}"
+        )
+    return max(4, raw)

@@ -117,12 +117,25 @@ def _as_point(point) -> np.ndarray:
     return p
 
 
-def _spherical_coords(p: np.ndarray) -> tuple[float, float, float]:
-    r = float(np.linalg.norm(p))
-    if r == 0.0:
-        return 0.0, 0.0, 0.0
-    theta = math.acos(max(-1.0, min(1.0, p[2] / r)))
-    phi = math.atan2(p[1], p[0]) % (2.0 * math.pi)
+def _as_points(points) -> tuple[np.ndarray, bool]:
+    """(N, 3) finite points, and whether a single (3,) point was given."""
+    p = np.asarray(points, dtype=float)
+    single = p.shape == (3,)
+    if single:
+        p = p[None, :]
+    if p.ndim != 2 or p.shape[1] != 3 or p.shape[0] == 0:
+        raise DomainError(f"points must be a 3-vector or (N, 3) with N > 0, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise DomainError("point must be finite")
+    return p, single
+
+
+def _spherical_coords(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, theta, phi) arrays of (N, 3) points; the origin maps to (0, 0, 0)."""
+    r = np.sqrt(np.einsum("nc,nc->n", p, p))
+    safe = np.where(r == 0.0, 1.0, r)
+    theta = np.where(r == 0.0, 0.0, np.arccos(np.clip(p[:, 2] / safe, -1.0, 1.0)))
+    phi = np.where(r == 0.0, 0.0, np.mod(np.arctan2(p[:, 1], p[:, 0]), 2.0 * math.pi))
     return r, theta, phi
 
 
@@ -210,33 +223,53 @@ def _assemble(
     point,
     kind: str,
     branch: str | None = None,
+    curl: bool = False,
 ) -> FieldSample:
-    p = _as_point(point)
+    """S_alpha of the requested radial kind, or its curl, at one or N points.
+
+    The phase record is computed once, the angular factors come from one
+    batched harmonic contraction, and the radial factors once per distinct
+    radius.
+    """
+    p, single = _as_points(point)
     r, theta, phi = _spherical_coords(p)
     l, m, k = mode.channel.l, mode.m, mode.k
     rec = None
     if kind != "vacuum":
         rec = phase_shift(spec, k * spec.radius, mode.channel)
-    trip = specfun.vector_spherical_harmonics(l, m, (theta, phi))
+    weight = np.zeros((1, l + 1, 2 * l + 1))
+    weight[0, l, m + l] = 1.0
+    x, v, w = (f[:, 0, l] for f in specfun.vector_harmonics_contract(l, theta, phi, weight))
+    radii, where = np.unique(r, return_inverse=True)
     norm = k * math.sqrt(2.0 / math.pi)
 
-    def f(l_prime: int) -> complex:
-        return _radial_scalar(spec, rec, mode.direction, k, l_prime, r, branch, kind)
+    def f(l_prime: int) -> np.ndarray:
+        vals = [_radial_scalar(spec, rec, mode.direction, k, l_prime, float(ri), branch, kind)
+                for ri in radii]
+        return np.array(vals)[where][:, None]
 
-    if mode.channel.p == "TE":
-        sph = norm * f(l) * trip.X
+    # the curl swaps the TE and TM angular structures
+    if (mode.channel.p == "TE") != curl:
+        sph = norm * f(l) * x
     else:
         w_v = math.sqrt(l / (2.0 * l + 1.0))
         w_w = math.sqrt((l + 1.0) / (2.0 * l + 1.0))
-        sph = norm * (w_v * f(l + 1) * trip.V - w_w * f(l - 1) * trip.W)
+        sph = norm * (w_v * f(l + 1) * v - w_w * f(l - 1) * w)
+    if curl:
+        inside = r < spec.radius if branch is None else np.full(r.shape, branch == "inside")
+        kappa = k * np.where(inside, math.sqrt(spec.epsilon), 1.0)[:, None]
+        sph = (-1j if mode.channel.p == "TE" else 1j) * kappa * sph
     value = specfun.spherical_to_cartesian(sph, theta, phi)
-    return FieldSample(value=value, point=p)
+    return FieldSample(value=value[0] if single else value, point=p[0] if single else p)
 
 
 def spherical_eigenmode(
     spec: SphereSpec, mode: SphericalModeIndex, point, branch: str | None = None
 ) -> FieldSample:
-    """Normalized spherical eigenmode S_alpha(r), Cartesian components."""
+    """Normalized spherical eigenmode S_alpha(r), Cartesian components.
+
+    point is a 3-vector or an (N, 3) array; the value has the same shape.
+    """
     return _assemble(spec, mode, point, "full", branch)
 
 
@@ -259,28 +292,7 @@ def curl_spherical_eigenmode(
     radial family); curl(TM mode) = +i kappa f_ll X, with kappa the local
     wavenumber sqrt(eps) k inside the sphere and k outside.
     """
-    p = _as_point(point)
-    r, theta, phi = _spherical_coords(p)
-    l, m, k = mode.channel.l, mode.m, mode.k
-    rec = phase_shift(spec, k * spec.radius, mode.channel)
-    use_branch = branch
-    if use_branch is None:
-        use_branch = "inside" if r < spec.radius else "outside"
-    kappa = k * (math.sqrt(spec.epsilon) if use_branch == "inside" else 1.0)
-    trip = specfun.vector_spherical_harmonics(l, m, (theta, phi))
-    norm = k * math.sqrt(2.0 / math.pi)
-
-    def f(l_prime: int) -> complex:
-        return _radial_scalar(spec, rec, mode.direction, k, l_prime, r, use_branch, "full")
-
-    if mode.channel.p == "TE":
-        w_v = math.sqrt(l / (2.0 * l + 1.0))
-        w_w = math.sqrt((l + 1.0) / (2.0 * l + 1.0))
-        sph = -1j * kappa * norm * (w_v * f(l + 1) * trip.V - w_w * f(l - 1) * trip.W)
-    else:
-        sph = 1j * kappa * norm * f(l) * trip.X
-    value = specfun.spherical_to_cartesian(sph, theta, phi)
-    return FieldSample(value=value, point=p)
+    return _assemble(spec, mode, point, "full", branch, curl=True)
 
 
 # ------------------------------------------------------------- plane waves
@@ -293,29 +305,52 @@ def polarization_vectors(kappa: PlaneModeIndex) -> np.ndarray:
 
 
 def plane_wave_mode(kappa: PlaneModeIndex, point) -> FieldSample:
-    """Normalized plane-wave mode G_kappa(r) = e^{i k.r} e_g / (2 pi)^{3/2}."""
-    p = _as_point(point)
+    """Normalized plane-wave mode G_kappa(r) = e^{i k.r} e_g / (2 pi)^{3/2}.
+
+    point is a 3-vector or an (N, 3) array; the value has the same shape.
+    """
+    p, single = _as_points(point)
     e_g = polarization_vectors(kappa)[kappa.g - 1]
-    value = cmath.exp(1j * float(np.dot(kappa.kvec, p))) / (2.0 * math.pi) ** 1.5 * e_g
-    return FieldSample(value=value, point=p)
+    wave = np.exp(1j * (p @ np.asarray(kappa.kvec))) / (2.0 * math.pi) ** 1.5
+    value = wave[:, None] * e_g
+    return FieldSample(value=value[0] if single else value, point=p[0] if single else p)
 
 
-@functools.lru_cache(maxsize=64)
-def _coefficient_table(
-    theta_k: float, phi_k: float, g: int, l_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """c_{lmg}^p tables (TE, TM), each shaped (l_max+1, 2 l_max+1)."""
-    bx, _, _ = specfun.vector_harmonics_block(l_max, theta_k, phi_k)
-    x_theta = np.conj(bx[..., 1])
-    x_phi = np.conj(bx[..., 2])
+# c^p_{lmg} = i^(l + shift) conj(X_lm . e_component): (component, shift) of
+# the TE and TM tables, for g = 1 and g = 2
+_COEFFICIENT_RULE = (((2, 1), (1, -1)), ((1, 0), (2, 0)))
+
+
+def _coefficient_table(theta_k, phi_k, l_max: int) -> np.ndarray:
+    """c_{lmg}^p for N propagation directions, both g, from one X block.
+
+    Shaped (N, 2, 2, l_max+1, 2 l_max+1) and indexed [n, g - 1, p, l, m + l_max]
+    with p = 0 for TE and 1 for TM.
+    """
+    bx = specfun.vector_harmonics_batch(l_max, theta_k, phi_k)[0]
     ls = np.arange(l_max + 1)[:, None]
-    if g == 1:
-        c_te = 1j**(ls + 1) * x_phi
-        c_tm = 1j**(ls - 1) * x_theta
-    else:
-        c_te = 1j**ls * x_theta
-        c_tm = 1j**ls * x_phi
-    return c_te, c_tm
+    out = np.empty((bx.shape[0], 2, 2) + bx.shape[1:3], dtype=complex)
+    for g, rule in enumerate(_COEFFICIENT_RULE):
+        for p, (comp, shift) in enumerate(rule):
+            out[:, g, p] = 1j**(ls + shift) * np.conj(bx[..., comp])
+    return out
+
+
+def _coefficient_overlaps(theta, phi, c_ref: np.ndarray, l_max: int) -> np.ndarray:
+    """sum_m conj(c_{lmg}^p(n)) c_ref[p, l, m] for N directions n and both g.
+
+    c_ref is one (TE, TM) pair of coefficient tables, shaped
+    (2, l_max+1, 2 l_max+1). Returns (N, 2, 2, l_max+1) indexed [n, g - 1, p, l].
+    The directions' own tables are never formed: the m sums are taken on the
+    harmonic block, chunk by chunk.
+    """
+    x, _, _ = specfun.vector_harmonics_contract(l_max, theta, phi, c_ref)
+    ls = np.arange(l_max + 1)
+    return np.stack([
+        np.stack([np.conj(1j**(ls + shift)) * x[:, p, :, comp]
+                  for p, (comp, shift) in enumerate(rule)], axis=1)
+        for rule in _COEFFICIENT_RULE
+    ], axis=1)
 
 
 def plane_wave_coefficients(kappa: PlaneModeIndex, l_max: int) -> list[PlaneWaveCoefficient]:
@@ -326,7 +361,7 @@ def plane_wave_coefficients(kappa: PlaneModeIndex, l_max: int) -> list[PlaneWave
     if l_max < 1:
         raise DomainError(f"l_max={l_max} must be >= 1")
     theta_k, phi_k = kappa.angles
-    c_te, c_tm = _coefficient_table(theta_k, phi_k, kappa.g, l_max)
+    c_te, c_tm = _coefficient_table(theta_k, phi_k, l_max)[0, kappa.g - 1]
     out = []
     for l in range(1, l_max + 1):
         for m in range(-l, l + 1):
@@ -337,30 +372,23 @@ def plane_wave_coefficients(kappa: PlaneModeIndex, l_max: int) -> list[PlaneWave
 
 # ------------------------------------------------------- scattering modes
 
-def _radial_tables(
+def _radial_row(
     spec: SphereSpec | None,
     k: float,
     r: float,
     l_max: int,
     direction: str,
     kind: str,
+    phases: dict | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays f^TE_{l,l}, f^TM_{l,l+1}, f^TM_{l,l-1} for l = 0..l_max (row 0 unused)."""
-    sign = -1.0 if direction == "outgoing" else 1.0
+    """f^TE_{l,l}, f^TM_{l,l+1}, f^TM_{l,l-1} for l = 0..l_max at one radius."""
+    ls = np.arange(l_max + 1)
+    up = np.minimum(ls + 1, l_max + 1)
+    dn = np.maximum(ls - 1, 0)
     j_vac = specfun.spherical_bessel_j(l_max + 1, k * r)
     if kind == "vacuum":
-        ls = np.arange(l_max + 1)
-        return j_vac[ls].astype(complex), j_vac[np.minimum(ls + 1, l_max + 1)].astype(complex), j_vac[np.maximum(ls - 1, 0)].astype(complex)
-    table = _phase_table(spec, k * spec.radius, l_max)
-    ls = np.arange(l_max + 1)
-    phases = {}
-    for p in ("TE", "TM"):
-        phi_arr = np.array([0.0] + [table[p][l].phi for l in range(1, l_max + 1)])
-        gam = np.array([1.0] + [table[p][l].gamma_l for l in range(1, l_max + 1)])
-        sin = np.array([0.0] + [table[p][l].sin_phi for l in range(1, l_max + 1)])
-        phases[p] = (np.exp(sign * 1j * phi_arr), gam, sin)
-    inside = r < spec.radius
-    if inside:
+        return j_vac[ls].astype(complex), j_vac[up].astype(complex), j_vac[dn].astype(complex)
+    if r < spec.radius:
         j_in = specfun.spherical_bessel_j(l_max + 1, math.sqrt(spec.epsilon) * k * r)
         def fam(p, lp):
             ph, gam, _ = phases[p]
@@ -374,41 +402,72 @@ def _radial_tables(
                 return j_vac[lp] - 1j * sin * ph * h1[lp]
             return j_vac[lp] + 1j * sin * ph * np.conj(h1[lp])
     f_te = fam("TE", ls)
-    f_tm_up = fam("TM", np.minimum(ls + 1, l_max + 1))
-    f_tm_dn = fam("TM", np.maximum(ls - 1, 0))
+    f_tm_up = fam("TM", up)
+    f_tm_dn = fam("TM", dn)
     if kind == "scattered":
         f_te = f_te - j_vac[ls]
-        f_tm_up = f_tm_up - j_vac[np.minimum(ls + 1, l_max + 1)]
-        f_tm_dn = f_tm_dn - j_vac[np.maximum(ls - 1, 0)]
+        f_tm_up = f_tm_up - j_vac[up]
+        f_tm_dn = f_tm_dn - j_vac[dn]
     return f_te, f_tm_up, f_tm_dn
+
+
+def _radial_tables(
+    spec: SphereSpec | None,
+    k: float,
+    r,
+    l_max: int,
+    direction: str,
+    kind: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays f^TE_{l,l}, f^TM_{l,l+1}, f^TM_{l,l-1} for l = 0..l_max (row 0 unused).
+
+    r is one radius, or N radii giving arrays with a leading axis N. The phase
+    arrays are built once per call and the Bessel sweeps once per distinct
+    radius.
+    """
+    radii, where = np.unique(np.asarray(r, dtype=float), return_inverse=True)
+    phases = None
+    if kind != "vacuum":
+        sign = -1.0 if direction == "outgoing" else 1.0
+        table = _phase_table(spec, k * spec.radius, l_max)
+        phases = {}
+        for p in ("TE", "TM"):
+            phi_arr = np.array([0.0] + [table[p][l].phi for l in range(1, l_max + 1)])
+            gam = np.array([1.0] + [table[p][l].gamma_l for l in range(1, l_max + 1)])
+            sin = np.array([0.0] + [table[p][l].sin_phi for l in range(1, l_max + 1)])
+            phases[p] = (np.exp(sign * 1j * phi_arr), gam, sin)
+    rows = [_radial_row(spec, k, float(x), l_max, direction, kind, phases) for x in radii]
+    return tuple(np.array(col)[where.reshape(np.shape(r))] for col in zip(*rows))
 
 
 def _mode_sum(
     spec: SphereSpec | None,
     kappa: PlaneModeIndex,
     direction: str,
-    point: np.ndarray,
+    points: np.ndarray,
     l_max: int,
     kind: str,
 ) -> np.ndarray:
-    """(1/k) sum_{plm} c_{lmg}^p S^p_{lm}(r) of the requested radial kind."""
-    r, theta, phi = _spherical_coords(point)
+    """(1/k) sum_{plm} c_{lmg}^p S^p_{lm}(r) of the requested radial kind.
+
+    points is (N, 3); the result is (N, 3). The m sums are taken on the
+    batched harmonic contraction against kappa's coefficient tables.
+    """
+    r, theta, phi = _spherical_coords(points)
     k = kappa.k
     theta_k, phi_k = kappa.angles
-    c_te, c_tm = _coefficient_table(theta_k, phi_k, kappa.g, l_max)
-    bx, bv, bw = specfun.vector_harmonics_block(l_max, theta, phi)
+    coeffs = _coefficient_table(theta_k, phi_k, l_max)[0, kappa.g - 1]
+    bx, bv, bw = specfun.vector_harmonics_contract(l_max, theta, phi, coeffs)
     f_te, f_tm_up, f_tm_dn = _radial_tables(spec, k, r, l_max, direction, kind)
     ls = np.arange(l_max + 1, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         w_v = np.sqrt(ls / (2.0 * ls + 1.0))
         w_w = np.sqrt((ls + 1.0) / (2.0 * ls + 1.0))
-    # per-l radial weights against the per-(l,m) angular sums
-    ang_x = np.einsum("lm,lmc->lc", c_te, bx)
-    ang_v = np.einsum("lm,lmc->lc", c_tm, bv)
-    ang_w = np.einsum("lm,lmc->lc", c_tm, bw)
-    sph = np.einsum("l,lc->c", f_te, ang_x)
-    sph += np.einsum("l,lc->c", w_v * f_tm_up, ang_v)
-    sph -= np.einsum("l,lc->c", w_w * f_tm_dn, ang_w)
+    # per-l radial weights against the per-l angular sums: X with the TE
+    # table, V and W with the TM table
+    sph = np.einsum("nl,nlc->nc", f_te, bx[:, 0])
+    sph += np.einsum("nl,nlc->nc", w_v * f_tm_up, bv[:, 1])
+    sph -= np.einsum("nl,nlc->nc", w_w * f_tm_dn, bw[:, 1])
     norm = k * math.sqrt(2.0 / math.pi)
     return (norm / k) * specfun.spherical_to_cartesian(sph, theta, phi)
 
@@ -429,6 +488,10 @@ def scattering_eigenmode(
     with the sphere's truncation order rather than with kr (use it far from
     the sphere). plane_wave "truncated" replaces G by its own multipole sum,
     making the two forms agree to machine precision at shared truncation.
+
+    point is a 3-vector or an (N, 3) array; the value has the same shape.
+    The default cutoff of the direct form grows with k r and is taken at
+    the largest radius of the batch.
     """
     if direction not in DIRECTIONS:
         raise DomainError(f"direction {direction!r} not in {DIRECTIONS}")
@@ -436,13 +499,13 @@ def scattering_eigenmode(
         raise DomainError(f"form {form!r} not in ('direct', 'mie')")
     if plane_wave not in ("exact", "truncated"):
         raise DomainError(f"plane_wave {plane_wave!r} not in ('exact', 'truncated')")
-    p = _as_point(point)
+    p, single = _as_points(point)
     r, _, _ = _spherical_coords(p)
     k = kappa.k
     q = k * spec.radius
     if l_max is None:
         if form == "direct":
-            l_max = min(specfun.HARD_CAP_LMAX, truncation_order(q) + math.ceil(k * r))
+            l_max = min(specfun.HARD_CAP_LMAX, truncation_order(q) + math.ceil(k * r.max()))
         else:
             l_max = truncation_order(q)
     if form == "direct":
@@ -453,7 +516,7 @@ def scattering_eigenmode(
         else:
             base = _mode_sum(None, kappa, direction, p, l_max, "vacuum")
         value = base + _mode_sum(spec, kappa, direction, p, l_max, "scattered")
-    return FieldSample(value=value, point=p)
+    return FieldSample(value=value[0] if single else value, point=p[0] if single else p)
 
 
 def dipole_limit_field(spec: SphereSpec, kappa: PlaneModeIndex, point) -> FieldSample:
@@ -464,7 +527,7 @@ def dipole_limit_field(spec: SphereSpec, kappa: PlaneModeIndex, point) -> FieldS
     free-space Green's tensor, so mu0 w^2 alpha = 3 V k^2 (eps-1)/(eps+2).
     """
     p = _as_point(point)
-    r, _, _ = _spherical_coords(p)
+    r = float(np.linalg.norm(p))
     if r < spec.radius:
         raise DomainError("dipole comparison point must lie outside the sphere")
     base = plane_wave_mode(kappa, p).value
@@ -488,8 +551,5 @@ def field_intensity_map(spec: SphereSpec, mode: SphericalModeIndex, grid) -> np.
     pts = np.atleast_2d(np.asarray(grid, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise DomainError(f"grid must be (N, 3), got {pts.shape}")
-    out = np.empty(pts.shape[0])
-    for i, pt in enumerate(pts):
-        val = spherical_eigenmode(spec, mode, pt).value
-        out[i] = float(np.real(np.vdot(val, val))) / mode.k**2
-    return out
+    val = spherical_eigenmode(spec, mode, pts).value
+    return np.real(np.einsum("nc,nc->n", np.conj(val), val)) / mode.k**2

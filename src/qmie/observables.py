@@ -104,16 +104,11 @@ def p_alpha(spec: SphereSpec, q: float, channel: ChannelIndex, method: str = "ph
     thetas = np.arccos(mu)
     phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
     mode = modes.SphericalModeIndex(channel, 0, k)
-    acc = 0.0
-    for theta, w in zip(thetas, w_mu):
-        for phi in phis:
-            pt = r * np.array([
-                math.sin(theta) * math.cos(phi),
-                math.sin(theta) * math.sin(phi),
-                math.cos(theta),
-            ])
-            v = modes.scattered_part(spec, mode, pt).value
-            acc += w * (2.0 * math.pi / n_phi) * float(np.real(np.vdot(v, v)))
+    st, ct = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
+    pts = r * np.stack(np.broadcast_arrays(st * np.cos(phis), st * np.sin(phis), ct), axis=-1)
+    v = modes.scattered_part(spec, mode, pts.reshape(-1, 3)).value
+    power = np.real(np.einsum("nc,nc->n", np.conj(v), v)).reshape(n_theta, n_phi)
+    acc = float(np.sum(w_mu[:, None] * (2.0 * math.pi / n_phi) * power))
     return (math.pi / 2.0) * r * r * acc
 
 
@@ -131,6 +126,20 @@ def _phase_arrays(spec: SphereSpec, q: float, l_max: int):
     return out
 
 
+def _amplitudes(spec: SphereSpec, kappa_in: PlaneModeIndex, theta, phi, l_max: int | None):
+    """f for outgoing directions (theta, phi) and both outgoing g: (N, 2)."""
+    k = kappa_in.k
+    q = k * spec.radius
+    if l_max is None:
+        l_max = truncation_order(q)
+    ti, pi_ = kappa_in.angles
+    c_in = modes._coefficient_table(ti, pi_, l_max)[0, kappa_in.g - 1]
+    overlaps = modes._coefficient_overlaps(theta, phi, c_in, l_max)
+    ph = _phase_arrays(spec, q, l_max)
+    weights = np.stack([ph[p][0] * ph[p][1] for p in ("TE", "TM")])
+    return -4.0 * math.pi / k * np.einsum("ngpl,pl->ng", overlaps, weights)
+
+
 def scattering_amplitude(
     spec: SphereSpec,
     kappa_out: PlaneModeIndex,
@@ -138,22 +147,10 @@ def scattering_amplitude(
     l_max: int | None = None,
 ) -> ScatteringAmplitude:
     """f_{kk'} = -(4 pi/|k|) sum c*(out) c(in) sin(phi) e^{-i phi}, truncated."""
-    k = _require_elastic(kappa_out, kappa_in)
-    q = k * spec.radius
-    if l_max is None:
-        l_max = truncation_order(q)
+    _require_elastic(kappa_out, kappa_in)
     to, po = kappa_out.angles
-    ti, pi_ = kappa_in.angles
-    c_te_o, c_tm_o = modes._coefficient_table(to, po, kappa_out.g, l_max)
-    c_te_i, c_tm_i = modes._coefficient_table(ti, pi_, kappa_in.g, l_max)
-    ph = _phase_arrays(spec, q, l_max)
-    acc = 0.0j
-    for p, (c_o, c_i) in (("TE", (c_te_o, c_te_i)), ("TM", (c_tm_o, c_tm_i))):
-        sin, phase = ph[p]
-        m_sum = np.einsum("lm,lm->l", np.conj(c_o), c_i)
-        acc += np.sum(m_sum * sin * phase)
-    return ScatteringAmplitude(value=complex(-4.0 * math.pi / k * acc),
-                               kappa_out=kappa_out, kappa_in=kappa_in)
+    f = _amplitudes(spec, kappa_in, to, po, l_max)[0, kappa_out.g - 1]
+    return ScatteringAmplitude(value=complex(f), kappa_out=kappa_out, kappa_in=kappa_in)
 
 
 def s_matrix_channels(spec: SphereSpec, q: float, l_max: int | None = None) -> list[SMatrixChannel]:
@@ -194,9 +191,9 @@ def total_cross_section(spec: SphereSpec, q: float, l_max: int | None = None) ->
     # concrete incoming label (any direction and g; the sum is isotropic)
     kappa = PlaneModeIndex(1, (0.48 * k, 0.36 * k, 0.8 * k))
     th, pp = kappa.angles
-    c_te, c_tm = modes._coefficient_table(th, pp, kappa.g, l_max)
+    tables = modes._coefficient_table(th, pp, l_max)[0, kappa.g - 1]
     angular = 0.0
-    for p, c in (("TE", c_te), ("TM", c_tm)):
+    for p, c in zip(("TE", "TM"), tables):
         sin, _ = ph[p]
         angular += float(np.sum(np.abs(c) ** 2 * sin[:, None] ** 2))
     angular *= 16.0 * math.pi**2 / (k * k)
@@ -213,20 +210,25 @@ def differential_cross_section(
     kappa_in: PlaneModeIndex,
     direction,
     l_max: int | None = None,
-) -> float:
-    """d sigma/d Omega: |f|^2 summed over outgoing polarizations."""
+):
+    """d sigma/d Omega: |f|^2 summed over outgoing polarizations.
+
+    direction is one 3-vector, giving a float, or an (N, 3) array of
+    directions, giving N values from one batched pass.
+    """
     n = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(n)
-    if n.shape != (3,) or norm == 0.0 or not np.all(np.isfinite(n)):
-        raise DomainError("direction must be a finite nonzero 3-vector")
-    n = n / norm
-    k = kappa_in.k
-    total = 0.0
-    for g in (1, 2):
-        kappa_out = PlaneModeIndex(g, tuple(k * n))
-        f = scattering_amplitude(spec, kappa_out, kappa_in, l_max)
-        total += abs(f.value) ** 2
-    return total
+    rows = np.atleast_2d(n)
+    valid = rows.ndim == 2 and rows.shape[1] == 3 and rows.shape[0] > 0 \
+        and np.all(np.isfinite(rows))
+    norm = np.sqrt(np.einsum("nc,nc->n", rows, rows)) if valid else None
+    if not valid or np.any(norm == 0.0):
+        raise DomainError("direction must be a finite nonzero 3-vector or an (N, 3) array of them")
+    rows = rows / norm[:, None]
+    theta = np.arccos(np.clip(rows[:, 2], -1.0, 1.0))
+    phi = np.mod(np.arctan2(rows[:, 1], rows[:, 0]), 2.0 * math.pi)
+    f = _amplitudes(spec, kappa_in, theta, phi, l_max)
+    total = np.sum(np.abs(f) ** 2, axis=1)
+    return float(total[0]) if n.shape == (3,) else total
 
 
 def transition_amplitude_kernel(
@@ -301,20 +303,18 @@ def g2_map(
     if l_max is None:
         l_max = truncation_order(k * spec.radius)
 
-    def detector_fields(theta: float, phis: np.ndarray, axis: np.ndarray):
-        f1 = np.empty(phis.size, dtype=complex)
-        f2 = np.empty(phis.size, dtype=complex)
-        st, ct = math.sin(theta), math.cos(theta)
-        for idx, phi in enumerate(phis):
-            pt = r_detector * np.array([st * math.cos(phi), st * math.sin(phi), ct])
-            f1[idx] = np.dot(axis, modes.scattering_eigenmode(
-                spec, kappa1, "outgoing", pt, l_max=l_max, form="mie").value)
-            f2[idx] = np.dot(axis, modes.scattering_eigenmode(
-                spec, kappa2, "outgoing", pt, l_max=l_max, form="mie").value)
-        return f1, f2
+    def ring(theta: float, phis: np.ndarray) -> np.ndarray:
+        st = math.sin(theta)
+        return r_detector * np.stack(
+            [st * np.cos(phis), st * np.sin(phis), np.full(phis.size, math.cos(theta))], axis=-1)
 
-    a1, a2 = detector_fields(theta1, phi1, e_i)
-    b1, b2 = detector_fields(theta2, phi2, e_j)
+    # both detector rings in one batch per photon mode
+    pts = np.concatenate([ring(theta1, phi1), ring(theta2, phi2)])
+    f1, f2 = (modes.scattering_eigenmode(spec, kappa, "outgoing", pts, l_max=l_max,
+                                         form="mie").value for kappa in (kappa1, kappa2))
+    n1 = phi1.size
+    a1, a2 = f1[:n1] @ e_i, f2[:n1] @ e_i
+    b1, b2 = f1[n1:] @ e_j, f2[n1:] @ e_j
     num = np.abs(a1[:, None] * b2[None, :] + a2[:, None] * b1[None, :]) ** 2
     den = (np.abs(a1) ** 2 + np.abs(a2) ** 2)[:, None] * (np.abs(b1) ** 2 + np.abs(b2) ** 2)[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -32,8 +32,11 @@ __all__ = [
     "spherical_harmonic",
     "HarmonicsBlock",
     "spherical_harmonics_block",
+    "spherical_harmonics_batch",
     "vector_spherical_harmonics",
     "vector_harmonics_block",
+    "vector_harmonics_batch",
+    "vector_harmonics_contract",
     "unit_vectors",
     "spherical_to_cartesian",
 ]
@@ -210,40 +213,10 @@ def legendre_p(l: int, x: float) -> float:
     return pc
 
 
-def _legendre_norm_block(l_max: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized associated Legendre values and their /sin(theta) companions.
-
-    Returns (p, u) with p[l, m] such that Y_l^m = p[l, m] e^{i m phi} for m >= 0,
-    and u[l, m] = m p[l, m] / sin(theta) computed pole-safely (the recurrences run
-    on pre-divided seeds, so no 0/0 forms at theta = 0 or pi).
-    """
-    x = math.cos(theta)
-    s = math.sin(theta)
-    p = np.zeros((l_max + 1, l_max + 1))
-    u = np.zeros((l_max + 1, l_max + 1))
-    p[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    # diagonal seeds, Condon-Shortley sign folded in
-    for m in range(1, l_max + 1):
-        p[m, m] = -math.sqrt((2 * m + 1) / (2.0 * m)) * s * p[m - 1, m - 1]
-    # same diagonal with one sin(theta) factor removed, times m
-    if l_max >= 1:
-        d = -math.sqrt(3.0 / 2.0) * p[0, 0]
-        u[1, 1] = d
-        for m in range(2, l_max + 1):
-            d = -math.sqrt((2 * m + 1) / (2.0 * m)) * s * d
-            u[m, m] = m * d
-    for m in range(0, l_max):
-        p[m + 1, m] = math.sqrt(2 * m + 3.0) * x * p[m, m]
-        if m >= 1:
-            u[m + 1, m] = math.sqrt(2 * m + 3.0) * x * u[m, m]
-    for m in range(0, l_max + 1):
-        for l in range(m + 2, l_max + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            p[l, m] = a * (x * p[l - 1, m] - b * p[l - 2, m])
-            if m >= 1:
-                u[l, m] = a * (x * u[l - 1, m] - b * u[l - 2, m])
-    return p, u
+# Complex values per (N, l_max + 1, 2 l_max + 1) array of one batch chunk:
+# large enough to amortize the per-l loop, small enough that a chunk's
+# temporaries stay well under a megabyte.
+CHUNK_VALUES = 2**13
 
 
 @dataclass(frozen=True)
@@ -266,40 +239,177 @@ class HarmonicsBlock:
         return m + self.l_max
 
 
-def spherical_harmonics_block(l_max: int, theta: float, phi: float) -> HarmonicsBlock:
-    """Compute Y, dY/dtheta and mY/sin(theta) for all l <= l_max, |m| <= l."""
-    l_max = _check_order(l_max)
-    theta, phi = _as_angles((theta, phi))
-    p, u = _legendre_norm_block(l_max, theta)
-    width = 2 * l_max + 1
-    y = np.zeros((l_max + 1, width), dtype=complex)
-    m_y = np.zeros((l_max + 1, width), dtype=complex)
+def _as_angle_arrays(theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Validated 1-D direction arrays, phi wrapped into [0, 2 pi)."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    if theta.ndim != 1 or theta.shape != phi.shape:
+        raise DomainError(
+            f"theta and phi must be matching 1-D arrays, got {theta.shape} and {phi.shape}"
+        )
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
+        raise DomainError("angular point must be finite")
+    if np.any((theta < 0.0) | (theta > math.pi)):
+        raise DomainError("theta outside [0, pi]")
+    return theta, np.mod(phi, 2.0 * math.pi)
+
+
+def _recurrence_tables(l_max: int) -> tuple[np.ndarray, ...]:
+    """Per-(l, m) coefficients of the column recurrence and the ladder.
+
+    The column recurrence is P_l^m = a x P_{l-1}^m - a b P_{l-2}^m; a and
+    a b are indexed [l, m] for m >= 0 (zero where the recurrence does not
+    apply). up, dn are indexed [l, m + l_max] (zero outside |m| <= l).
+    """
+    ls = np.arange(l_max + 1, dtype=float)[:, None]
+    ms = np.arange(l_max + 1, dtype=float)[None, :]
+    col = ms <= ls - 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.sqrt((4.0 * ls * ls - 1.0) / (ls * ls - ms * ms))
+        b = np.sqrt(((ls - 1.0) ** 2 - ms * ms) / (4.0 * (ls - 1.0) ** 2 - 1.0))
+    a = np.where(col, a, 0.0)
+    ab = np.where(col, a * b, 0.0)
+    m = np.arange(-l_max, l_max + 1, dtype=float)[None, :]
+    live = np.abs(m) <= ls
+    up = np.where(live & (m + 1.0 <= ls),
+                  np.sqrt(np.maximum((ls - m) * (ls + m + 1.0), 0.0)), 0.0)
+    dn = np.where(live & (m - 1.0 >= -ls),
+                  np.sqrt(np.maximum((ls + m) * (ls - m + 1.0), 0.0)), 0.0)
+    return a, ab, up, dn
+
+
+def _legendre_norm(l_max: int, theta: np.ndarray, a: np.ndarray, ab: np.ndarray):
+    """Normalized associated Legendre values and their /sin(theta) companions.
+
+    Returns (p, u) shaped (l_max + 1, N, l_max + 1) and indexed [l, n, m] for
+    m >= 0, with Y_l^m = p[l, n, m] e^{i m phi} and u = m p / sin(theta)
+    computed pole-safely: the diagonal seeds run with one sin(theta) factor
+    removed, so no 0/0 forms appear at theta = 0 or pi. Only the loop over l
+    is in Python; each step updates every m, every direction and both
+    families at once.
+    """
+    n = theta.size
+    x = np.cos(theta)[:, None]
+    s = np.sin(theta)[:, None]
+    pu = np.zeros((l_max + 1, 2, n, l_max + 1))
+    p, u = pu[:, 0], pu[:, 1]
+    diag = np.arange(l_max + 1)
+    # diagonal seeds by running product, Condon-Shortley sign folded in
+    m = diag[1:]
+    step = -np.sqrt((2 * m + 1) / (2.0 * m)) * s
+    p00 = 1.0 / math.sqrt(4.0 * math.pi)
+    p_diag = np.cumprod(np.concatenate([np.full((n, 1), p00), step], axis=1), axis=1)
+    p[diag, :, diag] = p_diag.T
+    if l_max >= 1:
+        # same diagonal with one sin(theta) factor removed, times m
+        d1 = np.full((n, 1), -math.sqrt(3.0 / 2.0) * p00)
+        d = np.cumprod(np.concatenate([d1, step[:, 1:]], axis=1), axis=1)
+        u[m, :, m] = m[:, None] * d.T
+        first = np.sqrt(2 * diag[:-1] + 3.0) * x
+        p[diag[1:], :, diag[:-1]] = (first * p_diag[:, :-1]).T
+        u[diag[1:], :, diag[:-1]] = (first * u[diag[:-1], :, diag[:-1]].T).T
+    ax = a[:, None, :] * x
+    for l in range(2, l_max + 1):
+        c = slice(0, l - 1)
+        out = pu[l, :, :, c]
+        np.multiply(ax[l, :, c], pu[l - 1, :, :, c], out=out)
+        out -= ab[l, c] * pu[l - 2, :, :, c]
+    return p, u
+
+
+def _harmonics(l_max: int, theta: np.ndarray, phi: np.ndarray, tables):
+    """Y, dY/dtheta and mY/sin(theta), each (N, l_max + 1, 2 l_max + 1)."""
+    a, ab, up, dn = tables
+    p, u = _legendre_norm(l_max, theta, a, ab)
+    p = p.transpose(1, 0, 2)
+    u = u.transpose(1, 0, 2)
+    ms = np.arange(l_max + 1)
+    phases = np.exp(1j * phi[:, None] * ms)[:, None, :]
     c = l_max  # column of m = 0
-    phases = np.exp(1j * phi * np.arange(l_max + 1))
-    for l in range(l_max + 1):
-        for m in range(0, l + 1):
-            val = p[l, m] * phases[m]
-            y[l, c + m] = val
-            if m:
-                # conjugation symmetry fixes negative m exactly
-                y[l, c - m] = (-1) ** m * np.conj(val)
-                uv = u[l, m] * phases[m]
-                m_y[l, c + m] = uv
-                m_y[l, c - m] = (-1) ** (m + 1) * np.conj(uv)
-    dy = np.zeros_like(y)
-    em = np.exp(-1j * phi)
-    ep = np.exp(1j * phi)
-    for l in range(l_max + 1):
-        for m in range(-l, l + 1):
-            up = math.sqrt((l - m) * (l + m + 1.0)) if m + 1 <= l else 0.0
-            dn = math.sqrt((l + m) * (l - m + 1.0)) if m - 1 >= -l else 0.0
-            t = 0.0 + 0.0j
-            if up:
-                t += up * em * y[l, c + m + 1]
-            if dn:
-                t -= dn * ep * y[l, c + m - 1]
-            dy[l, c + m] = 0.5 * t
-    return HarmonicsBlock(l_max, theta, phi, y, dy, m_y)
+    sign = np.where(ms % 2 == 0, 1.0, -1.0)[1:]
+    shape = (theta.size, l_max + 1, 2 * l_max + 1)
+    y = np.zeros(shape, dtype=complex)
+    m_y = np.zeros(shape, dtype=complex)
+    np.multiply(p, phases, out=y[..., c:])
+    np.multiply(u, phases, out=m_y[..., c:])
+    # conjugation symmetry fixes negative m exactly; columns c-1 .. 0 hold
+    # m = -1 .. -l_max
+    for arr, parity in ((y, sign), (m_y, -sign)):
+        neg = arr[..., :c][..., ::-1]
+        np.conjugate(arr[..., c + 1:], out=neg)
+        neg *= parity
+    # ladder: 2 dY_l^m = up e^{-i phi} Y_l^{m+1} - dn e^{i phi} Y_l^{m-1}
+    em = np.exp(-1j * phi)[:, None, None]
+    ep = np.exp(1j * phi)[:, None, None]
+    dy = np.zeros(shape, dtype=complex)
+    np.multiply(y[..., 1:], em, out=dy[..., :-1])
+    dy[..., :-1] *= up[:, :-1]
+    lower = y[..., :-1] * ep
+    lower *= dn[:, 1:]
+    dy[..., 1:] -= lower
+    dy *= 0.5
+    return y, dy, m_y
+
+
+def _vector_families(ls: np.ndarray, y, dy, u):
+    """(X, V, W) from Y, dY/dtheta and mY/sin(theta) at orders ``ls``.
+
+    ``ls`` broadcasts against the scalar arrays; the results carry a trailing
+    axis of spherical components (e_r, e_theta, e_phi). Rows with l = 0
+    vanish identically.
+    """
+    live = ls > 0
+    # l = 0 divides by one instead of zero; the mask then clears those rows
+    s = np.where(live, np.sqrt(ls * (ls + 1.0)), 1.0)
+    nv = np.sqrt((ls + 1.0) * (2.0 * ls + 1.0))
+    nw = np.where(live, np.sqrt(ls * (2.0 * ls + 1.0)), 1.0)
+    shape = y.shape + (3,)
+    x = np.zeros(shape, dtype=complex)
+    v = np.empty(shape, dtype=complex)
+    w = np.empty(shape, dtype=complex)
+    x[..., 1] = -u / s
+    x[..., 2] = -1j * dy / s
+    v[..., 0] = -(ls + 1.0) * y / nv
+    v[..., 1] = dy / nv
+    v[..., 2] = 1j * u / nv
+    w[..., 0] = ls * y / nw
+    w[..., 1] = dy / nw
+    w[..., 2] = 1j * u / nw
+    mask = live[..., None].astype(float)
+    for arr in (x, v, w):
+        arr *= mask
+    return x, v, w
+
+
+def _check_vector_order(l_max: int) -> int:
+    l_max = _check_order(l_max)
+    if l_max < 1:
+        raise DomainError("l_max must be >= 1")
+    return l_max
+
+
+def spherical_harmonics_batch(l_max: int, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Y, dY/dtheta and mY/sin(theta) for all l <= l_max, |m| <= l, at N directions.
+
+    theta and phi are scalars or 1-D arrays of one length N. Returns three
+    complex arrays shaped (N, l_max + 1, 2 l_max + 1) indexed
+    [n, l, m + l_max]; entries with |m| > l are zero. The whole batch is
+    held at once; ``vector_harmonics_contract`` is the bounded-memory route
+    for many directions.
+    """
+    l_max = _check_order(l_max)
+    theta, phi = _as_angle_arrays(theta, phi)
+    return _harmonics(l_max, theta, phi, _recurrence_tables(l_max))
+
+
+def spherical_harmonics_block(l_max: int, theta: float, phi: float) -> HarmonicsBlock:
+    """Compute Y, dY/dtheta and mY/sin(theta) for all l <= l_max, |m| <= l.
+
+    The N = 1 view of ``spherical_harmonics_batch``.
+    """
+    theta, phi = _as_angles((theta, phi))
+    y, dy, u = spherical_harmonics_batch(l_max, theta, phi)
+    return HarmonicsBlock(y.shape[1] - 1, theta, phi, y[0], dy[0], u[0])
 
 
 def spherical_harmonic(l: int, m: int, point) -> complex:
@@ -307,40 +417,45 @@ def spherical_harmonic(l: int, m: int, point) -> complex:
     l = _check_order(l)
     if abs(m) > l:
         raise DomainError(f"|m|={abs(m)} exceeds l={l}")
-    theta, phi = _as_angles(point)
-    block = spherical_harmonics_block(l, theta, phi)
-    return complex(block.y[l, block.idx(m)])
+    y, _, _ = spherical_harmonics_batch(l, *_as_angles(point))
+    return complex(y[0, l, m + l])
 
 
-def unit_vectors(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Local spherical basis (e_r, e_theta, e_phi) as Cartesian rows."""
-    st, ct = math.sin(theta), math.cos(theta)
-    sp, cp = math.sin(phi), math.cos(phi)
-    e_r = np.array([st * cp, st * sp, ct])
-    e_theta = np.array([ct * cp, ct * sp, -st])
-    e_phi = np.array([-sp, cp, 0.0])
+def unit_vectors(theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Local spherical basis (e_r, e_theta, e_phi) as Cartesian rows.
+
+    Array angles give arrays with a trailing axis of 3.
+    """
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    e_r = np.stack([st * cp, st * sp, ct], axis=-1)
+    e_theta = np.stack([ct * cp, ct * sp, -st], axis=-1)
+    e_phi = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
     return e_r, e_theta, e_phi
 
 
-def spherical_to_cartesian(components: np.ndarray, theta: float, phi: float) -> np.ndarray:
-    """Rotate (A_r, A_theta, A_phi) components into Cartesian components."""
+def spherical_to_cartesian(components: np.ndarray, theta, phi) -> np.ndarray:
+    """Rotate (A_r, A_theta, A_phi) components into Cartesian components.
+
+    components has a trailing axis of 3; array angles broadcast against the
+    leading axes.
+    """
     e_r, e_theta, e_phi = unit_vectors(theta, phi)
     a = np.asarray(components)
-    return a[0] * e_r + a[1] * e_theta + a[2] * e_phi
+    return a[..., 0, None] * e_r + a[..., 1, None] * e_theta + a[..., 2, None] * e_phi
 
 
-def _triple_from_block(block: HarmonicsBlock, l: int, m: int) -> VectorHarmonicTriple:
-    c = block.idx(m)
-    y = block.y[l, c]
-    dy = block.dtheta_y[l, c]
-    u = block.m_y_over_sin[l, c]
-    s = math.sqrt(l * (l + 1.0))
-    X = np.array([0.0, -u / s, -1j * dy / s], dtype=complex)
-    V = np.array([-(l + 1.0) * y, dy, 1j * u], dtype=complex) / math.sqrt(
-        (l + 1.0) * (2 * l + 1.0)
-    )
-    W = np.array([l * y, dy, 1j * u], dtype=complex) / math.sqrt(l * (2 * l + 1.0))
-    return VectorHarmonicTriple(X=X, V=V, W=W)
+def vector_harmonics_batch(l_max: int, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All (X, V, W) triples for l <= l_max at N directions.
+
+    Returns three complex arrays shaped (N, l_max + 1, 2 l_max + 1, 3)
+    indexed [n, l, m + l_max, spherical component]; rows with l = 0 or
+    |m| > l are zero.
+    """
+    l_max = _check_vector_order(l_max)
+    theta, phi = _as_angle_arrays(theta, phi)
+    y, dy, u = _harmonics(l_max, theta, phi, _recurrence_tables(l_max))
+    return _vector_families(np.arange(l_max + 1, dtype=float)[:, None], y, dy, u)
 
 
 def vector_harmonics_block(
@@ -350,34 +465,40 @@ def vector_harmonics_block(
 
     Returns three complex arrays shaped (l_max + 1, 2 l_max + 1, 3) indexed
     [l, m + l_max, spherical component]; rows with l = 0 or |m| > l are zero.
+    The N = 1 view of ``vector_harmonics_batch``.
     """
-    l_max = _check_order(l_max)
-    if l_max < 1:
-        raise DomainError("l_max must be >= 1")
-    block = spherical_harmonics_block(l_max, theta, phi)
-    ls = np.arange(l_max + 1, dtype=float)[:, None]
-    y, dy, u = block.y, block.dtheta_y, block.m_y_over_sin
-    shape = (l_max + 1, 2 * l_max + 1, 3)
-    x_out = np.zeros(shape, dtype=complex)
-    v_out = np.zeros(shape, dtype=complex)
-    w_out = np.zeros(shape, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.sqrt(ls * (ls + 1.0))
-        x_out[..., 1] = -u / s
-        x_out[..., 2] = -1j * dy / s
-        nv = np.sqrt((ls + 1.0) * (2.0 * ls + 1.0))
-        v_out[..., 0] = -(ls + 1.0) * y / nv
-        v_out[..., 1] = dy / nv
-        v_out[..., 2] = 1j * u / nv
-        nw = np.sqrt(ls * (2.0 * ls + 1.0))
-        w_out[..., 0] = ls * y / nw
-        w_out[..., 1] = dy / nw
-        w_out[..., 2] = 1j * u / nw
-    # the l = 0 row divided by zero; those triples vanish identically
-    x_out[0] = 0.0
-    v_out[0] = 0.0
-    w_out[0] = 0.0
-    return x_out, v_out, w_out
+    x, v, w = vector_harmonics_batch(l_max, *_as_angles((theta, phi)))
+    return x[0], v[0], w[0]
+
+
+def vector_harmonics_contract(
+    l_max: int, theta, phi, weights
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted sums over m of the (X, V, W) triples at N directions.
+
+    weights is shaped (K, l_max + 1, 2 l_max + 1) and indexed like a harmonic
+    block. Returns three complex arrays shaped (N, K, l_max + 1, 3) holding
+    sum_m weights[k, l, m] F[n, l, m, c] for F = X, V, W. Directions are
+    processed in chunks of at most CHUNK_VALUES block entries, so memory
+    stays bounded whatever N is.
+    """
+    l_max = _check_vector_order(l_max)
+    theta, phi = _as_angle_arrays(theta, phi)
+    weights = np.asarray(weights, dtype=complex)
+    width = 2 * l_max + 1
+    if weights.ndim != 3 or weights.shape[1:] != (l_max + 1, width):
+        raise DomainError(
+            f"weights must be (K, {l_max + 1}, {width}), got {weights.shape}"
+        )
+    tables = _recurrence_tables(l_max)
+    n = theta.size
+    sums = np.empty((3, n, weights.shape[0], l_max + 1), dtype=complex)
+    step = max(1, CHUNK_VALUES // ((l_max + 1) * width))
+    for start in range(0, n, step):
+        chunk = slice(start, start + step)
+        for i, arr in enumerate(_harmonics(l_max, theta[chunk], phi[chunk], tables)):
+            sums[i, chunk] = np.einsum("klm,nlm->nkl", weights, arr)
+    return _vector_families(np.arange(l_max + 1, dtype=float), *sums)
 
 
 def vector_spherical_harmonics(l: int, m: int, point) -> VectorHarmonicTriple:
@@ -392,6 +513,5 @@ def vector_spherical_harmonics(l: int, m: int, point) -> VectorHarmonicTriple:
         raise DomainError("l must be >= 1; the l=0 triple vanishes identically")
     if abs(m) > l:
         raise DomainError(f"|m|={abs(m)} exceeds l={l}")
-    theta, phi = _as_angles(point)
-    block = spherical_harmonics_block(l, theta, phi)
-    return _triple_from_block(block, l, m)
+    x, v, w = vector_harmonics_batch(l, *_as_angles(point))
+    return VectorHarmonicTriple(X=x[0, l, m + l], V=v[0, l, m + l], W=w[0, l, m + l])

@@ -50,3 +50,23 @@ def qsca(m: float, x: float, l_max: int) -> float:
     a, b = mie_ab(m, x, l_max)
     ls = np.arange(1, l_max + 1)
     return float(2.0 / (x * x) * np.sum((2 * ls + 1) * (np.abs(a) ** 2 + np.abs(b) ** 2)))
+
+
+def amplitude_s12(m: float, x: float, mu, l_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Far-field amplitudes S1, S2 at scattering-angle cosines mu.
+
+    Bohren & Huffman (4.74), with the angular functions pi_l, tau_l from
+    their upward recurrences and the series cut at l_max.
+    """
+    a, b = mie_ab(m, x, l_max)
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    pi_prev, pi_cur = np.zeros_like(mu), np.ones_like(mu)
+    s1 = np.zeros(mu.shape, dtype=complex)
+    s2 = np.zeros(mu.shape, dtype=complex)
+    for l in range(1, l_max + 1):
+        tau = l * mu * pi_cur - (l + 1) * pi_prev
+        f = (2 * l + 1) / (l * (l + 1.0))
+        s1 += f * (a[l - 1] * pi_cur + b[l - 1] * tau)
+        s2 += f * (a[l - 1] * tau + b[l - 1] * pi_cur)
+        pi_prev, pi_cur = pi_cur, ((2 * l + 1) * mu * pi_cur - (l + 1) * pi_prev) / l
+    return s1, s2

@@ -2,11 +2,13 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import qmie
 from qmie import cli
 from qmie.miecore import ChannelIndex, SphereSpec, phase_shift
 
@@ -226,10 +228,79 @@ def test_bogoliubov_scan_with_error_column(tmp_path):
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "ps.csv"
+    # the child imports the same qmie as this process, however pytest found it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qmie.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qmie.cli", "phase-shifts", "--epsilon", "2.1",
          "--q", "0.5", "-o", str(out)],
         capture_output=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+# ------------------------------------------------- numeric cells and l_max
+
+def test_bogoliubov_csv_cells_are_plain_floats(tmp_path):
+    out = tmp_path / "v.csv"
+    assert run(["bogoliubov", "--epsilon", "2.1", "--k", "0.5", "--kind", "V",
+                "--kp-min", "0.6", "--kp-max", "0.9", "--kp-steps", "3",
+                "-o", str(out)]) == 0
+    rows = read_rows(out)
+    assert len(rows) == 3
+    for row in rows:
+        assert all(math.isfinite(float(cell)) for cell in row)
+
+
+def config_tokens(path):
+    line = next(l for l in path.read_text().splitlines() if l.startswith("# config: "))
+    return line[len("# config: "):].split(" ")
+
+
+L_MAX_COMMANDS = {
+    "diff-cross-section": ["diff-cross-section", "--epsilon", "2.1", "--q", "5.0",
+                           "--n-theta", "7"],
+    "g2-map": ["g2-map", "--q", "3.0", "--n-phi", "4"],
+    "bogoliubov": ["bogoliubov", "--epsilon", "2.1", "--k", "2.0", "--kind", "V",
+                   "--kp-min", "1.5", "--kp-max", "2.5", "--kp-steps", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(L_MAX_COMMANDS))
+def test_l_max_is_honoured_and_echoed(tmp_path, command):
+    args = L_MAX_COMMANDS[command]
+    default, flag, cfg_out = tmp_path / "d.csv", tmp_path / "f.csv", tmp_path / "c.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"l_max": 2}))
+    assert run(args + ["-o", str(default)]) == 0
+    assert run(args + ["--l-max", "2", "-o", str(flag)]) == 0
+    assert run(args + ["--config", str(cfg), "-o", str(cfg_out)]) == 0
+    assert not [t for t in config_tokens(default) if t.startswith("l_max=")]
+    assert "l_max=2" in config_tokens(flag)
+    assert read_rows(flag) != read_rows(default)
+    assert read_rows(cfg_out) == read_rows(flag)
+
+
+@pytest.mark.parametrize("args", [
+    ["field-map", "--epsilon", "2.1", "--q", "1.0", "--points", "3"],
+    ["palpha-scan", "--epsilon", "2.1", "--q-min", "1.0", "--q-max", "2.0",
+     "--q-steps", "3"],
+])
+def test_l_max_rejected_where_unused(tmp_path, capsys, args):
+    out = tmp_path / "x.csv"
+    assert run(args + ["--l-max", "2", "-o", str(out)]) == 2
+    assert "--l-max" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_truncation_beyond_hard_cap_names_needed_order(tmp_path, capsys):
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    assert run(["cross-section", "--epsilon", "2.1", "--q", "474", "-o", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "multipole order 512" in err and "Bessel order 513" in err
+    assert not bad.exists()
+    assert run(["cross-section", "--epsilon", "2.1", "--q", "473", "-o", str(good)]) == 0
+    assert max(int(r[2]) for r in read_rows(good)) == 511

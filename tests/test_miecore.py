@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qmie.errors import DomainError
+from qmie.errors import DomainError, ResourceLimitError
 from qmie.miecore import (
     ChannelIndex,
     PhaseShiftRecord,
@@ -182,5 +182,6 @@ def test_truncation_formula_and_floor():
     assert truncation_order(0.1) >= 4
     assert truncation_order(5.0) == math.ceil(5 + 4 * 5 ** (1 / 3) + 2) + 4
     assert truncation_order(0.0) >= 4
-    assert truncation_order(1e6) == 512
+    with pytest.raises(ResourceLimitError, match="multipole order"):
+        truncation_order(1e6)
     assert truncation_order(5.0, margin=10) == truncation_order(5.0) + 6

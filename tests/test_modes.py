@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import spherical_jn
 
-from qmie import modes
+from qmie import modes, specfun
 from qmie.errors import DomainError
 from qmie.miecore import ChannelIndex, SphereSpec, phase_shift, truncation_order
 from qmie.specfun import unit_vectors
@@ -367,6 +367,52 @@ def test_near_sphere_intensity_dominated_by_dipole_channel():
     for key, val in peak.items():
         if key != ("TM", 1):
             assert peak[("TM", 1)] > 50.0 * val
+
+
+def chunk_points(l_max):
+    return specfun.CHUNK_VALUES // ((l_max + 1) * (2 * l_max + 1))
+
+
+def random_points(n, seed):
+    # half inside the sphere, half outside, plus the origin and the surface
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(n, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = np.where(np.arange(n) % 2 == 0, rng.uniform(0.05, 0.95, n), rng.uniform(1.05, 4.0, n))
+    pts = radii[:, None] * dirs
+    pts[0] = 0.0
+    pts[1] = SPEC.radius * dirs[1]
+    return pts
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_intensity_map_batch_matches_pointwise_modes(offset):
+    l = 3
+    mode = modes.SphericalModeIndex(ChannelIndex("TM", l), 1, 2.3)
+    pts = random_points(chunk_points(l) + offset, 500 + offset)
+    vals = modes.field_intensity_map(SPEC, mode, pts)
+    assert vals.shape == (pts.shape[0],)
+    for pt, got in zip(pts, vals):
+        s = modes.spherical_eigenmode(SPEC, mode, pt).value
+        ref = float(np.real(np.vdot(s, s))) / mode.k**2
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_mode_sum_batch_matches_pointwise_calls(offset):
+    l_max = 8
+    kap = modes.PlaneModeIndex(2, (0.9, -0.4, 1.3))
+    pts = random_points(chunk_points(l_max) + offset, 600 + offset)
+    for kind in ("full", "scattered"):
+        batch = modes._mode_sum(SPEC, kap, "outgoing", pts, l_max, kind)
+        assert batch.shape == pts.shape
+        single = np.array([modes._mode_sum(SPEC, kap, "outgoing", pt[None], l_max, kind)[0]
+                           for pt in pts])
+        assert np.max(np.abs(batch - single)) <= 1e-13 * np.max(np.abs(single))
+    far = modes.scattering_eigenmode(SPEC, kap, "incoming", pts, l_max=l_max, form="mie").value
+    for pt, got in zip(pts[:5], far[:5]):
+        ref = modes.scattering_eigenmode(SPEC, kap, "incoming", pt, l_max=l_max, form="mie").value
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # -------------------------------------------------------------- curl checks

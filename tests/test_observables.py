@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from qmie import modes, observables
+from qmie import modes, observables, specfun
 from qmie.errors import DomainError
 from qmie.miecore import ChannelIndex, SphereSpec, phase_shift, truncation_order
 from qmie.modes import PlaneModeIndex
-from mie_oracle import mie_ab
+from mie_oracle import amplitude_s12, mie_ab
 from quadrature import solid_angle_grid
 
 SPEC = SphereSpec(epsilon=2.1, radius=1.0)
@@ -188,6 +188,47 @@ def test_differential_direction_validation():
     kap = PlaneModeIndex(1, (0.0, 0.0, 1.0))
     with pytest.raises(DomainError):
         observables.differential_cross_section(SPEC, kap, (0.0, 0.0, 0.0))
+    with pytest.raises(DomainError):
+        observables.differential_cross_section(SPEC, kap, [(0.0, 0.0, 1.0), (0.0, 0.0, 0.0)])
+
+
+def scan_directions(thetas, phi_d):
+    return np.stack([np.sin(thetas) * math.cos(phi_d),
+                     np.sin(thetas) * math.sin(phi_d),
+                     np.cos(thetas)], axis=-1)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_differential_batch_matches_single_directions(offset):
+    # q = 20: l_max = 37, so a chunk holds two directions
+    q = 20.0
+    l_max = truncation_order(q)
+    n = specfun.CHUNK_VALUES // ((l_max + 1) * (2 * l_max + 1)) + offset
+    kap = PlaneModeIndex(2, (0.3 * q, -0.2 * q, math.sqrt(0.87) * q))
+    dirs = scan_directions(np.linspace(0.0, math.pi, n + 2)[1:-1], 2.1)
+    batch = observables.differential_cross_section(SPEC, kap, dirs)
+    assert batch.shape == (n,)
+    for d, got in zip(dirs, batch):
+        single = observables.differential_cross_section(SPEC, kap, d)
+        assert isinstance(single, float)
+        assert got == pytest.approx(single, rel=1e-13)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_differential_batch_matches_classical_amplitudes(g):
+    # incidence along z: g = 1 is y-polarized, g = 2 is x-polarized
+    q = 20.0
+    k = q / SPEC.radius
+    l_max = truncation_order(q)
+    kap = PlaneModeIndex(g, (0.0, 0.0, k))
+    thetas = np.linspace(0.0, math.pi, 25)
+    phi_d = 0.7
+    got = observables.differential_cross_section(SPEC, kap, scan_directions(thetas, phi_d))
+    s1, s2 = amplitude_s12(math.sqrt(SPEC.epsilon), q, np.cos(thetas), l_max)
+    if g == 2:
+        s1, s2 = s2, s1
+    ref = (np.abs(s1) ** 2 * math.cos(phi_d) ** 2 + np.abs(s2) ** 2 * math.sin(phi_d) ** 2) / k**2
+    assert np.max(np.abs(got - ref)) < 1e-13 * np.max(ref)
 
 
 # --------------------------------------------------------- transition kernel
@@ -283,9 +324,9 @@ def test_g2_zero_signal_sentinel(monkeypatch):
 
     def muted(spec, kappa, direction, point, **kw):
         sample = real(spec, kappa, direction, point, **kw)
-        if point[2] > 0:  # kill the upper detector entirely
-            return modes.FieldSample(value=np.zeros(3, dtype=complex), point=sample.point)
-        return sample
+        # kill the upper detector entirely; points may come one or N at a time
+        upper = np.asarray(point)[..., 2:] > 0
+        return modes.FieldSample(value=np.where(upper, 0.0, sample.value), point=sample.point)
 
     monkeypatch.setattr(observables.modes, "scattering_eigenmode", muted)
     grid = observables.g2_map(

@@ -281,3 +281,58 @@ def test_spherical_to_cartesian_roundtrip():
     assert np.allclose(basis @ basis.T, np.eye(3), atol=1e-15)
     v = specfun.spherical_to_cartesian(np.array([1.0, 2.0, -0.5]), theta, phi)
     assert np.allclose(v, 1.0 * e_r + 2.0 * e_theta - 0.5 * e_phi)
+
+
+# ------------------------------------------------------------ batched layer
+
+def chunk_directions(l_max):
+    return specfun.CHUNK_VALUES // ((l_max + 1) * (2 * l_max + 1))
+
+
+def random_directions(n, seed):
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, math.pi, n)
+    theta[:2] = (0.0, math.pi)
+    return theta, rng.uniform(-1.0, 2 * math.pi + 1.0, n)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_batched_block_matches_per_direction(offset):
+    l_max = 6
+    n = chunk_directions(l_max) + offset
+    theta, phi = random_directions(n, 100 + offset)
+    y, dy, u = specfun.spherical_harmonics_batch(l_max, theta, phi)
+    assert y.shape == (n, l_max + 1, 2 * l_max + 1)
+    bx, bv, bw = specfun.vector_harmonics_batch(l_max, theta, phi)
+    assert bx.shape == (n, l_max + 1, 2 * l_max + 1, 3)
+    for i in range(n):
+        block = specfun.spherical_harmonics_block(l_max, theta[i], phi[i])
+        for got, ref in ((y, block.y), (dy, block.dtheta_y), (u, block.m_y_over_sin)):
+            assert np.max(np.abs(got[i] - ref)) <= 1e-14 * np.max(np.abs(ref))
+        for got, ref in zip((bx, bv, bw), specfun.vector_harmonics_block(l_max, theta[i], phi[i])):
+            assert np.max(np.abs(got[i] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_contraction_matches_per_direction_sums(offset):
+    # the m sums cross a chunk boundary of the direction batch
+    l_max = 6
+    n = chunk_directions(l_max) + offset
+    theta, phi = random_directions(n, 200 + offset)
+    rng = np.random.default_rng(300 + offset)
+    weights = rng.normal(size=(2, l_max + 1, 2 * l_max + 1)) \
+        + 1j * rng.normal(size=(2, l_max + 1, 2 * l_max + 1))
+    sums = specfun.vector_harmonics_contract(l_max, theta, phi, weights)
+    for i in range(n):
+        for got, fam in zip(sums, specfun.vector_harmonics_block(l_max, theta[i], phi[i])):
+            ref = np.einsum("klm,lmc->klc", weights, fam)
+            assert np.max(np.abs(got[i] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_batch_rejects_bad_directions():
+    with pytest.raises(DomainError):
+        specfun.spherical_harmonics_batch(3, [0.1, math.pi + 0.1], [0.0, 0.0])
+    with pytest.raises(DomainError):
+        specfun.vector_harmonics_batch(3, [0.1, 0.2], [0.0])
+    with pytest.raises(DomainError):
+        specfun.vector_harmonics_contract(3, [0.1], [0.0], np.zeros((1, 3, 7)))
