@@ -13,6 +13,7 @@ from .errors import (
     ConsistencyError,
     DegenerateChannelError,
     DomainError,
+    NonFiniteError,
     PoleExcludedError,
     QmieError,
     ResourceLimitError,
@@ -42,6 +43,7 @@ __all__ = [
     "ConsistencyError",
     "DegenerateChannelError",
     "DomainError",
+    "NonFiniteError",
     "PhaseShiftRecord",
     "PlaneModeIndex",
     "PoleExcludedError",

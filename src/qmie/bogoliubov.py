@@ -18,7 +18,7 @@ from scipy.special import spherical_jn
 
 from . import modes
 from .errors import DomainError, PoleExcludedError, ToleranceError
-from .miecore import SphereSpec, truncation_order
+from .miecore import SphereSpec, phase_table, truncation_order
 from .modes import PlaneModeIndex
 
 __all__ = [
@@ -116,7 +116,10 @@ def _volume_overlap(
     b_scale = math.sqrt(spec.epsilon) if scattered else 1.0
     m_te, m_tm = _angular_sums(kappa, kappa_prime, l_max, conjugate_pair)
     if scattered:
-        table = modes._phase_table(spec, kp * spec.radius, l_max)
+        t = phase_table(spec, kp * spec.radius, l_max)
+        phase = t.gamma * np.exp(phase_sign * 1j * t.phi)
+    else:
+        phase = np.ones((2, l_max + 1))
     total = 0.0 + 0.0j
     err = 0.0
     for l in range(1, l_max + 1):
@@ -127,13 +130,7 @@ def _volume_overlap(
         w_dn = (l + 1.0) / (2.0 * l + 1.0)
         t_tm = w_up * o_up + w_dn * o_dn
         e_tm = w_up * e_up + w_dn * e_dn
-        if scattered:
-            rec_te = table["TE"][l]
-            rec_tm = table["TM"][l]
-            phi_te = rec_te.gamma_l * np.exp(phase_sign * 1j * rec_te.phi)
-            phi_tm = rec_tm.gamma_l * np.exp(phase_sign * 1j * rec_tm.phi)
-        else:
-            phi_te = phi_tm = 1.0
+        phi_te, phi_tm = phase[:, l]
         total += m_te[l] * phi_te * t_te + m_tm[l] * phi_tm * t_tm
         err += abs(m_te[l] * phi_te) * e_te + abs(m_tm[l] * phi_tm) * e_tm
     return (2.0 / math.pi) * total, (2.0 / math.pi) * err
@@ -246,10 +243,6 @@ def a_diagonal_channel_sum(
     if l_max is None:
         l_max = truncation_order(q)
     m_te, m_tm = _angular_sums(kappa, kappa_prime, l_max, conjugate_pair=False)
-    table = modes._phase_table(spec, q, l_max)
-    total = 0.0 + 0.0j
-    for l in range(1, l_max + 1):
-        for p, m_arr in (("TE", m_te), ("TM", m_tm)):
-            rec = table[p][l]
-            total += m_arr[l] * np.exp(sign * 1j * rec.phi) * rec.cos_phi
-    return complex(total)
+    t = phase_table(spec, q, l_max)
+    # rows l = 0 of the angular sums vanish
+    return complex(np.sum(np.stack([m_te, m_tm]) * np.exp(sign * 1j * t.phi) * t.cos_phi))

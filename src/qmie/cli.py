@@ -21,12 +21,13 @@ from .errors import (
     ConsistencyError,
     DegenerateChannelError,
     DomainError,
+    NonFiniteError,
     PoleExcludedError,
     QmieError,
     ResourceLimitError,
     ToleranceError,
 )
-from .miecore import ChannelIndex, SphereSpec, phase_shift, truncation_order
+from .miecore import POLARIZATIONS, ChannelIndex, SphereSpec, phase_table, truncation_order
 from .modes import PlaneModeIndex, SphericalModeIndex, field_intensity_map
 
 _FIG_CHANNELS = "TM:1,TE:1,TM:2,TE:2,TM:3"
@@ -134,6 +135,16 @@ def _render(fmt: str, command: str, effective: dict, columns, rows, notes=()):
     return "\n".join(lines) + "\n"
 
 
+def _require_finite(command: str, columns, rows) -> None:
+    """Reject NaN or inf in a data column, except g2-map's documented g2 NaN."""
+    for i, name in enumerate(columns):
+        if (command, name) == ("g2-map", "g2"):
+            continue
+        bad = [row[i] for row in rows if isinstance(row[i], float) and not math.isfinite(row[i])]
+        if bad:
+            raise NonFiniteError(f"{command}: column {name!r} holds {bad[0]!r}")
+
+
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qmie-")
@@ -156,11 +167,10 @@ def cmd_phase_shifts(res: Resolver):
     q, _ = res.wavenumber(spec.radius)
     l_max = res.get("l_max", default=truncation_order(q), cast=int)
     res.reject_unknown()
-    rows = []
-    for l in range(1, l_max + 1):
-        for p in ("TE", "TM"):
-            r = phase_shift(spec, q, ChannelIndex(p, l))
-            rows.append((l, p, r.alpha_l, r.beta_l, r.gamma_l, r.sin_phi, r.cos_phi))
+    t = phase_table(spec, q, l_max)
+    cols = (t.alpha, t.beta, t.gamma, t.sin_phi, t.cos_phi)
+    rows = [(l, p, *(float(c[i, l]) for c in cols))
+            for l in range(1, l_max + 1) for i, p in enumerate(POLARIZATIONS)]
     return ("phase-shifts", ("l", "p", "alpha", "beta", "gamma", "sin_phi", "cos_phi"),
             rows, ())
 
@@ -181,10 +191,13 @@ def cmd_palpha_scan(res: Resolver):
     if not channels:
         raise ConfigError("channels: empty list")
     qs = np.linspace(q_min, q_max, steps)
+    # p_alpha = sin^2 phi, read for every channel from one phase table per q
+    l_top = max(ch.l for ch in channels)
+    power = np.array([phase_table(spec, float(q), l_top).sin_phi for q in qs]) ** 2
     rows, notes = [], []
     for ch in channels:
         label = f"{ch.p}:{ch.l}"
-        vals = [observables.p_alpha(spec, float(q), ch) for q in qs]
+        vals = power[:, POLARIZATIONS.index(ch.p), ch.l].tolist()
         best = int(np.argmax(vals))
         notes.append(f"argmax {label}: q={_fmt(float(qs[best]))} "
                      f"p_alpha={_fmt(float(vals[best]))}")
@@ -420,12 +433,13 @@ def main(argv=None) -> int:
         if not output:
             raise ConfigError("output: required")
         command, columns, rows, notes = _COMMANDS[args.command](res)
+        _require_finite(command, columns, rows)
         text = _render(fmt, command, res.effective, columns, rows, notes)
         _write_atomic(output, text)
     except (ConfigError, DomainError, PoleExcludedError, ResourceLimitError) as exc:
         print(f"qmie: config error: {exc}", file=sys.stderr)
         return 2
-    except (ToleranceError, ConsistencyError, DegenerateChannelError) as exc:
+    except (ToleranceError, ConsistencyError, DegenerateChannelError, NonFiniteError) as exc:
         print(f"qmie: numerical tolerance failure: {exc}", file=sys.stderr)
         return 3
     except QmieError as exc:

@@ -29,5 +29,9 @@ class ConsistencyError(QmieError, RuntimeError):
     """Two internal routes to the same quantity disagree beyond tolerance."""
 
 
+class NonFiniteError(QmieError, ArithmeticError):
+    """A result holds NaN or inf where a finite value is required."""
+
+
 class ConfigError(QmieError, ValueError):
     """Malformed run configuration."""

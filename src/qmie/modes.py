@@ -9,7 +9,6 @@ done on the local spherical basis where the closed forms live.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError
-from .miecore import ChannelIndex, PhaseShiftRecord, SphereSpec, phase_shift, truncation_order
+from .miecore import POLARIZATIONS, ChannelIndex, SphereSpec, phase_table, truncation_order
 
 __all__ = [
     "SphericalModeIndex",
@@ -139,56 +138,6 @@ def _spherical_coords(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return r, theta, phi
 
 
-@functools.lru_cache(maxsize=256)
-def _phase_table(spec: SphereSpec, q: float, l_max: int) -> dict[str, list[PhaseShiftRecord]]:
-    """Per-channel phase records for l = 1..l_max (index 0 unused)."""
-    table: dict[str, list] = {}
-    for p in ("TE", "TM"):
-        rows = [None]
-        for l in range(1, l_max + 1):
-            rows.append(phase_shift(spec, q, ChannelIndex(p, l)))
-        table[p] = rows
-    return table
-
-
-def _radial_scalar(
-    spec: SphereSpec | None,
-    rec: PhaseShiftRecord | None,
-    direction: str,
-    k: float,
-    l_prime: int,
-    r: float,
-    branch: str | None,
-    kind: str,
-) -> complex:
-    """One radial factor f_{l l'}(k; r) of the requested kind.
-
-    kind: "full" (with sphere), "vacuum" (j only), "scattered" (difference).
-    branch None resolves by position; r = R lands on the outside branch.
-    """
-    if kind == "vacuum":
-        return complex(specfun.spherical_bessel_j(l_prime, k * r)[l_prime])
-    if branch is None:
-        branch = "inside" if r < spec.radius else "outside"
-    sign = -1.0 if direction == "outgoing" else 1.0
-    phase = cmath.exp(sign * 1j * rec.phi)
-    if branch == "inside":
-        arg = math.sqrt(spec.epsilon) * k * r
-        full = phase * rec.gamma_l * specfun.spherical_bessel_j(l_prime, arg)[l_prime]
-    else:
-        x = k * r
-        j = specfun.spherical_bessel_j(l_prime, x)[l_prime]
-        h1 = j + 1j * specfun.spherical_bessel_y(l_prime, x)[l_prime]
-        if direction == "outgoing":
-            full = j - 1j * rec.sin_phi * phase * h1
-        else:
-            full = j + 1j * rec.sin_phi * phase * np.conj(h1)
-    if kind == "full":
-        return complex(full)
-    vac = specfun.spherical_bessel_j(l_prime, k * r)[l_prime]
-    return complex(full - vac)
-
-
 def radial_function(
     spec: SphereSpec,
     mode: SphericalModeIndex,
@@ -213,8 +162,9 @@ def radial_function(
         raise DomainError(f"r={r} must be finite and non-negative")
     if branch not in (None, "inside", "outside"):
         raise DomainError(f"branch {branch!r} not in (None, 'inside', 'outside')")
-    rec = phase_shift(spec, mode.k * spec.radius, mode.channel)
-    return _radial_scalar(spec, rec, mode.direction, mode.k, l_prime, r, branch, "full")
+    f_ll, f_up, f_dn = _radial_tables(spec, mode.k, r, l, mode.direction, "full", branch)
+    column = {l: f_ll, l + 1: f_up, l - 1: f_dn}[l_prime]
+    return complex(column[POLARIZATIONS.index(mode.channel.p), l])
 
 
 def _assemble(
@@ -227,34 +177,25 @@ def _assemble(
 ) -> FieldSample:
     """S_alpha of the requested radial kind, or its curl, at one or N points.
 
-    The phase record is computed once, the angular factors come from one
-    batched harmonic contraction, and the radial factors once per distinct
-    radius.
+    The angular factors come from one batched harmonic contraction, the
+    radial factors from one radial table per distinct radius.
     """
     p, single = _as_points(point)
     r, theta, phi = _spherical_coords(p)
     l, m, k = mode.channel.l, mode.m, mode.k
-    rec = None
-    if kind != "vacuum":
-        rec = phase_shift(spec, k * spec.radius, mode.channel)
     weight = np.zeros((1, l + 1, 2 * l + 1))
     weight[0, l, m + l] = 1.0
     x, v, w = (f[:, 0, l] for f in specfun.vector_harmonics_contract(l, theta, phi, weight))
-    radii, where = np.unique(r, return_inverse=True)
+    f_ll, f_up, f_dn = (f[:, POLARIZATIONS.index(mode.channel.p), l, None] for f in
+                        _radial_tables(spec, k, r, l, mode.direction, kind, branch))
     norm = k * math.sqrt(2.0 / math.pi)
-
-    def f(l_prime: int) -> np.ndarray:
-        vals = [_radial_scalar(spec, rec, mode.direction, k, l_prime, float(ri), branch, kind)
-                for ri in radii]
-        return np.array(vals)[where][:, None]
-
     # the curl swaps the TE and TM angular structures
     if (mode.channel.p == "TE") != curl:
-        sph = norm * f(l) * x
+        sph = norm * f_ll * x
     else:
         w_v = math.sqrt(l / (2.0 * l + 1.0))
         w_w = math.sqrt((l + 1.0) / (2.0 * l + 1.0))
-        sph = norm * (w_v * f(l + 1) * v - w_w * f(l - 1) * w)
+        sph = norm * (w_v * f_up * v - w_w * f_dn * w)
     if curl:
         inside = r < spec.radius if branch is None else np.full(r.shape, branch == "inside")
         kappa = k * np.where(inside, math.sqrt(spec.epsilon), 1.0)[:, None]
@@ -327,8 +268,11 @@ def _coefficient_table(theta_k, phi_k, l_max: int) -> np.ndarray:
     Shaped (N, 2, 2, l_max+1, 2 l_max+1) and indexed [n, g - 1, p, l, m + l_max]
     with p = 0 for TE and 1 for TM.
     """
-    bx = specfun.vector_harmonics_batch(l_max, theta_k, phi_k)[0]
+    if l_max < 1:
+        raise DomainError(f"l_max={l_max} must be >= 1")
+    _, dy, u = specfun.spherical_harmonics_batch(l_max, theta_k, phi_k)
     ls = np.arange(l_max + 1)[:, None]
+    bx = specfun._x_family(ls.astype(float), dy, u)
     out = np.empty((bx.shape[0], 2, 2) + bx.shape[1:3], dtype=complex)
     for g, rule in enumerate(_COEFFICIENT_RULE):
         for p, (comp, shift) in enumerate(rule):
@@ -358,8 +302,6 @@ def plane_wave_coefficients(kappa: PlaneModeIndex, l_max: int) -> list[PlaneWave
 
     Pure functions of the propagation direction; |kvec| does not enter.
     """
-    if l_max < 1:
-        raise DomainError(f"l_max={l_max} must be >= 1")
     theta_k, phi_k = kappa.angles
     c_te, c_tm = _coefficient_table(theta_k, phi_k, l_max)[0, kappa.g - 1]
     out = []
@@ -372,45 +314,6 @@ def plane_wave_coefficients(kappa: PlaneModeIndex, l_max: int) -> list[PlaneWave
 
 # ------------------------------------------------------- scattering modes
 
-def _radial_row(
-    spec: SphereSpec | None,
-    k: float,
-    r: float,
-    l_max: int,
-    direction: str,
-    kind: str,
-    phases: dict | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f^TE_{l,l}, f^TM_{l,l+1}, f^TM_{l,l-1} for l = 0..l_max at one radius."""
-    ls = np.arange(l_max + 1)
-    up = np.minimum(ls + 1, l_max + 1)
-    dn = np.maximum(ls - 1, 0)
-    j_vac = specfun.spherical_bessel_j(l_max + 1, k * r)
-    if kind == "vacuum":
-        return j_vac[ls].astype(complex), j_vac[up].astype(complex), j_vac[dn].astype(complex)
-    if r < spec.radius:
-        j_in = specfun.spherical_bessel_j(l_max + 1, math.sqrt(spec.epsilon) * k * r)
-        def fam(p, lp):
-            ph, gam, _ = phases[p]
-            return ph * gam * j_in[lp]
-    else:
-        y = specfun.spherical_bessel_y(l_max + 1, k * r)
-        h1 = j_vac + 1j * y
-        def fam(p, lp):
-            ph, _, sin = phases[p]
-            if direction == "outgoing":
-                return j_vac[lp] - 1j * sin * ph * h1[lp]
-            return j_vac[lp] + 1j * sin * ph * np.conj(h1[lp])
-    f_te = fam("TE", ls)
-    f_tm_up = fam("TM", up)
-    f_tm_dn = fam("TM", dn)
-    if kind == "scattered":
-        f_te = f_te - j_vac[ls]
-        f_tm_up = f_tm_up - j_vac[up]
-        f_tm_dn = f_tm_dn - j_vac[dn]
-    return f_te, f_tm_up, f_tm_dn
-
-
 def _radial_tables(
     spec: SphereSpec | None,
     k: float,
@@ -418,26 +321,43 @@ def _radial_tables(
     l_max: int,
     direction: str,
     kind: str,
+    branch: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays f^TE_{l,l}, f^TM_{l,l+1}, f^TM_{l,l-1} for l = 0..l_max (row 0 unused).
+    """The radial family: f^p_{l,l}, f^p_{l,l+1}, f^p_{l,l-1} for l = 0..l_max.
 
-    r is one radius, or N radii giving arrays with a leading axis N. The phase
-    arrays are built once per call and the Bessel sweeps once per distinct
-    radius.
+    kind: "full" (with sphere), "vacuum" (j only), "scattered" (difference).
+    Inside the sphere f^p_{l,l'} = e^{-/+ i phi} gamma j_l'(sqrt(eps) k r);
+    outside it is j_l'(k r) with the phase-shifted outgoing/incoming Hankel
+    term. branch None resolves by position; r = R lands on the outside branch.
+    Each array is indexed [..., p, l] with p = 0 for TE and 1 for TM (row
+    l = 0 unused); r is one radius, or N radii giving a leading axis N. The
+    phase table is built once per call; each distinct radius costs one j
+    sweep at k r, plus one y sweep outside or one interior j sweep inside.
     """
     radii, where = np.unique(np.asarray(r, dtype=float), return_inverse=True)
-    phases = None
-    if kind != "vacuum":
+    ls = np.arange(l_max + 1)
+    lps = (ls, np.minimum(ls + 1, l_max + 1), np.maximum(ls - 1, 0))
+    j_vac = np.array([specfun.spherical_bessel_j(l_max + 1, k * x) for x in radii])[:, None]
+    if kind == "vacuum":
+        fams = [np.repeat(j_vac[..., lp], 2, axis=1).astype(complex) for lp in lps]
+    else:
+        inside = radii < spec.radius if branch is None else np.full(radii.shape, branch == "inside")
+        # the interior j sweep inside the sphere, the y sweep outside
+        other = np.array([specfun.spherical_bessel_j(l_max + 1, math.sqrt(spec.epsilon) * k * x)
+                          if ins else specfun.spherical_bessel_y(l_max + 1, k * x)
+                          for x, ins in zip(radii, inside)])[:, None]
         sign = -1.0 if direction == "outgoing" else 1.0
-        table = _phase_table(spec, k * spec.radius, l_max)
-        phases = {}
-        for p in ("TE", "TM"):
-            phi_arr = np.array([0.0] + [table[p][l].phi for l in range(1, l_max + 1)])
-            gam = np.array([1.0] + [table[p][l].gamma_l for l in range(1, l_max + 1)])
-            sin = np.array([0.0] + [table[p][l].sin_phi for l in range(1, l_max + 1)])
-            phases[p] = (np.exp(sign * 1j * phi_arr), gam, sin)
-    rows = [_radial_row(spec, k, float(x), l_max, direction, kind, phases) for x in radii]
-    return tuple(np.array(col)[where.reshape(np.shape(r))] for col in zip(*rows))
+        table = phase_table(spec, k * spec.radius, l_max)
+        ph = np.exp(sign * 1j * table.phi)
+        inner, outer = ph * table.gamma, 1j * table.sin_phi * ph
+        h1 = j_vac + 1j * other
+        if direction == "incoming":
+            h1 = np.conj(h1)
+        fams = [np.where(inside[:, None, None], inner * other[..., lp],
+                         j_vac[..., lp] + sign * (outer * h1[..., lp])) for lp in lps]
+        if kind == "scattered":
+            fams = [f - j_vac[..., lp] for f, lp in zip(fams, lps)]
+    return tuple(f[where.reshape(np.shape(r))] for f in fams)
 
 
 def _mode_sum(
@@ -458,7 +378,8 @@ def _mode_sum(
     theta_k, phi_k = kappa.angles
     coeffs = _coefficient_table(theta_k, phi_k, l_max)[0, kappa.g - 1]
     bx, bv, bw = specfun.vector_harmonics_contract(l_max, theta, phi, coeffs)
-    f_te, f_tm_up, f_tm_dn = _radial_tables(spec, k, r, l_max, direction, kind)
+    f_ll, f_up, f_dn = _radial_tables(spec, k, r, l_max, direction, kind)
+    f_te, f_tm_up, f_tm_dn = f_ll[:, 0], f_up[:, 1], f_dn[:, 1]
     ls = np.arange(l_max + 1, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         w_v = np.sqrt(ls / (2.0 * ls + 1.0))

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import modes
 from .errors import ConsistencyError, DomainError
-from .miecore import ChannelIndex, SphereSpec, phase_shift, truncation_order
+from .miecore import (POLARIZATIONS, ChannelIndex, SphereSpec, phase_shift, phase_table,
+                      truncation_order)
 from .modes import PlaneModeIndex
 
 __all__ = [
@@ -112,20 +113,6 @@ def p_alpha(spec: SphereSpec, q: float, channel: ChannelIndex, method: str = "ph
     return (math.pi / 2.0) * r * r * acc
 
 
-def _phase_arrays(spec: SphereSpec, q: float, l_max: int):
-    """(sin phi, e^{-i phi}) per polarization, index l (row 0 zero)."""
-    table = modes._phase_table(spec, q, l_max)
-    out = {}
-    for p in ("TE", "TM"):
-        sin = np.array([0.0] + [table[p][l].sin_phi for l in range(1, l_max + 1)])
-        phase = np.array([1.0 + 0j] + [
-            complex(math.cos(table[p][l].phi), -math.sin(table[p][l].phi))
-            for l in range(1, l_max + 1)
-        ])
-        out[p] = (sin, phase)
-    return out
-
-
 def _amplitudes(spec: SphereSpec, kappa_in: PlaneModeIndex, theta, phi, l_max: int | None):
     """f for outgoing directions (theta, phi) and both outgoing g: (N, 2)."""
     k = kappa_in.k
@@ -135,8 +122,8 @@ def _amplitudes(spec: SphereSpec, kappa_in: PlaneModeIndex, theta, phi, l_max: i
     ti, pi_ = kappa_in.angles
     c_in = modes._coefficient_table(ti, pi_, l_max)[0, kappa_in.g - 1]
     overlaps = modes._coefficient_overlaps(theta, phi, c_in, l_max)
-    ph = _phase_arrays(spec, q, l_max)
-    weights = np.stack([ph[p][0] * ph[p][1] for p in ("TE", "TM")])
+    t = phase_table(spec, q, l_max)
+    weights = t.sin_phi * (t.cos_phi - 1j * t.sin_phi)
     return -4.0 * math.pi / k * np.einsum("ngpl,pl->ng", overlaps, weights)
 
 
@@ -157,15 +144,10 @@ def s_matrix_channels(spec: SphereSpec, q: float, l_max: int | None = None) -> l
     """Per-channel S-matrix values e^{-2 i phi_l^p}, l = 1..l_max."""
     if l_max is None:
         l_max = truncation_order(q)
-    out = []
-    for p in ("TE", "TM"):
-        for l in range(1, l_max + 1):
-            rec = phase_shift(spec, q, ChannelIndex(p, l))
-            out.append(SMatrixChannel(
-                channel=ChannelIndex(p, l),
-                value=complex(math.cos(2.0 * rec.phi), -math.sin(2.0 * rec.phi)),
-            ))
-    return out
+    phi = phase_table(spec, q, l_max).phi
+    return [SMatrixChannel(channel=ChannelIndex(p, l),
+                           value=complex(math.cos(2.0 * phi[i, l]), -math.sin(2.0 * phi[i, l])))
+            for i, p in enumerate(POLARIZATIONS) for l in range(1, l_max + 1)]
 
 
 def total_cross_section(spec: SphereSpec, q: float, l_max: int | None = None) -> CrossSectionResult:
@@ -178,31 +160,23 @@ def total_cross_section(spec: SphereSpec, q: float, l_max: int | None = None) ->
     if l_max is None:
         l_max = truncation_order(q)
     k = q / spec.radius
-    per_channel = []
-    sigma = 0.0
-    ph = _phase_arrays(spec, q, l_max)
-    for p in ("TE", "TM"):
-        sin, _ = ph[p]
-        for l in range(1, l_max + 1):
-            contrib = (2.0 * math.pi / (k * k)) * (2 * l + 1) * sin[l] ** 2
-            per_channel.append((ChannelIndex(p, l), float(contrib)))
-            sigma += contrib
+    sin2 = phase_table(spec, q, l_max).sin_phi ** 2
+    contrib = (2.0 * math.pi / (k * k)) * (2 * np.arange(l_max + 1) + 1) * sin2
+    per_channel = tuple((ChannelIndex(p, l), float(contrib[i, l]))
+                        for i, p in enumerate(POLARIZATIONS) for l in range(1, l_max + 1))
+    sigma = sum(c for _, c in per_channel)
     # independent route: 16 pi^2/k^2 sum_plm |c_{lmg} sin(phi)|^2 for one
     # concrete incoming label (any direction and g; the sum is isotropic)
     kappa = PlaneModeIndex(1, (0.48 * k, 0.36 * k, 0.8 * k))
     th, pp = kappa.angles
     tables = modes._coefficient_table(th, pp, l_max)[0, kappa.g - 1]
-    angular = 0.0
-    for p, c in zip(("TE", "TM"), tables):
-        sin, _ = ph[p]
-        angular += float(np.sum(np.abs(c) ** 2 * sin[:, None] ** 2))
-    angular *= 16.0 * math.pi**2 / (k * k)
-    if abs(angular - sigma) > 1e-9 * max(sigma, 1e-300):
+    angular = 16.0 * math.pi**2 / (k * k) * float(np.sum(np.abs(tables) ** 2 * sin2[..., None]))
+    # written so that NaN on either side fails the check
+    if not abs(angular - sigma) <= 1e-9 * max(sigma, 1e-300):
         raise ConsistencyError(
             f"cross-section forms disagree: angular={angular!r} vs channels={sigma!r}"
         )
-    return CrossSectionResult(sigma=float(sigma), per_channel=tuple(per_channel),
-                              l_max_used=l_max)
+    return CrossSectionResult(sigma=float(sigma), per_channel=per_channel, l_max_used=l_max)
 
 
 def differential_cross_section(
@@ -293,7 +267,7 @@ def g2_map(
         raise DomainError("phi grids must be non-empty 1-D arrays")
     if r_detector is None:
         r_detector = 1e3 / k
-    if k * r_detector < 1e3:
+    elif k * r_detector < 1e3:
         warnings.warn(
             f"detector radius k r = {k * r_detector:.3g} < 1e3; far-field "
             "normalization may be degraded",

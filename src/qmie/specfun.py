@@ -48,6 +48,12 @@ HARD_CAP_LMAX = 512
 # renormalized recurrence (whose anchor underflows first).
 _SERIES_THRESHOLD = 1e-6
 
+# Bessel sweeps rescale their running pair by this power of two before it
+# overflows; the scaled sweeps carry the exponent, so nothing is lost.
+_RESCALE_BITS = 830
+_RESCALE = 2.0 ** -_RESCALE_BITS
+_LN2 = math.log(2.0)
+
 
 @dataclass(frozen=True)
 class AngularPoint:
@@ -99,62 +105,55 @@ def _ln_double_factorial_odd(l: int) -> float:
     return (l + 1) * math.log(2.0) + math.lgamma(l + 1.5) - 0.5 * math.log(math.pi)
 
 
-def _series_j(l: int, x: float) -> float:
-    # leading two terms of j_l = x^l/(2l+1)!! (1 - x^2/(2(2l+3)) + ...)
-    if x == 0.0:
-        return 1.0 if l == 0 else 0.0
+def _series_j(l: int, x: float) -> tuple[float, int]:
+    # leading two terms of j_l = x^l/(2l+1)!! (1 - x^2/(2(2l+3)) + ...), as a
+    # mantissa and a power of two so that it never underflows
     ln_lead = l * math.log(x) - _ln_double_factorial_odd(l)
-    if ln_lead < -745.0:
-        return 0.0
-    return math.exp(ln_lead) * (1.0 - x * x / (2.0 * (2 * l + 3)))
+    bits = min(0, math.floor((ln_lead + 700.0) / _LN2))
+    return math.exp(ln_lead - bits * _LN2) * (1.0 - x * x / (2.0 * (2 * l + 3))), bits
 
 
-def _miller_j(l_top: int, x: float) -> list[float]:
-    """Unstable-direction-safe j_0..j_{l_top} for x not tiny relative to l_top."""
+def _miller_j(l_top: int, x: float) -> tuple[list[float], list[int]]:
+    """Unstable-direction-safe j_0..j_{l_top} for x not tiny relative to l_top.
+
+    Returns mantissas and powers of two.
+    """
     start = int(max(l_top, math.ceil(x))) + 16 + int(2.0 * math.sqrt(max(l_top, x)))
     out = [0.0] * (l_top + 1)
-    jp = 0.0
-    jc = 1e-30
+    scale = [0] * (l_top + 1)
+    jp, jc, bits = 0.0, 1e-30, 0
     for l in range(start, 0, -1):
-        jm = (2 * l + 1) / x * jc - jp
-        jp, jc = jc, jm
+        jp, jc = jc, (2 * l + 1) / x * jc - jp
+        if not -1e250 <= jc <= 1e250:
+            # rescale by a power of two before overflow; bits keeps the scale
+            jp *= _RESCALE
+            jc *= _RESCALE
+            bits += _RESCALE_BITS
         if l - 1 <= l_top:
             out[l - 1] = jc
-        if abs(jc) > 1e250:
-            # rescale before overflow; relative structure is all that matters
-            jp *= 1e-250
-            jc *= 1e-250
-            for i in range(l - 1, l_top + 1):
-                out[i] *= 1e-250
+            scale[l - 1] = bits
     # anchor against whichever closed form is well conditioned here: j0 away
     # from the nonzero roots of sin, else j1 (whose naive form only cancels
     # badly for small x, where j0 is fine anyway)
     j0 = math.sin(x) / x
     if x < 1.0 or abs(math.sin(x)) > 0.1 or l_top == 0:
-        ratio = j0 / out[0] if out[0] != 0.0 else 0.0
+        a, anchor = 0, j0
     else:
-        j1 = math.sin(x) / (x * x) - math.cos(x) / x
-        ratio = j1 / out[1] if out[1] != 0.0 else 0.0
-    out = [v * ratio for v in out]
+        a, anchor = 1, math.sin(x) / (x * x) - math.cos(x) / x
+    ratio = anchor / out[a] if out[a] != 0.0 else 0.0
+    mant = [v * ratio for v in out]
+    exps = [s - scale[a] for s in scale]
     # the l=0 closed form is exact at full relative accuracy; the recurrence
     # value loses relative precision near roots of j_0
-    out[0] = j0
-    return out
+    mant[0], exps[0] = j0, 0
+    return mant, exps
 
 
-def spherical_bessel_j(l_max: int, x: float) -> np.ndarray:
-    """Spherical Bessel functions j_0(x)..j_{l_max}(x).
+def _j_scaled(l_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """j_0(x)..j_{l_max}(x) as mantissas and powers of two.
 
-    Parameters
-    ----------
-    l_max : int
-        Highest order, 0 <= l_max <= HARD_CAP_LMAX.
-    x : float
-        Non-negative argument.
-
-    Returns
-    -------
-    ndarray of shape (l_max + 1,)
+    j_l = ldexp(mantissa_l, exponent_l), with mantissas inside the float
+    range, also where j_l itself underflows.
     """
     l_max = _check_order(l_max)
     x = float(x)
@@ -162,36 +161,55 @@ def spherical_bessel_j(l_max: int, x: float) -> np.ndarray:
         raise DomainError("x is NaN")
     if x < 0.0:
         raise DomainError(f"x={x} must be non-negative")
-    out = np.zeros(l_max + 1)
+    mant = [0.0] * (l_max + 1)
+    exps = [0] * (l_max + 1)
     if x == 0.0:
-        out[0] = 1.0
-        return out
+        mant[0] = 1.0
+        return np.array(mant), np.array(exps)
     # orders with x < threshold*(l+1) take the series branch
     l_series = l_max + 1
     while l_series > 0 and x < _SERIES_THRESHOLD * l_series:
         l_series -= 1
     if l_series > 0:
-        out[:l_series] = _miller_j(l_series - 1, x)
+        mant[:l_series], exps[:l_series] = _miller_j(l_series - 1, x)
     for l in range(l_series, l_max + 1):
-        out[l] = _series_j(l, x)
-    return out
+        mant[l], exps[l] = _series_j(l, x)
+    return np.array(mant), np.array(exps)
 
 
-def spherical_bessel_y(l_max: int, x: float) -> np.ndarray:
-    """Spherical Bessel functions y_0(x)..y_{l_max}(x) by upward recurrence."""
+def _y_scaled(l_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """y_0(x)..y_{l_max}(x) by upward recurrence, as mantissas and powers of
+    two; the mantissas stay inside the float range, also where y_l overflows."""
     l_max = _check_order(l_max)
     x = float(x)
     if math.isnan(x) or x <= 0.0:
         raise DomainError(f"x={x} must be positive (y_l diverges at 0)")
-    out = np.empty(l_max + 1)
-    out[0] = -math.cos(x) / x
-    if l_max == 0:
-        return out
-    out[1] = -math.cos(x) / (x * x) - math.sin(x) / x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(1, l_max):
-            out[l + 1] = (2 * l + 1) / x * out[l] - out[l - 1]
-    return out
+    yp, yc, bits = 0.0, -math.cos(x) / x, 0
+    mant = [yc]
+    exps = [0] * (l_max + 1)
+    if l_max >= 1:
+        yp, yc = yc, -math.cos(x) / (x * x) - math.sin(x) / x
+        mant.append(yc)
+    for l in range(1, l_max):
+        yp, yc = yc, (2 * l + 1) / x * yc - yp
+        if not -1e250 <= yc <= 1e250:
+            yp *= _RESCALE
+            yc *= _RESCALE
+            bits += _RESCALE_BITS
+        mant.append(yc)
+        exps[l + 1] = bits
+    return np.array(mant), np.array(exps)
+
+
+def spherical_bessel_j(l_max: int, x: float) -> np.ndarray:
+    """Spherical Bessel functions j_0(x)..j_{l_max}(x), 0 <= l_max <= HARD_CAP_LMAX, x >= 0."""
+    return np.ldexp(*_j_scaled(l_max, x))
+
+
+def spherical_bessel_y(l_max: int, x: float) -> np.ndarray:
+    """Spherical Bessel functions y_0(x)..y_{l_max}(x); -inf past the float range."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(*_y_scaled(l_max, x))
 
 
 def spherical_hankel_h1(l_max: int, x: float) -> np.ndarray:
@@ -351,6 +369,18 @@ def _harmonics(l_max: int, theta: np.ndarray, phi: np.ndarray, tables):
     return y, dy, m_y
 
 
+def _x_family(ls: np.ndarray, dy, u):
+    """X from dY/dtheta and mY/sin(theta) at orders ``ls``, as in _vector_families."""
+    live = ls > 0
+    # l = 0 divides by one instead of zero; the mask then clears those rows
+    s = np.where(live, np.sqrt(ls * (ls + 1.0)), 1.0)
+    x = np.zeros(dy.shape + (3,), dtype=complex)
+    x[..., 1] = -u / s
+    x[..., 2] = -1j * dy / s
+    x *= live[..., None]
+    return x
+
+
 def _vector_families(ls: np.ndarray, y, dy, u):
     """(X, V, W) from Y, dY/dtheta and mY/sin(theta) at orders ``ls``.
 
@@ -359,16 +389,11 @@ def _vector_families(ls: np.ndarray, y, dy, u):
     vanish identically.
     """
     live = ls > 0
-    # l = 0 divides by one instead of zero; the mask then clears those rows
-    s = np.where(live, np.sqrt(ls * (ls + 1.0)), 1.0)
     nv = np.sqrt((ls + 1.0) * (2.0 * ls + 1.0))
     nw = np.where(live, np.sqrt(ls * (2.0 * ls + 1.0)), 1.0)
     shape = y.shape + (3,)
-    x = np.zeros(shape, dtype=complex)
     v = np.empty(shape, dtype=complex)
     w = np.empty(shape, dtype=complex)
-    x[..., 1] = -u / s
-    x[..., 2] = -1j * dy / s
     v[..., 0] = -(ls + 1.0) * y / nv
     v[..., 1] = dy / nv
     v[..., 2] = 1j * u / nv
@@ -376,9 +401,9 @@ def _vector_families(ls: np.ndarray, y, dy, u):
     w[..., 1] = dy / nw
     w[..., 2] = 1j * u / nw
     mask = live[..., None].astype(float)
-    for arr in (x, v, w):
+    for arr in (v, w):
         arr *= mask
-    return x, v, w
+    return _x_family(ls, dy, u), v, w
 
 
 def _check_vector_order(l_max: int) -> int:

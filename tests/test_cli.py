@@ -6,11 +6,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import qmie
-from qmie import cli
+from qmie import cli, modes, observables
 from qmie.miecore import ChannelIndex, SphereSpec, phase_shift
+from mie_oracle import qsca
 
 
 def run(args):
@@ -304,3 +306,55 @@ def test_truncation_beyond_hard_cap_names_needed_order(tmp_path, capsys):
     assert not bad.exists()
     assert run(["cross-section", "--epsilon", "2.1", "--q", "473", "-o", str(good)]) == 0
     assert max(int(r[2]) for r in read_rows(good)) == 511
+
+
+# ------------------------------------------------------- non-finite values
+
+def test_cross_section_far_past_q_is_finite(tmp_path):
+    # l >> q: y_l overflows and j_l underflows; the phase table keeps the
+    # channel finite (tiny or exactly zero) instead of 0 * inf = nan
+    out = tmp_path / "cs.csv"
+    assert run(["cross-section", "--epsilon", "2.1", "--q", "0.5", "--l-max", "200",
+                "-o", str(out)]) == 0
+    rows = read_rows(out)
+    assert len(rows) == 400
+    assert all(math.isfinite(float(r[3])) for r in rows)
+    total = float(rows[0][4])
+    # the classical series past l = 20 adds less than 1e-100
+    assert total == pytest.approx(math.pi * qsca(math.sqrt(2.1), 0.5, 20), rel=1e-10)
+
+
+def test_non_finite_data_exits_3_without_file(tmp_path, monkeypatch, capsys):
+    def broken(spec, q, l_max=None):
+        ch = ChannelIndex("TM", 1)
+        return observables.CrossSectionResult(math.inf, ((ch, math.inf),), 1)
+
+    monkeypatch.setattr(cli.observables, "total_cross_section", broken)
+    out = tmp_path / "cs.csv"
+    assert run(["cross-section", "--epsilon", "2.1", "--q", "1.0", "-o", str(out)]) == 3
+    assert "sigma_channel" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cross_section_nan_self_check_exits_3(tmp_path, monkeypatch):
+    real = modes._coefficient_table
+    monkeypatch.setattr(observables.modes, "_coefficient_table",
+                        lambda *args: real(*args) * math.nan)
+    out = tmp_path / "cs.csv"
+    assert run(["cross-section", "--epsilon", "2.1", "--q", "1.0", "-o", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_g2_zero_signal_nan_is_written(tmp_path, monkeypatch):
+    # the documented exception: g2 is NaN where a detector sees no signal
+    real = modes.scattering_eigenmode
+
+    def muted(spec, kappa, direction, point, **kw):
+        sample = real(spec, kappa, direction, point, **kw)
+        upper = np.asarray(point)[..., 2:] > 0
+        return modes.FieldSample(value=np.where(upper, 0.0, sample.value), point=sample.point)
+
+    monkeypatch.setattr(observables.modes, "scattering_eigenmode", muted)
+    out = tmp_path / "g2.csv"
+    assert run(["g2-map", "--k", "0.01", "--n-phi", "2", "-o", str(out)]) == 0
+    assert all(math.isnan(float(r[2])) for r in read_rows(out))

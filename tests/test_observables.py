@@ -1,12 +1,13 @@
 """Scattering amplitudes, cross sections, S-matrix channels and g2 maps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qmie import modes, observables, specfun
-from qmie.errors import DomainError
+from qmie.errors import ConsistencyError, DomainError
 from qmie.miecore import ChannelIndex, SphereSpec, phase_shift, truncation_order
 from qmie.modes import PlaneModeIndex
 from mie_oracle import amplitude_s12, mie_ab
@@ -333,3 +334,28 @@ def test_g2_zero_signal_sentinel(monkeypatch):
         SPEC, kap1, kap2, "z", "z", math.pi / 4, 3 * math.pi / 4, [0.3], [0.4]
     )
     assert np.isnan(grid.values[0, 0])
+
+
+def test_g2_default_detector_radius_does_not_warn():
+    # (1e3 / k) * k rounds to 999.9999999999999 at this k, which once fired
+    # the near-field warning with the default detector radius
+    k = 0.0099009
+    assert (1e3 / k) * k < 1e3
+    kap1, kap2 = PlaneModeIndex(1, (k, 0.0, 0.0)), PlaneModeIndex(1, (0.0, k, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = observables.g2_map(SPEC, kap1, kap2, "z", "z", math.pi / 4,
+                                  3 * math.pi / 4, [0.3, 1.1], [0.4, 2.0])
+    assert np.all(np.isfinite(grid.values))
+
+
+def test_cross_section_guard_catches_nan(monkeypatch):
+    # NaN fails every comparison, so the guard must be written to fail on it
+    real = modes._coefficient_table
+
+    def poisoned(*args):
+        return real(*args) * np.nan
+
+    monkeypatch.setattr(observables.modes, "_coefficient_table", poisoned)
+    with pytest.raises(ConsistencyError):
+        observables.total_cross_section(SPEC, 1.0)
