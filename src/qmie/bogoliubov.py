@@ -2,10 +2,14 @@
 operators and scattering-eigenmode operators.
 
 All three kernels reduce the sphere-volume integral of a mode product to
-analytic angular sums times one-dimensional radial integrals of spherical
-Bessel products over [0, R]. The radial integrals run through adaptive
-quadrature; the angular part uses the multipole coefficient tables of the
-plane-wave modes.
+analytic angular sums times one-dimensional radial overlaps
+T_l = integral_0^R r^2 j_l(a r) j_l(b r) dr. The angular part uses the
+multipole coefficient tables of the plane-wave modes. The overlaps of all
+orders come from Lommel's closed form (Watson, Theory of Bessel Functions,
+sec. 5.11) over one Bessel sweep per argument, each order with a stated
+rounding bound. Near the diagonal a = b the closed form cancels; the orders
+whose bound exceeds rtol |T_l| there are recomputed by adaptive quadrature,
+which is the only route that loads scipy.
 """
 
 import math
@@ -13,11 +17,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import spherical_jn
 
-from . import modes
-from .errors import DomainError, PoleExcludedError, ToleranceError
+from . import modes, specfun
+from .errors import DomainError, PoleExcludedError, ResourceLimitError, ToleranceError
 from .miecore import SphereSpec, phase_table, truncation_order
 from .modes import PlaneModeIndex
 
@@ -27,15 +29,22 @@ __all__ = [
     "b_coefficient",
     "a_offdiagonal_kernel",
     "a_diagonal_channel_sum",
+    "KERNEL_LMAX",
 ]
 
 # |k| spacings below this relative gap count as sitting on the pole
 _POLE_RTOL = 1e-13
 
+# Largest kernel order: the TM overlaps reach order l_max + 1, whose closed
+# form needs j_{l_max + 2}.
+KERNEL_LMAX = specfun.HARD_CAP_LMAX - 2
+
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class CouplingKernel:
-    """One evaluated kernel entry with its quadrature error estimate."""
+    """One evaluated kernel entry with its error bound (see _overlaps)."""
 
     kappa: PlaneModeIndex
     kappa_prime: PlaneModeIndex
@@ -53,7 +62,10 @@ def _check_direction(direction: str) -> float:
 
 
 def _radial_overlap(l: int, a: float, b: float, radius: float, rtol: float):
-    """integral_0^R r^2 j_l(a r) j_l(b r) dr with an error estimate."""
+    """integral_0^R r^2 j_l(a r) j_l(b r) dr by adaptive quadrature, with
+    its error estimate. scipy is imported here, on the first call."""
+    from scipy.integrate import IntegrationWarning, quad
+    from scipy.special import spherical_jn
 
     def integrand(r):
         return r * r * spherical_jn(l, a * r) * spherical_jn(l, b * r)
@@ -67,6 +79,57 @@ def _radial_overlap(l: int, a: float, b: float, radius: float, rtol: float):
                 f"radial overlap quadrature failed to converge at l={l}: {exc}"
             ) from exc
     return val, err
+
+
+def _envelope(j: np.ndarray, x: float) -> np.ndarray:
+    """|j_l(x)|, raised to 1/x past the turning point x = l + 1/2, where
+    j_l oscillates and a sweep's error is absolute rather than relative."""
+    past = x > np.arange(j.size) + 0.5
+    return np.where(past, np.maximum(np.abs(j), 1.0 / x), np.abs(j))
+
+
+def _overlaps(l_top: int, a: float, b: float, radius: float):
+    """Radial overlaps T_l = integral_0^R r^2 j_l(a r) j_l(b r) dr for
+    l = 0..l_top by Lommel's closed form,
+
+        T_l = R^2 (a j_{l+1}(aR) j_l(bR) - b j_l(aR) j_{l+1}(bR)) / (a^2 - b^2),
+
+    from one j sweep at aR and one at bR, each to order l_top + 1.
+
+    Returns (values, bounds). The rounding bound of order l is
+
+        4 eps g_l R^2 (a E_{l+1}(aR) E_l(bR) + b E_l(aR) E_{l+1}(bR)) / |a^2 - b^2|
+
+    with g_l = 2 + l + aR + bR and E from _envelope. It charges every j
+    value an error of order eps g_l E, because the Miller sweep's error grows
+    with its length, and covers the rounding of the products; against
+    mpmath the errors stay below a quarter of it. Near a = b the two terms
+    cancel and the bound grows like eps max(a^2, b^2) / |a^2 - b^2|; at
+    a == b it is inf. Orders that underflow come out as 0 with bound 0.
+    """
+    gap = (a - b) * (a + b)
+    if gap == 0.0:
+        return np.zeros(l_top + 1), np.full(l_top + 1, np.inf)
+    x_a, x_b = a * radius, b * radius
+    ja = specfun.spherical_bessel_j(l_top + 1, x_a)
+    jb = specfun.spherical_bessel_j(l_top + 1, x_b)
+    scale = radius * radius / gap
+    values = scale * (a * ja[1:] * jb[:-1] - b * ja[:-1] * jb[1:])
+    ea, eb = _envelope(ja, x_a), _envelope(jb, x_b)
+    growth = 2.0 + np.arange(l_top + 1) + x_a + x_b
+    bounds = 4.0 * _EPS * growth * abs(scale) * (a * ea[1:] * eb[:-1] + b * ea[:-1] * eb[1:])
+    return values, bounds
+
+
+def _resolved_overlaps(l_top: int, a: float, b: float, radius: float, rtol: float):
+    """The overlaps of _overlaps, with every order whose rounding bound
+    exceeds rtol |T_l| (the near-diagonal band, a == b included) recomputed
+    by _radial_overlap. Returns (values, abs_errs): the rounding bound on
+    closed-form orders, quad's estimate on band orders."""
+    values, errs = _overlaps(l_top, a, b, radius)
+    for l in np.flatnonzero(errs > rtol * np.abs(values)):
+        values[l], errs[l] = _radial_overlap(int(l), a, b, radius, rtol)
+    return values, errs
 
 
 def _angular_sums(kappa: PlaneModeIndex, kappa_prime: PlaneModeIndex,
@@ -115,24 +178,19 @@ def _volume_overlap(
     kp = kappa_prime.k
     b_scale = math.sqrt(spec.epsilon) if scattered else 1.0
     m_te, m_tm = _angular_sums(kappa, kappa_prime, l_max, conjugate_pair)
+    weight = np.stack([m_te, m_tm])
     if scattered:
         t = phase_table(spec, kp * spec.radius, l_max)
-        phase = t.gamma * np.exp(phase_sign * 1j * t.phi)
-    else:
-        phase = np.ones((2, l_max + 1))
-    total = 0.0 + 0.0j
-    err = 0.0
-    for l in range(1, l_max + 1):
-        t_te, e_te = _radial_overlap(l, k, b_scale * kp, spec.radius, rtol)
-        o_up, e_up = _radial_overlap(l + 1, k, b_scale * kp, spec.radius, rtol)
-        o_dn, e_dn = _radial_overlap(l - 1, k, b_scale * kp, spec.radius, rtol)
-        w_up = l / (2.0 * l + 1.0)
-        w_dn = (l + 1.0) / (2.0 * l + 1.0)
-        t_tm = w_up * o_up + w_dn * o_dn
-        e_tm = w_up * e_up + w_dn * e_dn
-        phi_te, phi_tm = phase[:, l]
-        total += m_te[l] * phi_te * t_te + m_tm[l] * phi_tm * t_tm
-        err += abs(m_te[l] * phi_te) * e_te + abs(m_tm[l] * phi_tm) * e_tm
+        weight = weight * t.gamma * np.exp(phase_sign * 1j * t.phi)
+    o, o_err = _resolved_overlaps(l_max + 1, k, b_scale * kp, spec.radius, rtol)
+    # TE takes the overlap of order l, TM those of orders l + 1 and l - 1
+    ls = np.arange(1, l_max + 1)
+    w_up = ls / (2.0 * ls + 1.0)
+    w_dn = (ls + 1.0) / (2.0 * ls + 1.0)
+    radial = np.stack([o[1:-1], w_up * o[2:] + w_dn * o[:-2]])
+    radial_err = np.stack([o_err[1:-1], w_up * o_err[2:] + w_dn * o_err[:-2]])
+    total = np.sum(weight[:, 1:] * radial)
+    err = np.sum(np.abs(weight[:, 1:]) * radial_err)
     return (2.0 / math.pi) * total, (2.0 / math.pi) * err
 
 
@@ -140,6 +198,32 @@ def _default_l_max(spec: SphereSpec, kappa, kappa_prime, scattered: bool) -> int
     scale = math.sqrt(spec.epsilon) if scattered else 1.0
     q_eff = spec.radius * max(kappa.k, scale * kappa_prime.k)
     return truncation_order(q_eff)
+
+
+def _check_kernel_order(l_max: int) -> int:
+    if l_max > KERNEL_LMAX:
+        raise ResourceLimitError(
+            f"l_max={l_max} exceeds the kernel cap {KERNEL_LMAX} "
+            f"(the radial overlaps need Bessel orders up to l_max + 2 <= {specfun.HARD_CAP_LMAX})"
+        )
+    return l_max
+
+
+def _kernel(kind: str, pref: float, spec: SphereSpec, kappa, kappa_prime,
+            l_max, rtol: float, scattered: bool, phase_sign: float,
+            conjugate_pair: bool) -> CouplingKernel:
+    """pref times the reduced volume integral, checked against the kernel
+    order range; exactly zero for a transparent sphere."""
+    if l_max is not None:
+        _check_kernel_order(l_max)
+    if spec.epsilon == 1.0:
+        return CouplingKernel(kappa, kappa_prime, 0.0 + 0.0j, kind, 0.0)
+    if l_max is None:
+        l_max = _check_kernel_order(_default_l_max(spec, kappa, kappa_prime, scattered))
+    val, err = _volume_overlap(
+        spec, kappa, kappa_prime, l_max, rtol, scattered, phase_sign, conjugate_pair
+    )
+    return CouplingKernel(kappa, kappa_prime, pref * val, kind, abs(pref) * err)
 
 
 def coupling_v(
@@ -154,15 +238,8 @@ def coupling_v(
     """
     k, kp = kappa.k, kappa_prime.k
     pref = math.sqrt(k * kp) / 4.0 * (spec.epsilon - 1.0) / spec.epsilon
-    if spec.epsilon == 1.0:
-        return CouplingKernel(kappa, kappa_prime, 0.0 + 0.0j, "V", 0.0)
-    if l_max is None:
-        l_max = _default_l_max(spec, kappa, kappa_prime, scattered=False)
-    val, err = _volume_overlap(
-        spec, kappa, kappa_prime, l_max, rtol,
-        scattered=False, phase_sign=0.0, conjugate_pair=False,
-    )
-    return CouplingKernel(kappa, kappa_prime, pref * val, "V", abs(pref) * err)
+    return _kernel("V", pref, spec, kappa, kappa_prime, l_max, rtol,
+                   scattered=False, phase_sign=0.0, conjugate_pair=False)
 
 
 def b_coefficient(
@@ -179,16 +256,9 @@ def b_coefficient(
     sign = _check_direction(direction)
     k, kp = kappa.k, kappa_prime.k
     pref = -(spec.epsilon - 1.0) / 2.0 * math.sqrt(k * kp) / (k + kp)
-    if spec.epsilon == 1.0:
-        return CouplingKernel(kappa, kappa_prime, 0.0 + 0.0j, "B", 0.0)
-    if l_max is None:
-        l_max = _default_l_max(spec, kappa, kappa_prime, scattered=True)
     # conjugating F flips the interior phase factor e^{sign i phi} as well
-    val, err = _volume_overlap(
-        spec, kappa, kappa_prime, l_max, rtol,
-        scattered=True, phase_sign=-sign, conjugate_pair=True,
-    )
-    return CouplingKernel(kappa, kappa_prime, pref * val, "B", abs(pref) * err)
+    return _kernel("B", pref, spec, kappa, kappa_prime, l_max, rtol,
+                   scattered=True, phase_sign=-sign, conjugate_pair=True)
 
 
 def a_offdiagonal_kernel(
@@ -212,15 +282,8 @@ def a_offdiagonal_kernel(
             f"|k| = {k!r} and |k'| = {kp!r} sit on the 1/(|k|-|k'|) pole"
         )
     pref = (spec.epsilon - 1.0) / 2.0 * math.sqrt(k * kp) / (k - kp)
-    if spec.epsilon == 1.0:
-        return CouplingKernel(kappa, kappa_prime, 0.0 + 0.0j, "A_offdiag", 0.0)
-    if l_max is None:
-        l_max = _default_l_max(spec, kappa, kappa_prime, scattered=True)
-    val, err = _volume_overlap(
-        spec, kappa, kappa_prime, l_max, rtol,
-        scattered=True, phase_sign=sign, conjugate_pair=False,
-    )
-    return CouplingKernel(kappa, kappa_prime, pref * val, "A_offdiag", abs(pref) * err)
+    return _kernel("A_offdiag", pref, spec, kappa, kappa_prime, l_max, rtol,
+                   scattered=True, phase_sign=sign, conjugate_pair=False)
 
 
 def a_diagonal_channel_sum(
