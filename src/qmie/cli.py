@@ -191,9 +191,10 @@ def cmd_palpha_scan(res: Resolver):
     if not channels:
         raise ConfigError("channels: empty list")
     qs = np.linspace(q_min, q_max, steps)
-    # p_alpha = sin^2 phi, read for every channel from one phase table per q
+    # p_alpha = sin^2 phi, read for every channel and q from one phase table
+    # over the whole grid
     l_top = max(ch.l for ch in channels)
-    power = np.array([phase_table(spec, float(q), l_top).sin_phi for q in qs]) ** 2
+    power = phase_table(spec, qs, l_top).sin_phi ** 2
     rows, notes = [], []
     for ch in channels:
         label = f"{ch.p}:{ch.l}"

@@ -100,10 +100,15 @@ class PhaseShiftRecord:
 class PhaseTable:
     """Boundary coefficients and phase-shift trigonometry of every channel.
 
-    Read-only arrays shaped (2, l_max + 1), indexed [p, l] with p = 0 for TE
+    Read-only arrays shaped (2, l_max + 1) for one size parameter, or
+    (N, 2, l_max + 1) for N of them, indexed [..., p, l] with p = 0 for TE
     and 1 for TM. Each row l >= 1 obeys the PhaseShiftRecord invariants; row
     l = 0 holds the neutral values (alpha 1, beta 0, gamma 1, phi 0), since
-    l = 0 modes vanish identically.
+    l = 0 modes vanish identically. ``sin_mantissa`` and the integer
+    ``sin_exponent`` carry sin phi = ldexp(sin_mantissa, sin_exponent) with
+    the mantissa inside the float range, also where sin_phi underflows to 0:
+    products of sin phi with values past the float range, such as y_l(k r)
+    for l >> k r, are formed from them.
     """
 
     alpha: np.ndarray
@@ -112,70 +117,117 @@ class PhaseTable:
     sin_phi: np.ndarray
     cos_phi: np.ndarray
     phi: np.ndarray
+    sin_mantissa: np.ndarray
+    sin_exponent: np.ndarray
 
 
-def phase_table(spec: SphereSpec, q: float, l_max: int) -> PhaseTable:
+def _size_parameters(q) -> tuple[np.ndarray, list[float]]:
+    """q as a validated 0-d or 1-D float array and as a list of floats.
+
+    A bad entry raises DomainError naming it.
+    """
+    qs = np.asarray(q, dtype=float)
+    if qs.ndim > 1 or qs.size == 0:
+        raise DomainError(f"q must be a scalar or a non-empty 1-D array, got shape {qs.shape}")
+    q_list = qs.reshape(-1).tolist()
+    for n, x in enumerate(q_list):
+        if not (math.isfinite(x) and x > 0.0):
+            name = "q" if qs.ndim == 0 else f"q[{n}]"
+            raise DomainError(f"{name}={x} must be finite and positive")
+    return qs, q_list
+
+
+def phase_table(spec: SphereSpec, q, l_max: int) -> PhaseTable:
     """Phase shifts of all channels l = 1..l_max at q = kR.
 
-    Built from one j and one y sweep at q and one j sweep at the interior
-    argument q' = sqrt(eps) q. The sweeps come as mantissas and powers of
-    two, and the common factors j_l(q') y_l(q) of alpha and j_l(q') j_l(q)
-    of beta stay powers of two until the end, so y_l overflowing and j_l
-    underflowing for l >> q never meet as 0 * inf: a phase too small to
-    represent comes out as 0. Where the plain Bessel products are normal
-    floats, alpha and beta equal them bit for bit. Rows up to q's own
-    cutoff do not depend on l_max. For eps = 1 every row is exactly neutral.
+    q is one size parameter, giving arrays shaped (2, l_max + 1), or a 1-D
+    array of N of them, giving (N, 2, l_max + 1). Every entry must be finite
+    and positive (DomainError naming the first bad entry otherwise), and a
+    2-D or empty q is a DomainError; a degenerate channel raises
+    DegenerateChannelError naming its q. The scalar table is the N = 1 slice
+    of the array form, and slice [n] of an array table equals
+    ``phase_table(spec, q[n], l_max)`` bit for bit. ``qmie palpha-scan``
+    builds one table for its whole q grid.
+
+    Each q costs one j and one y sweep at q and one j sweep at the interior
+    argument q' = sqrt(eps) q, all scalar recurrences; the arithmetic after
+    them is one array pass over all N. The sweeps come as mantissas and
+    powers of two, and the common factors j_l(q') y_l(q) of alpha and
+    j_l(q') j_l(q) of beta stay powers of two until the end, so y_l
+    overflowing and j_l underflowing for l >> q never meet as 0 * inf: a
+    phase too small to represent comes out as 0. Where the plain Bessel
+    products are normal floats, alpha and beta equal them bit for bit. Rows
+    up to q's own cutoff do not depend on l_max. For eps = 1 every row is
+    exactly neutral.
     """
-    sizes = SizeParams.from_q(spec, q)
-    q, qp, eps = sizes.q, sizes.q_prime, spec.epsilon
+    qs, q_list = _size_parameters(q)
+    eps = spec.epsilon
     if l_max != int(l_max) or l_max < 1:
         raise DomainError(f"l_max={l_max} must be an integer >= 1")
     l_max = int(l_max)
-    # alpha, beta, gamma, sin_phi, cos_phi, phi; column l = 0 is neutral
-    out = np.empty((6, 2, l_max + 1))
-    out[:, :, 0] = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])[:, None]
+    n = len(q_list)
+    # alpha, beta, gamma, sin_phi, cos_phi, phi, sin_mantissa; column l = 0
+    # is neutral
+    out = np.empty((7, n, 2, l_max + 1))
+    out[..., 0] = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0])[:, None, None]
+    sin_exponent = np.zeros((n, 2, l_max + 1), dtype=int)
     if eps == 1.0:
         # no sphere: every channel is neutral, exactly
-        out[:, :, 1:] = out[:, :, :1]
+        out[..., 1:] = out[..., :1]
     else:
-        def orders(mant, exps):
-            # orders l and l + 1 for l = 1..l_max, both in units of 2^exps[l],
-            # with mantissas in [0.5, 1) so that their products stay in range
-            frac, bits = np.frexp(mant[:l_max + 2])
-            exps = exps[:l_max + 2] + bits
-            return frac[1:-1], np.ldexp(frac[2:], exps[2:] - exps[1:-1]), exps[1:-1]
-
+        root = math.sqrt(eps)
+        qp_list = [root * x for x in q_list]
         # the j sweeps run at least to q's own cutoff, so every table up to
-        # that cutoff starts the recurrence alike and agrees on shared rows
-        top = max(l_max + 1, min(_cutoff(q) + 1, specfun.HARD_CAP_LMAX))
-        j0, j1, ej = orders(*specfun._j_scaled(top, q))
-        y0, y1, ey = orders(*specfun._y_scaled(l_max + 1, q))
-        i0, i1, ei = orders(*specfun._j_scaled(top, qp))
-        contact = qp * ((eps - 1.0) / eps) * np.arange(2.0, l_max + 2.0) * i0
+        # that cutoff starts the recurrence alike and agrees on shared rows;
+        # only orders 0..l_max + 1 are kept
+        width = l_max + 2
+        mant = np.empty((3, n, width))
+        exps = np.empty((3, n, width), dtype=int)
+        for i, (x, xp) in enumerate(zip(q_list, qp_list)):
+            top = max(l_max + 1, min(_cutoff(x) + 1, specfun.HARD_CAP_LMAX))
+            for row, (m, e) in enumerate((specfun._j_scaled(top, x),
+                                          specfun._y_scaled(l_max + 1, x),
+                                          specfun._j_scaled(top, xp))):
+                mant[row, i], exps[row, i] = m[:width], e[:width]
+        # orders l and l + 1 for l = 1..l_max, both in units of 2^exps[l],
+        # with mantissas in [0.5, 1) so that their products stay in range
+        frac, bits = np.frexp(mant)
+        exps += bits
+        (j0, y0, i0), (ej, ey, ei) = frac[..., 1:-1], exps[..., 1:-1]
+        j1, y1, i1 = np.ldexp(frac[..., 2:], exps[..., 2:] - exps[..., 1:-1])
+        qc, qpc = qs.reshape(-1, 1), np.array(qp_list)[:, None]
+        qq, qqp = qc * qc, qc * qpc
+        contact = (qpc * ((eps - 1.0) / eps)) * np.arange(2.0, l_max + 2.0) * i0
         iy, yi, ij, ji = i1 * y0, i0 * y1, i0 * j1, i1 * j0
-        alpha, beta = np.empty((2, 2, l_max))
-        alpha[0] = (q * qp) * iy - (q * q) * yi
-        alpha[1] = (q * q) * iy - (q * qp) * yi + contact * y0
-        beta[0] = (q * q) * ij - (q * qp) * ji
-        beta[1] = (q * qp) * ij - (q * q) * ji - contact * j0
+        alpha, beta = np.empty((2, n, 2, l_max))
+        alpha[:, 0] = qqp * iy - qq * yi
+        alpha[:, 1] = qq * iy - qqp * yi + contact * y0
+        beta[:, 0] = qq * ij - qqp * ji
+        beta[:, 1] = qqp * ij - qq * ji - contact * j0
         # the trigonometry runs on both scaled by the larger of their powers
-        e_alpha, e_beta = ei + ey, ei + ej
+        e_alpha, e_beta = (ei + ey)[:, None], (ei + ej)[:, None]
         shift = np.maximum(e_alpha, e_beta)
-        a, b = np.ldexp(alpha, e_alpha - shift), np.ldexp(beta, e_beta - shift)
+        np.subtract(e_beta, shift, out=sin_exponent[..., 1:])
+        a, b = np.ldexp(alpha, e_alpha - shift), np.ldexp(beta, sin_exponent[..., 1:])
         norm = np.hypot(a, b)
         if norm.min() == 0.0:
-            p, l = np.argwhere(norm == 0.0)[0]
+            i, p, l = np.argwhere(norm == 0.0)[0]
             raise DegenerateChannelError(
-                f"(alpha, beta) vanished for channel ({POLARIZATIONS[p]}, {l + 1}) at q={q}")
+                f"(alpha, beta) vanished for channel ({POLARIZATIONS[p]}, {l + 1}) "
+                f"at q={q_list[i]}")
         with np.errstate(over="ignore"):
-            np.ldexp(alpha, e_alpha, out=out[0, :, 1:])
-        np.ldexp(beta, e_beta, out=out[1, :, 1:])
-        np.ldexp(1.0 / norm, -shift, out=out[2, :, 1:])
-        np.divide(b, norm, out=out[3, :, 1:])
-        np.divide(a, norm, out=out[4, :, 1:])
-        np.arctan2(b, a, out=out[5, :, 1:])
+            np.ldexp(alpha, e_alpha, out=out[0, ..., 1:])
+        np.ldexp(beta, e_beta, out=out[1, ..., 1:])
+        np.ldexp(1.0 / norm, -shift, out=out[2, ..., 1:])
+        np.divide(b, norm, out=out[3, ..., 1:])
+        np.divide(a, norm, out=out[4, ..., 1:])
+        np.arctan2(b, a, out=out[5, ..., 1:])
+        np.divide(beta, norm, out=out[6, ..., 1:])
     out.flags.writeable = False
-    return PhaseTable(*out)
+    sin_exponent.flags.writeable = False
+    if qs.ndim == 0:
+        return PhaseTable(*out[:, 0], sin_exponent[0])
+    return PhaseTable(*out, sin_exponent)
 
 
 def mie_boundary_coefficients(

@@ -333,6 +333,11 @@ def _radial_tables(
     l = 0 unused); r is one radius, or N radii giving a leading axis N. The
     phase table is built once per call; each distinct radius costs one j
     sweep at k r, plus one y sweep outside or one interior j sweep inside.
+    Outside, sin phi and y_l'(k r) stay mantissas and powers of two until
+    their product: for l >> k r, y_l' overflows where sin phi underflows,
+    and the product comes out as a float or 0, never as 0 * inf. Where no
+    intermediate leaves the normal float range, this equals the plain
+    product bit for bit.
     """
     radii, where = np.unique(np.asarray(r, dtype=float), return_inverse=True)
     ls = np.arange(l_max + 1)
@@ -342,19 +347,36 @@ def _radial_tables(
         fams = [np.repeat(j_vac[..., lp], 2, axis=1).astype(complex) for lp in lps]
     else:
         inside = radii < spec.radius if branch is None else np.full(radii.shape, branch == "inside")
-        # the interior j sweep inside the sphere, the y sweep outside
-        other = np.array([specfun.spherical_bessel_j(l_max + 1, math.sqrt(spec.epsilon) * k * x)
-                          if ins else specfun.spherical_bessel_y(l_max + 1, k * x)
-                          for x, ins in zip(radii, inside)])[:, None]
+        outside = ~inside
         sign = -1.0 if direction == "outgoing" else 1.0
         table = phase_table(spec, k * spec.radius, l_max)
         ph = np.exp(sign * 1j * table.phi)
-        inner, outer = ph * table.gamma, 1j * table.sin_phi * ph
-        h1 = j_vac + 1j * other
-        if direction == "incoming":
-            h1 = np.conj(h1)
-        fams = [np.where(inside[:, None, None], inner * other[..., lp],
-                         j_vac[..., lp] + sign * (outer * h1[..., lp])) for lp in lps]
+        fams = [np.empty((radii.size, 2, l_max + 1), dtype=complex) for _ in lps]
+        if inside.any():
+            # the interior j sweep inside the sphere
+            j_in = np.array([specfun.spherical_bessel_j(l_max + 1, math.sqrt(spec.epsilon) * k * x)
+                             for x in radii[inside]])[:, None]
+            inner = ph * table.gamma
+            for f, lp in zip(fams, lps):
+                f[inside] = inner * j_in[..., lp]
+        if outside.any():
+            # sin phi h_l'(k r) at the scale of the mantissas of sin phi and
+            # y_l', then rescaled once: j_l' is small wherever y_l' is large,
+            # so bringing it to y_l''s scale loses nothing that matters
+            y_mant, y_exp = (np.array(a)[:, None] for a in
+                             zip(*(specfun._y_scaled(l_max + 1, k * x) for x in radii[outside])))
+            j_out = j_vac[outside]
+            h1 = np.ldexp(j_out, -y_exp) + 1j * y_mant
+            if direction == "incoming":
+                h1 = np.conj(h1)
+            outer = 1j * table.sin_mantissa * ph
+            for f, lp in zip(fams, lps):
+                prod = outer * h1[..., lp]
+                scale = table.sin_exponent + y_exp[..., lp]
+                sin_h = np.empty_like(prod)
+                np.ldexp(prod.real, scale, out=sin_h.real)
+                np.ldexp(prod.imag, scale, out=sin_h.imag)
+                f[outside] = j_out[..., lp] + sign * sin_h
         if kind == "scattered":
             fams = [f - j_vac[..., lp] for f, lp in zip(fams, lps)]
     return tuple(f[where.reshape(np.shape(r))] for f in fams)

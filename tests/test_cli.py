@@ -1,5 +1,6 @@
 """Command-line surface: determinism, formats, exit codes, config handling."""
 
+import hashlib
 import json
 import math
 import os
@@ -358,3 +359,38 @@ def test_g2_zero_signal_nan_is_written(tmp_path, monkeypatch):
     out = tmp_path / "g2.csv"
     assert run(["g2-map", "--k", "0.01", "--n-phi", "2", "-o", str(out)]) == 0
     assert all(math.isnan(float(r[2])) for r in read_rows(out))
+
+
+# ------------------------------------------------------------ scan path
+
+SCAN_ARGS = ["palpha-scan", "--epsilon", "2.1", "--q-min", "0.5", "--q-max", "12.0",
+             "--q-steps", "400", "--channels", "TM:1,TM:2,TM:3,TM:4,TM:5,TE:1,TE:2,TE:3,TE:4,TE:5"]
+
+
+def test_palpha_scan_builds_one_phase_table(tmp_path, monkeypatch):
+    shapes, build = [], cli.phase_table
+
+    def counting(spec, q, l_max):
+        shapes.append(np.shape(q))
+        return build(spec, q, l_max)
+
+    monkeypatch.setattr(cli, "phase_table", counting)
+    assert run(SCAN_ARGS + ["-o", str(tmp_path / "scan.csv")]) == 0
+    assert shapes == [(400,)]
+
+
+# sha256 of the files these commands wrote before the scan read its whole q
+# grid from one table; relative output names keep the header echo fixed
+FROZEN_DIGESTS = [
+    (SCAN_ARGS + ["-o", "scan.csv"],
+     "97dc32382766b78a0b2bf527242571d2e33df9fbe5922b3821b09e6494c84851"),
+    (["phase-shifts", "--epsilon", "2.1", "--q", "200", "-o", "table.csv"],
+     "71eac1cba26cce12868489d81cfca5f5f98f837260d7a6e1817212eb6b7d1fb1"),
+]
+
+
+@pytest.mark.parametrize("args,digest", FROZEN_DIGESTS, ids=["palpha-scan", "phase-shifts-q200"])
+def test_scan_and_table_outputs_are_frozen(tmp_path, monkeypatch, args, digest):
+    monkeypatch.chdir(tmp_path)
+    assert run(args) == 0
+    assert hashlib.sha256((tmp_path / args[-1]).read_bytes()).hexdigest() == digest

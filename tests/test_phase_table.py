@@ -1,16 +1,17 @@
 """The array-valued phase table: overflow safety, oracles, row views."""
 
 import math
+import re
 import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmie import specfun
-from qmie.errors import DomainError, ResourceLimitError
+from qmie.errors import DegenerateChannelError, DomainError, ResourceLimitError
 from qmie.miecore import (
     ChannelIndex,
     SphereSpec,
@@ -174,3 +175,82 @@ def test_scaled_sweeps_carry_values_past_float_range(x):
     # the plain sweeps saturate instead of turning into nan
     y = specfun.spherical_bessel_y(400, x)
     assert not np.any(np.isnan(y))
+
+
+# ------------------------------------------------------------- array form
+
+ALL_FIELDS = FIELDS + ("sin_mantissa", "sin_exponent")
+Q_ARRAYS = st.lists(st.floats(1e-6, 470.0), min_size=1, max_size=64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(qs=Q_ARRAYS, eps=st.floats(1.0, 10.0), l_max=st.integers(1, 40))
+@example(qs=np.geomspace(1e-6, 470.0, 32).tolist() * 2, eps=2.1, l_max=40)
+def test_array_slices_equal_scalar_tables(qs, eps, l_max):
+    spec = SphereSpec(eps, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = phase_table(spec, np.array(qs), l_max)
+        rows = [phase_table(spec, q, l_max) for q in qs]
+    for name in ALL_FIELDS:
+        arr = getattr(t, name)
+        assert arr.shape == (len(qs), 2, l_max + 1)
+        assert not arr.flags.writeable
+        for n, row in enumerate(rows):
+            assert np.array_equal(arr[n], getattr(row, name)), (name, n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(qs=Q_ARRAYS, l_max=st.integers(1, 40))
+def test_array_transparent_sphere_is_exactly_neutral(qs, l_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = phase_table(SphereSpec(1.0, 1.0), np.array(qs), l_max)
+    for name, value in zip(FIELDS, (1.0, 0.0, 1.0, 0.0, 1.0, 0.0)):
+        arr = getattr(t, name)
+        assert arr.shape == (len(qs), 2, l_max + 1)
+        assert np.all(arr == value), name
+        assert not arr.flags.writeable
+
+
+@settings(max_examples=30, deadline=None)
+@given(qs=Q_ARRAYS, data=st.data(),
+       bad=st.sampled_from([0.0, -0.0, -1.5, -1e-300, math.nan, math.inf, -math.inf]))
+def test_array_bad_entry_is_named(qs, data, bad):
+    n = data.draw(st.integers(0, len(qs)), label="position")
+    q = qs[:n] + [bad] + qs[n:]
+    with pytest.raises(DomainError, match=rf"q\[{n}\]={bad}"):
+        phase_table(SphereSpec(2.1, 1.0), np.array(q), 5)
+
+
+@pytest.mark.parametrize("q", [np.empty(0), np.ones((2, 3)), np.ones((1, 1)), [[0.5]]])
+def test_array_shape_validation(q):
+    with pytest.raises(DomainError, match="scalar or a non-empty 1-D array"):
+        phase_table(SphereSpec(2.1, 1.0), q, 5)
+
+
+@settings(max_examples=20, deadline=None)
+@given(qs=Q_ARRAYS, data=st.data(), l_max=st.integers(1, 40))
+def test_array_degenerate_channel_names_its_q(qs, data, l_max):
+    # the interior sweep at the chosen q returns zeros, so alpha = beta = 0
+    target = qs[data.draw(st.integers(0, len(qs) - 1), label="position")]
+    interior = math.sqrt(2.1) * target
+    sweep = specfun._j_scaled
+
+    def zeroed(order, x):
+        mant, exps = sweep(order, x)
+        return (np.zeros_like(mant), exps) if x == interior else (mant, exps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(specfun, "_j_scaled", zeroed)
+        with pytest.raises(DegenerateChannelError, match=rf"at q={re.escape(repr(target))}$"):
+            phase_table(SphereSpec(2.1, 1.0), np.array(qs), l_max)
+
+
+def test_scalar_table_is_a_view_of_the_array_form():
+    spec = SphereSpec(2.1, 1.0)
+    t = phase_table(spec, 3.4, 9)
+    for name in ALL_FIELDS:
+        arr = getattr(t, name)
+        assert arr.shape == (2, 10)
+        assert arr.base is not None and arr.base.shape[-3] == 1
