@@ -325,7 +325,8 @@ def _radial_tables(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The radial family: f^p_{l,l}, f^p_{l,l+1}, f^p_{l,l-1} for l = 0..l_max.
 
-    kind: "full" (with sphere), "vacuum" (j only), "scattered" (difference).
+    kind: "full" (with sphere), "vacuum" (j only), "scattered" (full less
+    vacuum: the Hankel term alone outside, never formed as (j + S) - j).
     Inside the sphere f^p_{l,l'} = e^{-/+ i phi} gamma j_l'(sqrt(eps) k r);
     outside it is j_l'(k r) with the phase-shifted outgoing/incoming Hankel
     term. branch None resolves by position; r = R lands on the outside branch.
@@ -359,6 +360,8 @@ def _radial_tables(
             inner = ph * table.gamma
             for f, lp in zip(fams, lps):
                 f[inside] = inner * j_in[..., lp]
+                if kind == "scattered":
+                    f[inside] -= j_vac[inside][..., lp]
         if outside.any():
             # sin phi h_l'(k r) at the scale of the mantissas of sin phi and
             # y_l', then rescaled once: j_l' is small wherever y_l' is large,
@@ -376,9 +379,9 @@ def _radial_tables(
                 sin_h = np.empty_like(prod)
                 np.ldexp(prod.real, scale, out=sin_h.real)
                 np.ldexp(prod.imag, scale, out=sin_h.imag)
-                f[outside] = j_out[..., lp] + sign * sin_h
-        if kind == "scattered":
-            fams = [f - j_vac[..., lp] for f, lp in zip(fams, lps)]
+                # the scattered content outside is the Hankel term alone
+                term = sign * sin_h
+                f[outside] = term if kind == "scattered" else j_out[..., lp] + term
     return tuple(f[where.reshape(np.shape(r))] for f in fams)
 
 

@@ -62,3 +62,21 @@ def test_radial_family_with_rescaled_y_matches_mpmath(k, r, direction):
         g, f = g[:, 140:], f[:, 140:]
         assert np.all(np.abs(f) > 0.0)
         np.testing.assert_allclose(g, f, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("direction", ["outgoing", "incoming"])
+@pytest.mark.parametrize("k,r,l_max,first", [(1.3, 2.3, 5, 0), (1.9, 1.01, 143, 140)])
+def test_scattered_radial_family_matches_mpmath(k, r, l_max, first, direction):
+    # the scattered term is small against j_l' at low orders far out and at
+    # high orders near the surface; forming it as (j_l' + S) - j_l' loses
+    # its relative accuracy there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = modes._radial_tables(SPEC, k, r, l_max, direction, "scattered")
+    rows = range(first, l_max + 1)
+    ref = mp_radial_tables(SPEC, k, r, l_max, direction, "scattered", rows=rows)
+    for g, f in zip(got, ref):
+        g, f = g[:, first:], f[:, first:]
+        normal = np.abs(f) >= np.finfo(float).tiny
+        assert np.count_nonzero(normal) >= f.size // 2
+        np.testing.assert_allclose(g[normal], f[normal], rtol=1e-12, atol=0.0)
