@@ -177,8 +177,10 @@ def _assemble(
 ) -> FieldSample:
     """S_alpha of the requested radial kind, or its curl, at one or N points.
 
-    The angular factors come from one batched harmonic contraction, the
-    radial factors from one radial table per distinct radius.
+    The angular factors come from one harmonic contraction against the
+    mode's single (l, m) weight, which runs the Legendre recurrence on the
+    columns |m'| <= |m| + 1 only: O(l) per point. The radial factors come
+    from one radial table per distinct radius.
     """
     p, single = _as_points(point)
     r, theta, phi = _spherical_coords(p)
@@ -285,8 +287,8 @@ def _coefficient_overlaps(theta, phi, c_ref: np.ndarray, l_max: int) -> np.ndarr
 
     c_ref is one (TE, TM) pair of coefficient tables, shaped
     (2, l_max+1, 2 l_max+1). Returns (N, 2, 2, l_max+1) indexed [n, g - 1, p, l].
-    The directions' own tables are never formed: the m sums are taken on the
-    harmonic block, chunk by chunk.
+    The directions' own tables are never formed: the m sums are taken by
+    ``specfun.vector_harmonics_contract``, on the m columns c_ref uses.
     """
     x, _, _ = specfun.vector_harmonics_contract(l_max, theta, phi, c_ref)
     ls = np.arange(l_max + 1)

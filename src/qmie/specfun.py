@@ -231,10 +231,20 @@ def legendre_p(l: int, x: float) -> float:
     return pc
 
 
-# Complex values per (N, l_max + 1, 2 l_max + 1) array of one batch chunk:
-# large enough to amortize the per-l loop, small enough that a chunk's
-# temporaries stay well under a megabyte.
+# Values per order l of one chunk of vector_harmonics_contract: the chunk's
+# directions times the 2 (M + 1) + 1 columns |m| <= M + 1 that its weights
+# need. Large enough to amortize the per-l loop, small enough that a chunk's
+# rows stay well under a megabyte.
 CHUNK_VALUES = 2**13
+
+
+def chunk_directions(m_top: int) -> int:
+    """Directions per chunk of ``vector_harmonics_contract``.
+
+    m_top is the largest |m| with a nonzero weight; each direction of a
+    chunk holds 2 (m_top + 1) + 1 columns of each row l.
+    """
+    return max(1, CHUNK_VALUES // (2 * (m_top + 1) + 1))
 
 
 @dataclass(frozen=True)
@@ -296,77 +306,104 @@ def _recurrence_tables(l_max: int) -> tuple[np.ndarray, ...]:
     return a, ab, up, dn
 
 
-def _legendre_norm(l_max: int, theta: np.ndarray, a: np.ndarray, ab: np.ndarray):
-    """Normalized associated Legendre values and their /sin(theta) companions.
+def _legendre_seeds(theta: np.ndarray, m_top: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(theta) and the seeds of the column recurrence for m = 0..m_top.
 
-    Returns (p, u) shaped (l_max + 1, N, l_max + 1) and indexed [l, n, m] for
-    m >= 0, with Y_l^m = p[l, n, m] e^{i m phi} and u = m p / sin(theta)
-    computed pole-safely: the diagonal seeds run with one sin(theta) factor
-    removed, so no 0/0 forms appear at theta = 0 or pi. Only the loop over l
-    is in Python; each step updates every m, every direction and both
-    families at once.
+    Returns x shaped (N, 1) and seeds shaped (2, 2, N, m_top + 1), indexed
+    [s, f, n, m]: s = 0 holds the diagonal P_m^m, s = 1 the first
+    off-diagonal P_{m+1}^m; f = 0 holds the normalized Legendre value p and
+    f = 1 its companion u = m p / sin(theta). The u diagonal runs with one
+    sin(theta) factor removed, so no 0/0 forms appear at theta = 0 or pi.
     """
     n = theta.size
     x = np.cos(theta)[:, None]
     s = np.sin(theta)[:, None]
-    pu = np.zeros((l_max + 1, 2, n, l_max + 1))
-    p, u = pu[:, 0], pu[:, 1]
-    diag = np.arange(l_max + 1)
-    # diagonal seeds by running product, Condon-Shortley sign folded in
-    m = diag[1:]
+    seeds = np.zeros((2, 2, n, m_top + 1))
+    # diagonal by running product, Condon-Shortley sign folded in
+    m = np.arange(1, m_top + 1)
     step = -np.sqrt((2 * m + 1) / (2.0 * m)) * s
     p00 = 1.0 / math.sqrt(4.0 * math.pi)
-    p_diag = np.cumprod(np.concatenate([np.full((n, 1), p00), step], axis=1), axis=1)
-    p[diag, :, diag] = p_diag.T
-    if l_max >= 1:
+    seeds[0, 0] = np.cumprod(np.concatenate([np.full((n, 1), p00), step], axis=1), axis=1)
+    if m_top >= 1:
         # same diagonal with one sin(theta) factor removed, times m
         d1 = np.full((n, 1), -math.sqrt(3.0 / 2.0) * p00)
-        d = np.cumprod(np.concatenate([d1, step[:, 1:]], axis=1), axis=1)
-        u[m, :, m] = m[:, None] * d.T
-        first = np.sqrt(2 * diag[:-1] + 3.0) * x
-        p[diag[1:], :, diag[:-1]] = (first * p_diag[:, :-1]).T
-        u[diag[1:], :, diag[:-1]] = (first * u[diag[:-1], :, diag[:-1]].T).T
+        seeds[0, 1, :, 1:] = m * np.cumprod(np.concatenate([d1, step[:, 1:]], axis=1), axis=1)
+    seeds[1] = np.sqrt(2 * np.arange(m_top + 1) + 3.0) * x * seeds[0]
+    return x, seeds
+
+
+def _legendre_norm(l_max: int, theta: np.ndarray, a: np.ndarray, ab: np.ndarray) -> np.ndarray:
+    """Normalized associated Legendre values and their /sin(theta) companions.
+
+    Returns pu shaped (2, N, l_max + 1, l_max + 1) and indexed [f, n, l, m]
+    for m >= 0: f = 0 holds p with Y_l^m = p e^{i m phi}, f = 1 holds
+    u = m p / sin(theta), computed pole-safely from ``_legendre_seeds``.
+    Only the loop over l is in Python; each step updates every m, every
+    direction and both families at once.
+    """
+    x, seeds = _legendre_seeds(theta, l_max)
+    pu = np.zeros((l_max + 1, 2, theta.size, l_max + 1))
+    diag = np.arange(l_max + 1)
+    pu[diag, :, :, diag] = seeds[0].transpose(2, 0, 1)
+    pu[diag[1:], :, :, diag[:-1]] = seeds[1, ..., :-1].transpose(2, 0, 1)
     ax = a[:, None, :] * x
     for l in range(2, l_max + 1):
         c = slice(0, l - 1)
         out = pu[l, :, :, c]
         np.multiply(ax[l, :, c], pu[l - 1, :, :, c], out=out)
         out -= ab[l, c] * pu[l - 2, :, :, c]
-    return p, u
+    return pu.transpose(1, 2, 0, 3)
+
+
+# the factors taking column m to column -m, m = 1..HARD_CAP_LMAX: (-1)^m
+# for Y (row 0) and -(-1)^m for mY/sin(theta) (row 1)
+_PARITY = np.array([[1.0], [-1.0]]) * np.where(np.arange(1, HARD_CAP_LMAX + 1) % 2 == 0, 1.0, -1.0)
+
+
+def _phases(phi: np.ndarray, m_top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e^{i m phi} for m = 0..m_top shaped (N, m_top + 1), and e^{-/+ i phi} shaped (N, 1)."""
+    return (np.exp(1j * phi[:, None] * np.arange(m_top + 1)),
+            np.exp(-1j * phi)[:, None], np.exp(1j * phi)[:, None])
+
+
+def _complete(pu: np.ndarray, phases, em, ep, up, dn) -> np.ndarray:
+    """Y, dY/dtheta and mY/sin(theta) from the m >= 0 Legendre columns.
+
+    pu stacks (p, u) on its first axis, as ``_legendre_norm`` does, and holds
+    the columns m = 0..c on its last. The result stacks (Y, dY/dtheta,
+    mY/sin(theta)) on its first axis and holds m = -c..c on its last,
+    column c + m for order m. phases, em and ep (from ``_phases``) broadcast
+    against p; up and dn are the ladder coefficients of the result's
+    columns. dY/dtheta at the edge columns m = -/+ c lacks the neighbour
+    beyond them: exact where c is l_max, whose missing neighbour vanishes;
+    below that, the caller gives those columns no weight.
+    """
+    c = pu.shape[-1] - 1
+    out = np.zeros((3,) + pu.shape[1:-1] + (2 * c + 1,), dtype=complex)
+    y_u = out[::2]
+    np.multiply(pu, phases, out=y_u[..., c:])
+    # conjugation symmetry fixes negative m exactly: Y_l^{-m} is
+    # (-1)^m conj(Y_l^m), and mY/sin(theta) flips sign once more; columns
+    # c-1 .. 0 hold m = -1 .. -c
+    neg = y_u[..., :c][..., ::-1]
+    np.conjugate(y_u[..., c + 1:], out=neg)
+    neg *= _PARITY[:, :c].reshape((2,) + (1,) * (pu.ndim - 2) + (c,))
+    # ladder: 2 dY_l^m = up e^{-i phi} Y_l^{m+1} - dn e^{i phi} Y_l^{m-1}
+    y, dy = out[0], out[1]
+    np.multiply(y[..., 1:], em, out=dy[..., :-1])
+    dy[..., :-1] *= up[..., :-1]
+    lower = y[..., :-1] * ep
+    lower *= dn[..., 1:]
+    dy[..., 1:] -= lower
+    dy *= 0.5
+    return out
 
 
 def _harmonics(l_max: int, theta: np.ndarray, phi: np.ndarray, tables):
     """Y, dY/dtheta and mY/sin(theta), each (N, l_max + 1, 2 l_max + 1)."""
     a, ab, up, dn = tables
-    p, u = _legendre_norm(l_max, theta, a, ab)
-    p = p.transpose(1, 0, 2)
-    u = u.transpose(1, 0, 2)
-    ms = np.arange(l_max + 1)
-    phases = np.exp(1j * phi[:, None] * ms)[:, None, :]
-    c = l_max  # column of m = 0
-    sign = np.where(ms % 2 == 0, 1.0, -1.0)[1:]
-    shape = (theta.size, l_max + 1, 2 * l_max + 1)
-    y = np.zeros(shape, dtype=complex)
-    m_y = np.zeros(shape, dtype=complex)
-    np.multiply(p, phases, out=y[..., c:])
-    np.multiply(u, phases, out=m_y[..., c:])
-    # conjugation symmetry fixes negative m exactly; columns c-1 .. 0 hold
-    # m = -1 .. -l_max
-    for arr, parity in ((y, sign), (m_y, -sign)):
-        neg = arr[..., :c][..., ::-1]
-        np.conjugate(arr[..., c + 1:], out=neg)
-        neg *= parity
-    # ladder: 2 dY_l^m = up e^{-i phi} Y_l^{m+1} - dn e^{i phi} Y_l^{m-1}
-    em = np.exp(-1j * phi)[:, None, None]
-    ep = np.exp(1j * phi)[:, None, None]
-    dy = np.zeros(shape, dtype=complex)
-    np.multiply(y[..., 1:], em, out=dy[..., :-1])
-    dy[..., :-1] *= up[:, :-1]
-    lower = y[..., :-1] * ep
-    lower *= dn[:, 1:]
-    dy[..., 1:] -= lower
-    dy *= 0.5
-    return y, dy, m_y
+    phases, em, ep = (f[:, None] for f in _phases(phi, l_max))
+    return tuple(_complete(_legendre_norm(l_max, theta, a, ab), phases, em, ep, up, dn))
 
 
 def _x_family(ls: np.ndarray, dy, u):
@@ -503,9 +540,18 @@ def vector_harmonics_contract(
 
     weights is shaped (K, l_max + 1, 2 l_max + 1) and indexed like a harmonic
     block. Returns three complex arrays shaped (N, K, l_max + 1, 3) holding
-    sum_m weights[k, l, m] F[n, l, m, c] for F = X, V, W. Directions are
-    processed in chunks of at most CHUNK_VALUES block entries, so memory
-    stays bounded whatever N is.
+    sum_m weights[k, l, m] F[n, l, m, c] for F = X, V, W.
+
+    No harmonic block is formed. With M the largest |m| at which any weight
+    is nonzero (NaN counts), the Legendre column recurrence runs once over l
+    for a chunk of directions on the columns |m| <= M + 1 only (the dY
+    ladder reads column m + 1), and each row l is contracted against
+    weights[:, l] as soon as it exists; rows whose weights are all zero are
+    never completed. A chunk holds ``chunk_directions(M)`` directions, so
+    memory is O(M) per direction whatever N and l_max are, and the work is
+    O(l_max M) per direction: O(l_max) for one m column, as for a plane wave
+    along z or a single eigenmode. The sums equal those over the whole
+    block bit for bit.
     """
     l_max = _check_vector_order(l_max)
     theta, phi = _as_angle_arrays(theta, phi)
@@ -515,14 +561,37 @@ def vector_harmonics_contract(
         raise DomainError(
             f"weights must be (K, {l_max + 1}, {width}), got {weights.shape}"
         )
-    tables = _recurrence_tables(l_max)
+    live = weights != 0
+    m_top = int(np.abs(np.flatnonzero(np.any(live, axis=(0, 1))) - l_max).max(initial=0))
+    row_live = np.any(live, axis=(0, 2))
+    l_stop = int(np.flatnonzero(row_live).max(initial=-1)) + 1
+    band = min(m_top + 1, l_max)
+    cols = slice(l_max - band, l_max + band + 1)
+    a, ab, up, dn = _recurrence_tables(l_max)
+    band_weights = weights[:, :, cols]
     n = theta.size
-    sums = np.empty((3, n, weights.shape[0], l_max + 1), dtype=complex)
-    step = max(1, CHUNK_VALUES // ((l_max + 1) * width))
+    sums = np.zeros((3, n, weights.shape[0], l_max + 1), dtype=complex)
+    step = chunk_directions(m_top)
     for start in range(0, n, step):
         chunk = slice(start, start + step)
-        for i, arr in enumerate(_harmonics(l_max, theta[chunk], phi[chunk], tables)):
-            sums[i, chunk] = np.einsum("klm,nlm->nkl", weights, arr)
+        x, seeds = _legendre_seeds(theta[chunk], band)
+        phases, em, ep = _phases(phi[chunk], band)
+        # (p, u) of rows l - 2, l - 1 and l in turn; the columns m > l of
+        # row l stay zero, as they were three rows earlier
+        ring = np.zeros((3, 2, x.size, band + 1))
+        for l in range(l_stop):
+            pu = ring[l % 3]
+            if l >= 2:
+                c = slice(0, min(l - 1, band + 1))
+                np.multiply(a[l, c] * x, ring[(l - 1) % 3, :, :, c], out=pu[:, :, c])
+                pu[:, :, c] -= ab[l, c] * ring[(l - 2) % 3, :, :, c]
+            if 1 <= l <= band + 1:
+                pu[:, :, l - 1] = seeds[1, :, :, l - 1]
+            if l <= band:
+                pu[:, :, l] = seeds[0, :, :, l]
+            if row_live[l]:
+                harm = _complete(pu, phases, em, ep, up[l, cols], dn[l, cols])
+                sums[:, chunk, :, l] = np.einsum("km,inm->ink", band_weights[:, l], harm)
     return _vector_families(np.arange(l_max + 1, dtype=float), *sums)
 
 

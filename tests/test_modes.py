@@ -369,10 +369,6 @@ def test_near_sphere_intensity_dominated_by_dipole_channel():
             assert peak[("TM", 1)] > 50.0 * val
 
 
-def chunk_points(l_max):
-    return specfun.CHUNK_VALUES // ((l_max + 1) * (2 * l_max + 1))
-
-
 def random_points(n, seed):
     # half inside the sphere, half outside, plus the origin and the surface
     rng = np.random.default_rng(seed)
@@ -389,7 +385,8 @@ def random_points(n, seed):
 def test_intensity_map_batch_matches_pointwise_modes(offset):
     l = 3
     mode = modes.SphericalModeIndex(ChannelIndex("TM", l), 1, 2.3)
-    pts = random_points(chunk_points(l) + offset, 500 + offset)
+    # the mode's one harmonic weight sits at |m| = 1
+    pts = random_points(specfun.chunk_directions(1) + offset, 500 + offset)
     vals = modes.field_intensity_map(SPEC, mode, pts)
     assert vals.shape == (pts.shape[0],)
     for pt, got in zip(pts, vals):
@@ -402,7 +399,8 @@ def test_intensity_map_batch_matches_pointwise_modes(offset):
 def test_mode_sum_batch_matches_pointwise_calls(offset):
     l_max = 8
     kap = modes.PlaneModeIndex(2, (0.9, -0.4, 1.3))
-    pts = random_points(chunk_points(l_max) + offset, 600 + offset)
+    # an oblique plane wave weights every |m| <= l_max
+    pts = random_points(specfun.chunk_directions(l_max) + offset, 600 + offset)
     for kind in ("full", "scattered"):
         batch = modes._mode_sum(SPEC, kap, "outgoing", pts, l_max, kind)
         assert batch.shape == pts.shape

@@ -201,10 +201,11 @@ def scan_directions(thetas, phi_d):
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_differential_batch_matches_single_directions(offset):
-    # q = 20: l_max = 37, so a chunk holds two directions
+    # q = 20: l_max = 37, and an oblique plane wave weights every
+    # |m| <= l_max, so a chunk holds 106 directions
     q = 20.0
     l_max = truncation_order(q)
-    n = specfun.CHUNK_VALUES // ((l_max + 1) * (2 * l_max + 1)) + offset
+    n = specfun.chunk_directions(l_max) + offset
     kap = PlaneModeIndex(2, (0.3 * q, -0.2 * q, math.sqrt(0.87) * q))
     dirs = scan_directions(np.linspace(0.0, math.pi, n + 2)[1:-1], 2.1)
     batch = observables.differential_cross_section(SPEC, kap, dirs)

@@ -40,6 +40,23 @@ def test_table_finite_and_unitary_for_every_order(q, eps):
     assert max(abs(abs(ch.value) - 1.0) for ch in channels) < 1e-14
 
 
+@settings(max_examples=80, deadline=None)
+@given(q=st.floats(1e-6, 400.0), eps=st.floats(1.0, 1e3), l_max=st.integers(1, 511))
+@example(q=1e-6, eps=1e3, l_max=511)
+@example(q=400.0, eps=1e3, l_max=511)
+def test_phase_finite_and_unitary_up_to_eps_1e3(q, eps, l_max):
+    # above eps = 10 alpha may overflow and gamma underflow at high l (see
+    # the README's valid ranges); the phase shift itself stays finite and
+    # S = e^{-2 i phi} unimodular
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = phase_table(SphereSpec(eps, 1.0), q, l_max)
+    for name in ("sin_phi", "cos_phi", "phi"):
+        assert np.all(np.isfinite(getattr(t, name))), name
+    s = (t.cos_phi - 1j * t.sin_phi) ** 2
+    assert np.max(np.abs(np.abs(s) - 1.0)) < 1e-14
+
+
 @pytest.mark.parametrize("eps", [1.5, 2.1, 4.0, 10.0])
 @pytest.mark.parametrize("q", [0.1, 0.5, 2.0, 10.0, 37.0])
 def test_table_rows_match_classical_oracle(eps, q):

@@ -285,10 +285,6 @@ def test_spherical_to_cartesian_roundtrip():
 
 # ------------------------------------------------------------ batched layer
 
-def chunk_directions(l_max):
-    return specfun.CHUNK_VALUES // ((l_max + 1) * (2 * l_max + 1))
-
-
 def random_directions(n, seed):
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, math.pi, n)
@@ -299,7 +295,7 @@ def random_directions(n, seed):
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_batched_block_matches_per_direction(offset):
     l_max = 6
-    n = chunk_directions(l_max) + offset
+    n = specfun.chunk_directions(l_max) + offset
     theta, phi = random_directions(n, 100 + offset)
     y, dy, u = specfun.spherical_harmonics_batch(l_max, theta, phi)
     assert y.shape == (n, l_max + 1, 2 * l_max + 1)
@@ -315,9 +311,10 @@ def test_batched_block_matches_per_direction(offset):
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_contraction_matches_per_direction_sums(offset):
-    # the m sums cross a chunk boundary of the direction batch
+    # the m sums cross a chunk boundary of the direction batch; dense
+    # weights reach |m| = l_max
     l_max = 6
-    n = chunk_directions(l_max) + offset
+    n = specfun.chunk_directions(l_max) + offset
     theta, phi = random_directions(n, 200 + offset)
     rng = np.random.default_rng(300 + offset)
     weights = rng.normal(size=(2, l_max + 1, 2 * l_max + 1)) \
