@@ -31,6 +31,10 @@ from .miecore import POLARIZATIONS, ChannelIndex, SphereSpec, phase_table, trunc
 from .modes import PlaneModeIndex, SphericalModeIndex, field_intensity_map
 
 _FIG_CHANNELS = "TM:1,TE:1,TM:2,TE:2,TM:3"
+# most rows one dataset may have. Every row is held in memory as text before
+# the file is written, so a larger grid (field-map --points or g2-map --n-phi
+# above 2048) is refused before anything is allocated.
+MAX_ROWS = 2**22
 
 
 def _fmt(x) -> str:
@@ -119,30 +123,55 @@ class Resolver:
         return SphereSpec(epsilon=eps, radius=radius)
 
 
-def _render(fmt: str, command: str, effective: dict, columns, rows, notes=()):
+def _cells(column) -> list:
+    """One column as CSV cells. A float array formats each distinct bit
+    pattern once (so -0.0 and 0.0 stay apart); a list is formatted per cell."""
+    if not isinstance(column, np.ndarray):
+        return [_fmt(c) for c in column]
+    bits, inverse = np.unique(np.ascontiguousarray(column, dtype=float).view(np.int64),
+                              return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def _values(column) -> list:
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def _render(fmt: str, command: str, effective: dict, names, columns, notes=()):
     cfg = {k: v for k, v in sorted(effective.items()) if v is not None}
     if fmt == "json":
         doc = {"config": {"command": command, "version": __version__, **cfg},
-               "schema": list(columns), "data": [list(r) for r in rows]}
+               "schema": list(names), "data": [list(r) for r in zip(*map(_values, columns))]}
         if notes:
             doc["config"]["notes"] = list(notes)
         return json.dumps(doc, sort_keys=True) + "\n"
     lines = [f"# artifact {__version__}", f"# command: {command}"]
     lines.append("# config: " + " ".join(f"{k}={_fmt(v)}" for k, v in cfg.items()))
     lines.extend(f"# {n}" for n in notes)
-    lines.append(",".join(columns))
-    lines.extend(",".join(_fmt(c) for c in row) for row in rows)
+    lines.append(",".join(names))
+    lines.extend(map(",".join, zip(*map(_cells, columns))))
     return "\n".join(lines) + "\n"
 
 
-def _require_finite(command: str, columns, rows) -> None:
+def _require_finite(command: str, names, columns) -> None:
     """Reject NaN or inf in a data column, except g2-map's documented g2 NaN."""
-    for i, name in enumerate(columns):
+    for name, column in zip(names, columns):
         if (command, name) == ("g2-map", "g2"):
             continue
-        bad = [row[i] for row in rows if isinstance(row[i], float) and not math.isfinite(row[i])]
+        if isinstance(column, np.ndarray):
+            bad = column[~np.isfinite(column)].tolist()
+        else:
+            bad = [c for c in column if isinstance(c, float) and not math.isfinite(c)]
         if bad:
             raise NonFiniteError(f"{command}: column {name!r} holds {bad[0]!r}")
+
+
+def _check_rows(command: str, rows: int) -> None:
+    """Refuse a dataset of more than MAX_ROWS rows before anything is allocated."""
+    if rows > MAX_ROWS:
+        raise ResourceLimitError(
+            f"{command}: {rows} rows exceed the cap of {MAX_ROWS} rows per dataset")
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -161,6 +190,8 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 # -------------------------------------------------------------- commands
+# Each command returns (command, names, columns, notes). A column is a float64
+# array, or a list for string, integer and mixed columns; rows are never built.
 
 def cmd_phase_shifts(res: Resolver):
     spec = res.sphere()
@@ -168,11 +199,12 @@ def cmd_phase_shifts(res: Resolver):
     l_max = res.get("l_max", default=truncation_order(q), cast=int)
     res.reject_unknown()
     t = phase_table(spec, q, l_max)
-    cols = (t.alpha, t.beta, t.gamma, t.sin_phi, t.cos_phi)
-    rows = [(l, p, *(float(c[i, l]) for c in cols))
-            for l in range(1, l_max + 1) for i, p in enumerate(POLARIZATIONS)]
+    # rows run over l, then over the polarizations: the transposed tables
+    ls = [l for l in range(1, l_max + 1) for _ in POLARIZATIONS]
+    ps = list(POLARIZATIONS) * l_max
+    cols = [c[:, 1:].T.ravel() for c in (t.alpha, t.beta, t.gamma, t.sin_phi, t.cos_phi)]
     return ("phase-shifts", ("l", "p", "alpha", "beta", "gamma", "sin_phi", "cos_phi"),
-            rows, ())
+            [ls, ps, *cols], ())
 
 
 def cmd_palpha_scan(res: Resolver):
@@ -190,20 +222,22 @@ def cmd_palpha_scan(res: Resolver):
     channels = [_parse_channel(t) for t in chan_text.split(",") if t.strip()]
     if not channels:
         raise ConfigError("channels: empty list")
+    _check_rows("palpha-scan", steps * len(channels))
     qs = np.linspace(q_min, q_max, steps)
     # p_alpha = sin^2 phi, read for every channel and q from one phase table
     # over the whole grid
     l_top = max(ch.l for ch in channels)
     power = phase_table(spec, qs, l_top).sin_phi ** 2
-    rows, notes = [], []
+    labels, powers, notes = [], [], []
     for ch in channels:
         label = f"{ch.p}:{ch.l}"
-        vals = power[:, POLARIZATIONS.index(ch.p), ch.l].tolist()
+        vals = power[:, POLARIZATIONS.index(ch.p), ch.l]
         best = int(np.argmax(vals))
-        notes.append(f"argmax {label}: q={_fmt(float(qs[best]))} "
-                     f"p_alpha={_fmt(float(vals[best]))}")
-        rows.extend((float(q), label, v) for q, v in zip(qs, vals))
-    return "palpha-scan", ("q", "channel", "p_alpha"), rows, notes
+        notes.append(f"argmax {label}: q={_fmt(qs[best])} p_alpha={_fmt(vals[best])}")
+        labels += [label] * steps
+        powers.append(vals)
+    return ("palpha-scan", ("q", "channel", "p_alpha"),
+            [np.tile(qs, len(channels)), labels, np.concatenate(powers)], notes)
 
 
 def cmd_field_map(res: Resolver):
@@ -220,19 +254,15 @@ def cmd_field_map(res: Resolver):
         raise ConfigError(f"plane: {plane!r} not one of xy, xz, yz")
     if points < 2 or half_width <= 0.0:
         raise ConfigError("points/half-width: grid is empty or degenerate")
+    _check_rows("field-map", points * points)
     mode = SphericalModeIndex(ch, m, k, direction)
     axes = {"xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}[plane]
     ticks = np.linspace(-half_width * spec.radius, half_width * spec.radius, points)
-    grid = []
-    for u in ticks:
-        for v in ticks:
-            pt = [0.0, 0.0, 0.0]
-            pt[axes[0]], pt[axes[1]] = u, v
-            grid.append(pt)
+    us, vs = np.repeat(ticks, points), np.tile(ticks, points)
+    grid = np.zeros((points * points, 3))
+    grid[:, axes[0]], grid[:, axes[1]] = us, vs
     vals = field_intensity_map(spec, mode, grid)
-    rows = [(float(g[axes[0]]), float(g[axes[1]]), float(val))
-            for g, val in zip(grid, vals)]
-    return "field-map", (plane[0], plane[1], "intensity"), rows, ()
+    return "field-map", (plane[0], plane[1], "intensity"), [us, vs, vals], ()
 
 
 def cmd_cross_section(res: Resolver):
@@ -241,10 +271,11 @@ def cmd_cross_section(res: Resolver):
     l_max = res.get("l_max", cast=int)
     res.reject_unknown()
     result = observables.total_cross_section(spec, q, l_max=l_max)
-    rows = [(q, ch.p, ch.l, contrib, result.sigma)
-            for ch, contrib in result.per_channel]
+    n = len(result.per_channel)
     return ("cross-section", ("q", "p", "l", "sigma_channel", "sigma_total"),
-            rows, ())
+            [[q] * n, [ch.p for ch, _ in result.per_channel],
+             [ch.l for ch, _ in result.per_channel],
+             [contrib for _, contrib in result.per_channel], [result.sigma] * n], ())
 
 
 def cmd_diff_cross_section(res: Resolver):
@@ -259,6 +290,7 @@ def cmd_diff_cross_section(res: Resolver):
     res.reject_unknown()
     if n_theta < 2:
         raise ConfigError("n-theta: need at least two detector angles")
+    _check_rows("diff-cross-section", n_theta)
     kvec = (k * math.sin(inc_theta) * math.cos(inc_phi),
             k * math.sin(inc_theta) * math.sin(inc_phi),
             k * math.cos(inc_theta))
@@ -268,8 +300,7 @@ def cmd_diff_cross_section(res: Resolver):
                      np.sin(thetas) * math.sin(det_phi),
                      np.cos(thetas)], axis=-1)
     vals = observables.differential_cross_section(spec, kappa, dirs, l_max=l_max)
-    rows = [(float(t), float(v)) for t, v in zip(thetas, vals)]
-    return "diff-cross-section", ("theta", "dsigma_domega"), rows, ()
+    return "diff-cross-section", ("theta", "dsigma_domega"), [thetas, vals], ()
 
 
 def cmd_g2_map(res: Resolver):
@@ -285,14 +316,14 @@ def cmd_g2_map(res: Resolver):
     res.reject_unknown()
     if n_phi < 2:
         raise ConfigError("n-phi: need at least two azimuths")
+    _check_rows("g2-map", n_phi * n_phi)
     kappa1 = PlaneModeIndex(1, (k, 0.0, 0.0))
     kappa2 = PlaneModeIndex(1, (0.0, k, 0.0))
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     grid = observables.g2_map(spec, kappa1, kappa2, pol_i, pol_j,
                               theta1, theta2, phis, phis, r_detector=r_det, l_max=l_max)
-    rows = [(float(p1), float(p2), float(grid.values[i, j]))
-            for i, p1 in enumerate(phis) for j, p2 in enumerate(phis)]
-    return "g2-map", ("phi1", "phi2", "g2"), rows, ()
+    return ("g2-map", ("phi1", "phi2", "g2"),
+            [np.repeat(phis, n_phi), np.tile(phis, n_phi), grid.values.ravel()], ())
 
 
 def cmd_bogoliubov(res: Resolver):
@@ -318,9 +349,10 @@ def cmd_bogoliubov(res: Resolver):
         raise ConfigError("kp-min/kp-max/kp-steps: all three are required")
     if steps < 1 or not (0.0 < kp_min <= kp_max):
         raise ConfigError(f"k' range [{kp_min}, {kp_max}] is empty or invalid")
+    _check_rows("bogoliubov", steps)
     kappa = PlaneModeIndex(g, (0.0, 0.0, k))
-    rows = []
-    for kp in np.linspace(kp_min, kp_max, steps):
+    kps, kerns = np.linspace(kp_min, kp_max, steps), []
+    for kp in kps:
         kvec = (kp * math.sin(kp_theta) * math.cos(kp_phi),
                 kp * math.sin(kp_theta) * math.sin(kp_phi),
                 kp * math.cos(kp_theta))
@@ -329,8 +361,10 @@ def cmd_bogoliubov(res: Resolver):
             kern = ops[kind](spec, kappa, kappa_p, l_max=l_max)
         else:
             kern = ops[kind](spec, kappa, kappa_p, l_max=l_max, direction=direction)
-        rows.append((float(kp), kern.value.real, kern.value.imag, kern.abs_err))
-    return "bogoliubov", ("k_prime", "value_re", "value_im", "abs_err"), rows, ()
+        kerns.append(kern)
+    return ("bogoliubov", ("k_prime", "value_re", "value_im", "abs_err"),
+            [kps, [kern.value.real for kern in kerns], [kern.value.imag for kern in kerns],
+             [kern.abs_err for kern in kerns]], ())
 
 
 _COMMANDS = {
@@ -433,9 +467,9 @@ def main(argv=None) -> int:
         output = res.get("output")
         if not output:
             raise ConfigError("output: required")
-        command, columns, rows, notes = _COMMANDS[args.command](res)
-        _require_finite(command, columns, rows)
-        text = _render(fmt, command, res.effective, columns, rows, notes)
+        command, names, columns, notes = _COMMANDS[args.command](res)
+        _require_finite(command, names, columns)
+        text = _render(fmt, command, res.effective, names, columns, notes)
         _write_atomic(output, text)
     except (ConfigError, DomainError, PoleExcludedError, ResourceLimitError) as exc:
         print(f"qmie: config error: {exc}", file=sys.stderr)

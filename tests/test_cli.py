@@ -6,9 +6,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmie
 from qmie import cli, modes, observables
@@ -386,11 +389,141 @@ FROZEN_DIGESTS = [
      "97dc32382766b78a0b2bf527242571d2e33df9fbe5922b3821b09e6494c84851"),
     (["phase-shifts", "--epsilon", "2.1", "--q", "200", "-o", "table.csv"],
      "71eac1cba26cce12868489d81cfca5f5f98f837260d7a6e1817212eb6b7d1fb1"),
+    # written before the commands returned columns instead of rows
+    (["field-map", "--epsilon", "2.1", "--q", "3.4", "--channel", "TM:1", "-o", "field.csv"],
+     "fd241df263483a853f1449bcfa0e97a901dcf9cdb5fc9aa519a7fe0315571d34"),
+    (["field-map", "--epsilon", "2.1", "--q", "8", "--channel", "TE:2", "--plane", "xy",
+      "--points", "33", "--format", "json", "-o", "field.json"],
+     "ae4d1b0fc7a88e96f15ec584075c10338d81cb4f73e0a6fe03956c49ff8aa571"),
+    (["g2-map", "--k", "3", "-o", "g2.csv"],
+     "95ff7756a5226321adcfb60bfa1d22cb309cd854010b1cf37b26424fbb50d9c4"),
+    (["g2-map", "--k", "0.01", "--format", "json", "-o", "g2.json"],
+     "3d163a3d3cb83cca8b4ff8e5452ae4123e265b0f293251f267c437067881356b"),
+    (["cross-section", "--epsilon", "2.1", "--q", "150", "-o", "sigma.csv"],
+     "b7dd9c2ece974ea3225d6b3fdf704ec7a936a2874b1b9cc1ba002edfb10e70d9"),
+    (["cross-section", "--epsilon", "2.1", "--q", "0.5", "--l-max", "200", "--format", "json",
+      "-o", "sigma.json"],
+     "a4cdad5bf50a324c218b519d3a42a27f02b3b1607b0ce500cf005518bef8d925"),
+    (["diff-cross-section", "--epsilon", "2.1", "--q", "35.4", "--g", "2", "--detector-phi", "1",
+      "-o", "dsigma.csv"],
+     "4f207405c05895e38c96776caa63fb03027519e3808bcb557a1c45e00d941200"),
+    (["bogoliubov", "--epsilon", "2.1", "--k", "5", "--kind", "B", "--kp-min", "3",
+      "--kp-max", "9", "--kp-steps", "7", "-o", "b.csv"],
+     "da974f25f7c5912bce04ec88b24d4363a3c7aee13570113022094914e948063c"),
+    (["bogoliubov", "--epsilon", "2.1", "--k", "3", "--kind", "V", "--kp-min", "2",
+      "--kp-max", "6", "--kp-steps", "7", "--format", "json", "-o", "v.json"],
+     "32666dc0ae0941b30ae2187f2c2719d8d38202cb7b2a0e29a15ca18d5daac469"),
+    (["phase-shifts", "--epsilon", "2.1", "--q", "37", "--format", "json", "-o", "table.json"],
+     "53798502efe6db6ad04ee44c532bee7c21e41948c9a1a0d6c33a84a7358ee961"),
 ]
 
 
-@pytest.mark.parametrize("args,digest", FROZEN_DIGESTS, ids=["palpha-scan", "phase-shifts-q200"])
+@pytest.mark.parametrize("args,digest", FROZEN_DIGESTS, ids=[
+    "palpha-scan", "phase-shifts-q200", "field-map-csv", "field-map-xy-json", "g2-map-csv",
+    "g2-map-json", "cross-section-q150", "cross-section-lmax200-json", "diff-cross-section",
+    "bogoliubov-B", "bogoliubov-V-json", "phase-shifts-q37-json"])
 def test_scan_and_table_outputs_are_frozen(tmp_path, monkeypatch, args, digest):
     monkeypatch.chdir(tmp_path)
     assert run(args) == 0
     assert hashlib.sha256((tmp_path / args[-1]).read_bytes()).hexdigest() == digest
+
+
+# ------------------------------------------------------- columnar datasets
+
+# values whose formatting the distinct-value step must keep apart or intact
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308]
+
+
+@st.composite
+def columnar_cases(draw):
+    n = draw(st.integers(3, 42))
+    pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                         max_size=4)) + EDGE_VALUES
+
+    def column(cells, size=n):
+        return draw(st.lists(cells, min_size=size, max_size=size))
+
+    # heavy repetition, with both zeros in one column at drawn positions
+    phi1 = draw(st.permutations(column(st.sampled_from(pool), n - 2) + [0.0, -0.0]))
+    phi2 = column(st.floats(allow_nan=False, allow_infinity=False))
+    g2 = column(st.one_of(st.sampled_from(pool), st.just(math.nan)))
+    ls = column(st.integers(-10**6, 10**6))
+    ps = column(st.sampled_from(["TM", "TE", "TM:1", "TE:12"]))
+    mixed = [draw(st.sampled_from([float, np.float64]))(x)
+             for x in column(st.sampled_from(pool))]
+    return np.array(phi1), np.array(phi2), np.array(g2), ls, ps, mixed
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=columnar_cases())
+def test_csv_cells_format_each_value_of_every_column(case):
+    names = ("phi1", "phi2", "g2", "l", "p", "sigma")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cli._require_finite("g2-map", names, case)  # g2's NaN is the documented exception
+        text = cli._render("csv", "g2-map", {}, names, case)
+    body = [l for l in text.splitlines() if not l.startswith("#")]
+    assert body[0] == ",".join(names)
+    phi1, phi2, g2, ls, ps, mixed = case
+    expected = [[repr(float(x)) for x in phi1], [repr(float(x)) for x in phi2],
+                [repr(float(x)) for x in g2], [str(x) for x in ls], [str(x) for x in ps],
+                [repr(float(x)) for x in mixed]]
+    assert [row.split(",") for row in body[1:]] == [list(r) for r in zip(*expected)]
+
+
+@pytest.mark.parametrize("target,module,column,bad", [
+    ("field_intensity_map", cli, "intensity", math.inf),
+    ("differential_cross_section", observables, "dsigma_domega", math.nan),
+])
+def test_non_finite_numpy_column_exits_3(tmp_path, monkeypatch, capsys, target, module,
+                                         column, bad):
+    real = getattr(module, target)
+
+    def poisoned(*args, **kwargs):
+        vals = np.array(real(*args, **kwargs), dtype=float)
+        vals[len(vals) // 2] = bad
+        return vals
+
+    monkeypatch.setattr(module, target, poisoned)
+    out = tmp_path / "x.csv"
+    args = {"intensity": ["field-map", "--epsilon", "2.1", "--q", "1.0", "--points", "5"],
+            "dsigma_domega": ["diff-cross-section", "--epsilon", "2.1", "--q", "1.0",
+                              "--n-theta", "7"]}[column]
+    assert run(args + ["-o", str(out)]) == 3
+    assert f"column {column!r} holds {bad!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class Allocated(Exception):
+    """A command reached its first grid allocation."""
+
+
+# each command with the largest value of its size flag that stays within
+# cli.MAX_ROWS rows
+ROW_CAP_ARGS = {
+    "field-map": (["field-map", "--epsilon", "2.1", "--q", "1.0", "--points"], 2048),
+    "g2-map": (["g2-map", "--k", "1.0", "--n-phi"], 2048),
+    "palpha-scan": (["palpha-scan", "--epsilon", "2.1", "--q-min", "1.0", "--q-max", "2.0",
+                     "--channels", "TM:1,TE:1", "--q-steps"], 2**21),
+    "diff-cross-section": (["diff-cross-section", "--epsilon", "2.1", "--q", "1.0",
+                            "--n-theta"], 2**22),
+    "bogoliubov": (["bogoliubov", "--epsilon", "2.1", "--k", "1.0", "--kp-min", "0.5",
+                    "--kp-max", "0.9", "--kp-steps"], 2**22),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ROW_CAP_ARGS))
+def test_rows_above_cap_are_refused_before_allocation(tmp_path, monkeypatch, capsys, command):
+    # every grid starts from np.linspace: refusing it shows that the size
+    # check comes first, and nothing of the requested size is allocated
+    def refuse(*args, **kwargs):
+        raise Allocated
+
+    args, largest = ROW_CAP_ARGS[command]
+    monkeypatch.setattr(cli.np, "linspace", refuse)
+    out = tmp_path / "x.csv"
+    with pytest.raises(Allocated):
+        run(args + [str(largest), "-o", str(out)])
+    assert run(args + [str(largest + 1), "-o", str(out)]) == 2
+    assert f"exceed the cap of {cli.MAX_ROWS} rows" in capsys.readouterr().err
+    assert not out.exists()
