@@ -8,12 +8,11 @@ multipole coefficient tables of the plane-wave modes. The overlaps of all
 orders come from Lommel's closed form (Watson, Theory of Bessel Functions,
 sec. 5.11) over one Bessel sweep per argument, each order with a stated
 rounding bound. Near the diagonal a = b the closed form cancels; the orders
-whose bound exceeds rtol |T_l| there are recomputed by adaptive quadrature,
-which is the only route that loads scipy.
+whose bound exceeds rtol |T_l| there are recomputed together by two fixed
+Gauss-Legendre rules on [0, R], one Bessel sweep per node and argument.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,26 +60,6 @@ def _check_direction(direction: str) -> float:
     raise DomainError(f"direction must be 'outgoing' or 'incoming', got {direction!r}")
 
 
-def _radial_overlap(l: int, a: float, b: float, radius: float, rtol: float):
-    """integral_0^R r^2 j_l(a r) j_l(b r) dr by adaptive quadrature, with
-    its error estimate. scipy is imported here, on the first call."""
-    from scipy.integrate import IntegrationWarning, quad
-    from scipy.special import spherical_jn
-
-    def integrand(r):
-        return r * r * spherical_jn(l, a * r) * spherical_jn(l, b * r)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            val, err = quad(integrand, 0.0, radius, epsabs=1e-15, epsrel=rtol, limit=200)
-        except IntegrationWarning as exc:
-            raise ToleranceError(
-                f"radial overlap quadrature failed to converge at l={l}: {exc}"
-            ) from exc
-    return val, err
-
-
 def _envelope(j: np.ndarray, x: float) -> np.ndarray:
     """|j_l(x)|, raised to 1/x past the turning point x = l + 1/2, where
     j_l oscillates and a sweep's error is absolute rather than relative."""
@@ -121,14 +100,39 @@ def _overlaps(l_top: int, a: float, b: float, radius: float):
     return values, bounds
 
 
+def _band_overlaps(ls: np.ndarray, a: float, b: float, radius: float, rtol: float):
+    """T_l for the ascending orders ls by Gauss-Legendre rules on [0, R] with
+    n = (a + b) R / 2 + l_top / 2 + 16 and n + n // 2 + 8 nodes, one j sweep
+    per node and distinct argument; the integrand is entire, so they converge
+    once n passes its oscillation count. Returns the larger rule and its
+    difference from the smaller, which raises ToleranceError above
+    max(rtol S_l, 1e-290): S_l integrates |r^2 j_l(ar) j_l(br)|, |T_l| where
+    the integrand keeps its sign, so rounding cannot fail a zero of T_l."""
+    n = int((a + b) * radius / 2.0 + ls[-1] / 2.0) + 16
+    rules = []
+    for nodes in (n, n + n // 2 + 8):
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        r = radius * (x + 1.0) / 2.0
+        j = {c: np.array([specfun.spherical_bessel_j(ls[-1], c * ri) for ri in r])[:, ls]
+             for c in {a, b}}
+        rules.append((radius / 2.0) * ((w * r * r) @ (j[a] * j[b])))
+    errs = np.abs(rules[1] - rules[0])
+    mass = (radius / 2.0) * ((w * r * r) @ np.abs(j[a] * j[b]))
+    bad = np.flatnonzero(errs > np.maximum(rtol * mass, 1e-290))
+    if bad.size:
+        raise ToleranceError(f"radial overlap rules differ by {errs[bad[0]]:.3g} at "
+                             f"l={ls[bad[0]]}, above rtol S_l = {rtol * mass[bad[0]]:.3g}")
+    return rules[1], errs
+
+
 def _resolved_overlaps(l_top: int, a: float, b: float, radius: float, rtol: float):
     """The overlaps of _overlaps, with every order whose rounding bound
-    exceeds rtol |T_l| (the near-diagonal band, a == b included) recomputed
-    by _radial_overlap. Returns (values, abs_errs): the rounding bound on
-    closed-form orders, quad's estimate on band orders."""
+    exceeds rtol |T_l| (near a = b, at a == b or at a zero of T_l) recomputed
+    by _band_overlaps. Returns (values, abs_errs), as the two routines do."""
     values, errs = _overlaps(l_top, a, b, radius)
-    for l in np.flatnonzero(errs > rtol * np.abs(values)):
-        values[l], errs[l] = _radial_overlap(int(l), a, b, radius, rtol)
+    band = np.flatnonzero(errs > rtol * np.abs(values))
+    if band.size:
+        values[band], errs[band] = _band_overlaps(band, a, b, radius, rtol)
     return values, errs
 
 
@@ -138,23 +142,17 @@ def _angular_sums(kappa: PlaneModeIndex, kappa_prime: PlaneModeIndex,
 
     Normal kinds pair c*(khat) with c(khat'); the counter-rotating kind pairs
     c*(khat) with c*(khat') at mirrored m, picking up the conjugation parity
-    of the vector harmonics: (-1)^(m+1) for TE, (-1)^m for TM.
+    of the vector harmonics: (-1)^(m+1) for TE, (-1)^m for TM. Returns
+    (2, l_max+1) sums indexed [p, l].
     """
     (t1, p1), (t2, p2) = kappa.angles, kappa_prime.angles
-    tables = modes._coefficient_table([t1, t2], [p1, p2], l_max)
-    c1_te, c1_tm = tables[0, kappa.g - 1]
-    c2_te, c2_tm = tables[1, kappa_prime.g - 1]
+    c1, c2 = modes._coefficient_table([t1, t2], [p1, p2], [kappa.g, kappa_prime.g], l_max)
     if not conjugate_pair:
-        m_te = np.einsum("lm,lm->l", np.conj(c1_te), c2_te)
-        m_tm = np.einsum("lm,lm->l", np.conj(c1_tm), c2_tm)
-        return m_te, m_tm
+        return np.einsum("plm,plm->pl", np.conj(c1), c2)
     m = np.arange(-l_max, l_max + 1)
     parity = np.where(m % 2 == 0, 1.0, -1.0)
-    flip_te = np.conj(np.flip(c2_te, axis=1))
-    flip_tm = np.conj(np.flip(c2_tm, axis=1))
-    m_te = np.einsum("m,lm,lm->l", -parity, np.conj(c1_te), flip_te)
-    m_tm = np.einsum("m,lm,lm->l", parity, np.conj(c1_tm), flip_tm)
-    return m_te, m_tm
+    return np.einsum("pm,plm,plm->pl", np.stack([-parity, parity]), np.conj(c1),
+                     np.conj(np.flip(c2, axis=2)))
 
 
 def _volume_overlap(
@@ -177,8 +175,7 @@ def _volume_overlap(
     k = kappa.k
     kp = kappa_prime.k
     b_scale = math.sqrt(spec.epsilon) if scattered else 1.0
-    m_te, m_tm = _angular_sums(kappa, kappa_prime, l_max, conjugate_pair)
-    weight = np.stack([m_te, m_tm])
+    weight = _angular_sums(kappa, kappa_prime, l_max, conjugate_pair)
     if scattered:
         t = phase_table(spec, kp * spec.radius, l_max)
         weight = weight * t.gamma * np.exp(phase_sign * 1j * t.phi)
@@ -305,7 +302,7 @@ def a_diagonal_channel_sum(
     q = k * spec.radius
     if l_max is None:
         l_max = truncation_order(q)
-    m_te, m_tm = _angular_sums(kappa, kappa_prime, l_max, conjugate_pair=False)
+    sums = _angular_sums(kappa, kappa_prime, l_max, conjugate_pair=False)
     t = phase_table(spec, q, l_max)
     # rows l = 0 of the angular sums vanish
-    return complex(np.sum(np.stack([m_te, m_tm]) * np.exp(sign * 1j * t.phi) * t.cos_phi))
+    return complex(np.sum(sums * np.exp(sign * 1j * t.phi) * t.cos_phi))

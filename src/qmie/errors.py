@@ -22,7 +22,7 @@ class PoleExcludedError(DomainError):
 
 
 class ToleranceError(QmieError, RuntimeError):
-    """A numerical tolerance could not be met (e.g. quadrature non-convergence)."""
+    """A numerical tolerance could not be met (e.g. two quadrature rules disagree)."""
 
 
 class ConsistencyError(QmieError, RuntimeError):

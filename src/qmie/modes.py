@@ -264,10 +264,10 @@ def plane_wave_mode(kappa: PlaneModeIndex, point) -> FieldSample:
 _COEFFICIENT_RULE = (((2, 1), (1, -1)), ((1, 0), (2, 0)))
 
 
-def _coefficient_table(theta_k, phi_k, l_max: int) -> np.ndarray:
-    """c_{lmg}^p for N propagation directions, both g, from one X block.
+def _coefficient_table(theta_k, phi_k, g, l_max: int) -> np.ndarray:
+    """c_{lmg}^p for N propagation directions, each at its own g, from one X block.
 
-    Shaped (N, 2, 2, l_max+1, 2 l_max+1) and indexed [n, g - 1, p, l, m + l_max]
+    Shaped (N, 2, l_max+1, 2 l_max+1) and indexed [n, p, l, m + l_max]
     with p = 0 for TE and 1 for TM.
     """
     if l_max < 1:
@@ -275,10 +275,11 @@ def _coefficient_table(theta_k, phi_k, l_max: int) -> np.ndarray:
     _, dy, u = specfun.spherical_harmonics_batch(l_max, theta_k, phi_k)
     ls = np.arange(l_max + 1)[:, None]
     bx = specfun._x_family(ls.astype(float), dy, u)
-    out = np.empty((bx.shape[0], 2, 2) + bx.shape[1:3], dtype=complex)
-    for g, rule in enumerate(_COEFFICIENT_RULE):
-        for p, (comp, shift) in enumerate(rule):
-            out[:, g, p] = 1j**(ls + shift) * np.conj(bx[..., comp])
+    n = np.arange(bx.shape[0])
+    rules = np.array(_COEFFICIENT_RULE)[np.broadcast_to(np.asarray(g) - 1, n.shape)]
+    out = np.empty((n.size, 2) + bx.shape[1:3], dtype=complex)
+    for p, (comp, shift) in enumerate(rules.transpose(1, 2, 0)):
+        out[:, p] = 1j**(ls + shift[:, None, None]) * np.conj(bx[n, ..., comp])
     return out
 
 
@@ -305,7 +306,7 @@ def plane_wave_coefficients(kappa: PlaneModeIndex, l_max: int) -> list[PlaneWave
     Pure functions of the propagation direction; |kvec| does not enter.
     """
     theta_k, phi_k = kappa.angles
-    c_te, c_tm = _coefficient_table(theta_k, phi_k, l_max)[0, kappa.g - 1]
+    c_te, c_tm = _coefficient_table(theta_k, phi_k, kappa.g, l_max)[0]
     out = []
     for l in range(1, l_max + 1):
         for m in range(-l, l + 1):
@@ -403,7 +404,7 @@ def _mode_sum(
     r, theta, phi = _spherical_coords(points)
     k = kappa.k
     theta_k, phi_k = kappa.angles
-    coeffs = _coefficient_table(theta_k, phi_k, l_max)[0, kappa.g - 1]
+    coeffs = _coefficient_table(theta_k, phi_k, kappa.g, l_max)[0]
     bx, bv, bw = specfun.vector_harmonics_contract(l_max, theta, phi, coeffs)
     f_ll, f_up, f_dn = _radial_tables(spec, k, r, l_max, direction, kind)
     f_te, f_tm_up, f_tm_dn = f_ll[:, 0], f_up[:, 1], f_dn[:, 1]

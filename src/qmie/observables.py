@@ -120,7 +120,7 @@ def _amplitudes(spec: SphereSpec, kappa_in: PlaneModeIndex, theta, phi, l_max: i
     if l_max is None:
         l_max = truncation_order(q)
     ti, pi_ = kappa_in.angles
-    c_in = modes._coefficient_table(ti, pi_, l_max)[0, kappa_in.g - 1]
+    c_in = modes._coefficient_table(ti, pi_, kappa_in.g, l_max)[0]
     overlaps = modes._coefficient_overlaps(theta, phi, c_in, l_max)
     t = phase_table(spec, q, l_max)
     weights = t.sin_phi * (t.cos_phi - 1j * t.sin_phi)
@@ -169,7 +169,7 @@ def total_cross_section(spec: SphereSpec, q: float, l_max: int | None = None) ->
     # concrete incoming label (any direction and g; the sum is isotropic)
     kappa = PlaneModeIndex(1, (0.48 * k, 0.36 * k, 0.8 * k))
     th, pp = kappa.angles
-    tables = modes._coefficient_table(th, pp, l_max)[0, kappa.g - 1]
+    tables = modes._coefficient_table(th, pp, kappa.g, l_max)[0]
     angular = 16.0 * math.pi**2 / (k * k) * float(np.sum(np.abs(tables) ** 2 * sin2[..., None]))
     # written so that NaN on either side fails the check
     if not abs(angular - sigma) <= 1e-9 * max(sigma, 1e-300):

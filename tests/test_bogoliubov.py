@@ -67,16 +67,23 @@ def lommel_overlap(l, a, b, radius):
 @pytest.mark.parametrize("l", [1, 2, 5, 9])
 @pytest.mark.parametrize("a,b", [(0.5, 0.75), (1.3, 2.6), (4.0, 0.2), (2.0, 2.0)])
 def test_radial_overlap_against_closed_form(l, a, b):
-    val, err = bg._radial_overlap(l, a, b, 1.0, 1e-12)
-    ref = lommel_overlap(l, a, b, 1.0)
-    assert val == pytest.approx(ref, rel=1e-12, abs=1e-14)
-    assert err >= 0.0
-    assert abs(val - ref) <= max(err, 1e-13)
+    # the band rules, alone and next to a lower order
+    for ls in ([l], [0, l]):
+        vals, errs = bg._band_overlaps(np.array(ls), a, b, 1.0, 1e-12)
+        val, err = vals[-1], errs[-1]
+        ref = lommel_overlap(l, a, b, 1.0)
+        assert val == pytest.approx(ref, rel=1e-12, abs=1e-14)
+        assert err >= 0.0
+        assert abs(val - ref) <= max(err, 1e-13)
 
 
 def test_radial_overlap_nonconvergence():
-    with pytest.raises(ToleranceError):
-        bg._radial_overlap(2, 2000.0, 1999.4, 1.0, 1e-11)
+    # on the diagonal every order takes the band, whose two rules cannot
+    # agree to a tolerance below the rounding of the sum
+    pair = (PlaneModeIndex(1, (0.0, 0.0, 3.0)), PlaneModeIndex(2, (0.0, 3.0, 0.0)))
+    assert bg.coupling_v(SPEC, *pair, rtol=1e-11).abs_err >= 0.0
+    with pytest.raises(ToleranceError, match="radial overlap rules"):
+        bg.coupling_v(SPEC, *pair, rtol=1e-16)
 
 
 # ----------------------------------------------------- reduction vs 3D oracle

@@ -1,8 +1,7 @@
 """Closed-form radial overlaps: accuracy against mpmath, the near-diagonal
-quadrature band, agreement with the quadrature-only kernels, the kernel
-order range and the scipy-free import path."""
+Gauss-Legendre band, agreement with the quadrature-only kernels, the kernel
+order range and a scipy-free run of every command."""
 
-import json
 import math
 import os
 import subprocess
@@ -26,10 +25,9 @@ SPEC = SphereSpec(EPSILON, 1.0)
 KERNELS = {"V": bg.coupling_v, "B": bg.b_coefficient, "A_offdiag": bg.a_offdiagonal_kernel}
 
 # Below this size an overlap is a product of underflowed Bessel values; the
-# closed form then returns 0 (or a few subnormal ulps) with bound 0.
+# closed form then returns 0 (or a few subnormal ulps) with bound 0, and the
+# band rules hold such orders to this absolute floor.
 UNDERFLOW_FLOOR = 1e-290
-# quad runs with epsabs = 1e-15, so band orders carry that absolute floor
-QUAD_FLOOR = 1e-14
 
 
 def _j(l, x):
@@ -68,21 +66,34 @@ def test_overlaps_within_bound_and_rtol_of_mpmath(a, gap, apart, radius, l_top, 
     if a == b:
         assert band.all()
     calls = []
-    quad = bg._radial_overlap
+    rules = bg._band_overlaps
 
-    def recording(l, *args):
-        calls.append(l)
-        return quad(l, *args)
+    def recording(ls, *args):
+        calls.append(list(ls))
+        return rules(ls, *args)
 
-    with mock.patch.object(bg, "_radial_overlap", recording):
+    with mock.patch.object(bg, "_band_overlaps", recording):
         resolved, errs = bg._resolved_overlaps(l_top, a, b, radius, rtol)
-    assert calls == list(np.flatnonzero(band))
+    assert calls == ([list(np.flatnonzero(band))] if band.any() else [])
     ref = reference_overlaps(l_top, a, b, radius)
     for l in range(l_top + 1):
         if not band[l]:
             assert resolved[l] == values[l] and errs[l] == bounds[l]
             assert abs(mp.mpf(values[l]) - ref[l]) <= bounds[l] + UNDERFLOW_FLOOR, l
-        assert abs(mp.mpf(resolved[l]) - ref[l]) <= rtol * abs(ref[l]) + QUAD_FLOOR, l
+        assert abs(mp.mpf(resolved[l]) - ref[l]) <= rtol * abs(ref[l]) + UNDERFLOW_FLOOR, l
+
+
+def test_band_resolves_an_order_at_a_zero_of_the_overlap():
+    # T_0(a, 6) changes sign at this a; V scans at |k| ~ 3 through |k'| = 6
+    # meet it. The closed form sends the order to the band, where only the
+    # rules' rounding is left, far below rtol times the integral of |r^2 j j|.
+    a = 2.9972348651665896
+    values, bounds = bg._overlaps(3, a, 6.0, 1.0)
+    assert bounds[0] > 1e-11 * abs(values[0])
+    resolved, errs = bg._resolved_overlaps(3, a, 6.0, 1.0, 1e-11)
+    ref = reference_overlaps(3, a, 6.0, 1.0)
+    assert abs(ref[0]) < 1e-17
+    assert abs(mp.mpf(resolved[0]) - ref[0]) <= 1e-16 and errs[0] <= 1e-16
 
 
 def test_closed_form_orders_need_no_quadrature_off_the_diagonal():
@@ -140,60 +151,50 @@ def test_cli_rejects_kernel_order_above_cap(tmp_path, capsys):
     assert not out.exists()
 
 
-# ------------------------------------------------------------ import path
+# ------------------------------------------------------- scipy-free runtime
 
 def _run_child(code: str) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(os.path.abspath(qmie.__file__)))
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, os.path.dirname(__file__), env.get("PYTHONPATH")])
-    )
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc
 
 
-_SCIPY_MODULES = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
-
-
-def test_import_and_parser_load_no_scipy():
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # k' steps through k (V) and through k / sqrt(eps) (B), so both scans
+    # reach the near-diagonal band
+    b_pole = 3.0 / math.sqrt(EPSILON)
+    commands = [
+        ["phase-shifts", "--epsilon", "2.1", "--q", "3.0"],
+        ["palpha-scan", "--epsilon", "2.1", "--q-min", "1.0", "--q-max", "2.0", "--q-steps", "5"],
+        ["field-map", "--epsilon", "2.1", "--q", "1.0", "--channel", "TM:1", "--points", "5"],
+        ["cross-section", "--epsilon", "2.1", "--q", "2.0"],
+        ["diff-cross-section", "--epsilon", "2.1", "--q", "2.0", "--n-theta", "5"],
+        ["g2-map", "--q", "1.0", "--n-phi", "4"],
+        ["bogoliubov", "--epsilon", "2.1", "--kind", "V", "--k", "3",
+         "--kp-min", "2.97", "--kp-max", "3.03", "--kp-steps", "5"],
+        ["bogoliubov", "--epsilon", "2.1", "--kind", "B", "--k", "3",
+         "--kp-min", repr(b_pole - 0.01), "--kp-max", repr(b_pole + 0.01), "--kp-steps", "3"],
+    ]
+    outs = [str(tmp_path / f"{i}.csv") for i in range(len(commands))]
     proc = _run_child(
-        "import sys, qmie, qmie.cli\n"
-        "qmie.cli.build_parser()\n"
-        f"print({_SCIPY_MODULES})\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from qmie import bogoliubov\n"
+        "from qmie.cli import main\n"
+        "rules, band = bogoliubov._band_overlaps, []\n"
+        "def recording(ls, *args):\n"
+        "    band.append(len(ls))\n"
+        "    return rules(ls, *args)\n"
+        "bogoliubov._band_overlaps = recording\n"
+        f"for args, out in zip({commands!r}, {outs!r}):\n"
+        "    band.clear()\n"
+        "    print(args[0], main(args + ['-o', out]), len(band))\n"
     )
-    assert proc.stdout.strip() == "[]"
-
-
-def test_off_band_kernel_scans_load_no_scipy(tmp_path):
-    scans = [("B", "5", "3", "9", "7"), ("V", "3", "2", "6", "7"),
-             ("A_offdiag", "0.5", "0.3", "0.9", "5")]
-    calls = "".join(
-        f"assert main(['bogoliubov', '--epsilon', '2.1', '--kind', {kind!r}, '--k', {k!r}, "
-        f"'--kp-min', {lo!r}, '--kp-max', {hi!r}, '--kp-steps', {n!r}, "
-        f"'-o', {str(tmp_path / (kind + '.csv'))!r}]) == 0\n"
-        for kind, k, lo, hi, n in scans
-    )
-    proc = _run_child(f"import sys\nfrom qmie.cli import main\n{calls}print({_SCIPY_MODULES})\n")
-    assert proc.stdout.strip() == "[]"
-    assert all((tmp_path / f"{s[0]}.csv").exists() for s in scans)
-
-
-def test_diagonal_v_scan_loads_scipy_and_holds_rtol():
-    diagonal = [(kp, value) for kind, k, kp, value, _ in KERNEL_REFERENCE
-                if kind == "V" and abs(kp / k - 1.0) < 2e-9]
-    assert any(kp == 3.0 for kp, _ in diagonal)
-    proc = _run_child(
-        "import json, sys\n"
-        "from qmie.bogoliubov import coupling_v\n"
-        "from qmie.miecore import SphereSpec\n"
-        "from kernel_reference import kernel_pair\n"
-        f"kps = {[kp for kp, _ in diagonal]!r}\n"
-        "vals = [coupling_v(SphereSpec(2.1, 1.0), *kernel_pair(3.0, kp)).value for kp in kps]\n"
-        f"print(json.dumps({{'scipy': bool({_SCIPY_MODULES}), "
-        "'values': [[v.real, v.imag] for v in vals]}))\n"
-    )
-    doc = json.loads(proc.stdout)
-    assert doc["scipy"]
-    for (_, ref), (re_, im_) in zip(diagonal, doc["values"]):
-        assert abs(complex(re_, im_) - ref) <= 1e-11 * abs(ref)
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [(name, rc) for name, rc, _ in lines] == [(c[0], "0") for c in commands]
+    # the diagonal V point and the B point at sqrt(eps) k' = k entered the band
+    assert int(lines[-2][2]) > 0 and int(lines[-1][2]) > 0
+    assert all(os.path.exists(out) for out in outs)
