@@ -1,7 +1,9 @@
 """Closed-form radial overlaps: accuracy against mpmath, the near-diagonal
 Gauss-Legendre band, agreement with the quadrature-only kernels, the kernel
-order range and a scipy-free run of every command."""
+order range, the scipy-free import and scan paths and a scipy-blocked run
+of every command."""
 
+import json
 import math
 import os
 import subprocess
@@ -156,10 +158,61 @@ def test_cli_rejects_kernel_order_above_cap(tmp_path, capsys):
 def _run_child(code: str) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(os.path.abspath(qmie.__file__)))
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.path.dirname(__file__), env.get("PYTHONPATH")])
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc
+
+
+_SCIPY_MODULES = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
+
+
+def test_import_and_parser_load_no_scipy():
+    proc = _run_child(
+        "import sys, qmie, qmie.cli\n"
+        "qmie.cli.build_parser()\n"
+        f"print({_SCIPY_MODULES})\n"
+    )
+    assert proc.stdout.strip() == "[]"
+
+
+def test_off_band_kernel_scans_load_no_scipy(tmp_path):
+    scans = [("B", "5", "3", "9", "7"), ("V", "3", "2", "6", "7"),
+             ("A_offdiag", "0.5", "0.3", "0.9", "5")]
+    calls = "".join(
+        f"assert main(['bogoliubov', '--epsilon', '2.1', '--kind', {kind!r}, '--k', {k!r}, "
+        f"'--kp-min', {lo!r}, '--kp-max', {hi!r}, '--kp-steps', {n!r}, "
+        f"'-o', {str(tmp_path / (kind + '.csv'))!r}]) == 0\n"
+        for kind, k, lo, hi, n in scans
+    )
+    proc = _run_child(f"import sys\nfrom qmie.cli import main\n{calls}print({_SCIPY_MODULES})\n")
+    assert proc.stdout.strip() == "[]"
+    assert all((tmp_path / f"{s[0]}.csv").exists() for s in scans)
+
+
+def test_diagonal_v_scan_loads_scipy_and_holds_rtol():
+    # The name dates from the adaptive-quadrature band. The Gauss-Legendre
+    # band now serves the diagonal, so the scan must load no scipy at all
+    # while holding the reference values to the same rtol.
+    diagonal = [(kp, value) for kind, k, kp, value, _ in KERNEL_REFERENCE
+                if kind == "V" and abs(kp / k - 1.0) < 2e-9]
+    assert any(kp == 3.0 for kp, _ in diagonal)
+    proc = _run_child(
+        "import json, sys\n"
+        "from qmie.bogoliubov import coupling_v\n"
+        "from qmie.miecore import SphereSpec\n"
+        "from kernel_reference import kernel_pair\n"
+        f"kps = {[kp for kp, _ in diagonal]!r}\n"
+        "vals = [coupling_v(SphereSpec(2.1, 1.0), *kernel_pair(3.0, kp)).value for kp in kps]\n"
+        f"print(json.dumps({{'scipy': {_SCIPY_MODULES}, "
+        "'values': [[v.real, v.imag] for v in vals]}))\n"
+    )
+    doc = json.loads(proc.stdout)
+    assert doc["scipy"] == []
+    for (_, ref), (re_, im_) in zip(diagonal, doc["values"]):
+        assert abs(complex(re_, im_) - ref) <= 1e-11 * abs(ref)
 
 
 def test_every_command_runs_with_scipy_blocked(tmp_path):
