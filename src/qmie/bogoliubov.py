@@ -102,22 +102,28 @@ def _overlaps(l_top: int, a: float, b: float, radius: float):
 
 def _band_overlaps(ls: np.ndarray, a: float, b: float, radius: float, rtol: float):
     """T_l for the ascending orders ls by Gauss-Legendre rules on [0, R] with
-    n = (a + b) R / 2 + l_top / 2 + 16 and n + n // 2 + 8 nodes, one j sweep
-    per node and distinct argument; the integrand is entire, so they converge
-    once n passes its oscillation count. Returns the larger rule and its
-    difference from the smaller, which raises ToleranceError above
-    max(rtol S_l, 1e-290): S_l integrates |r^2 j_l(ar) j_l(br)|, |T_l| where
-    the integrand keeps its sign, so rounding cannot fail a zero of T_l."""
+    n = (a + b) R / 2 + l_top / 2 + 16 and n + n // 2 + 8 nodes; the
+    integrand is entire, so they converge once n passes its oscillation
+    count. One j sweep call serves every node of both rules at each distinct
+    argument. Returns the larger rule and its difference from the smaller,
+    which raises ToleranceError above max(rtol S_l, 1e-290): S_l integrates
+    |r^2 j_l(ar) j_l(br)|, |T_l| where the integrand keeps its sign, so
+    rounding cannot fail a zero of T_l."""
     n = int((a + b) * radius / 2.0 + ls[-1] / 2.0) + 16
-    rules = []
-    for nodes in (n, n + n // 2 + 8):
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        r = radius * (x + 1.0) / 2.0
-        j = {c: np.array([specfun.spherical_bessel_j(ls[-1], c * ri) for ri in r])[:, ls]
-             for c in {a, b}}
-        rules.append((radius / 2.0) * ((w * r * r) @ (j[a] * j[b])))
+    nodes = [np.polynomial.legendre.leggauss(m) for m in (n, n + n // 2 + 8)]
+    r_all = np.concatenate([radius * (x + 1.0) / 2.0 for x, _ in nodes])
+    args = (a,) if a == b else (a, b)
+    # j[i, node, l] at args[i] times the nodes of both rules, one after the other
+    j = specfun.spherical_bessel_j(ls[-1], np.concatenate([c * r_all for c in args]))
+    j = j[:, ls].reshape(len(args), r_all.size, ls.size)
+    rules, lo = [], 0
+    for x, w in nodes:
+        hi = lo + x.size
+        r, prod = r_all[lo:hi], j[0, lo:hi] * j[-1, lo:hi]
+        rules.append((radius / 2.0) * ((w * r * r) @ prod))
+        lo = hi
     errs = np.abs(rules[1] - rules[0])
-    mass = (radius / 2.0) * ((w * r * r) @ np.abs(j[a] * j[b]))
+    mass = (radius / 2.0) * ((w * r * r) @ np.abs(prod))
     bad = np.flatnonzero(errs > np.maximum(rtol * mass, 1e-290))
     if bad.size:
         raise ToleranceError(f"radial overlap rules differ by {errs[bad[0]]:.3g} at "

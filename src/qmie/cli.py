@@ -252,7 +252,9 @@ def cmd_field_map(res: Resolver):
     res.reject_unknown()
     if plane not in ("xy", "xz", "yz"):
         raise ConfigError(f"plane: {plane!r} not one of xy, xz, yz")
-    if points < 2 or half_width <= 0.0:
+    if not (math.isfinite(half_width) and half_width > 0.0):
+        raise ConfigError(f"half-width: {half_width} must be finite and positive")
+    if points < 2:
         raise ConfigError("points/half-width: grid is empty or degenerate")
     _check_rows("field-map", points * points)
     mode = SphericalModeIndex(ch, m, k, direction)

@@ -149,16 +149,19 @@ def phase_table(spec: SphereSpec, q, l_max: int) -> PhaseTable:
     ``phase_table(spec, q[n], l_max)`` bit for bit. ``qmie palpha-scan``
     builds one table for its whole q grid.
 
-    Each q costs one j and one y sweep at q and one j sweep at the interior
-    argument q' = sqrt(eps) q, all scalar recurrences; the arithmetic after
-    them is one array pass over all N. The sweeps come as mantissas and
-    powers of two, and the common factors j_l(q') y_l(q) of alpha and
-    j_l(q') j_l(q) of beta stay powers of two until the end, so y_l
-    overflowing and j_l underflowing for l >> q never meet as 0 * inf: a
-    phase too small to represent comes out as 0. Where the plain Bessel
-    products are normal floats, alpha and beta equal them bit for bit. Rows
-    up to q's own cutoff do not depend on l_max. For eps = 1 every row is
-    exactly neutral.
+    The table costs three Bessel sweeps: j and y at q and j at the interior
+    argument q' = sqrt(eps) q, each one call over all N entries, with the j
+    sweeps run to each entry's own cutoff. From ``specfun.BATCH_MIN``
+    entries on, each call is one batched recurrence; below that, and for
+    one q, it is one scalar recurrence per entry; the rows are equal bit for
+    bit either way. The arithmetic after them is one array pass over all N.
+    The sweeps come as mantissas and powers of two, and the common factors
+    j_l(q') y_l(q) of alpha and j_l(q') j_l(q) of beta stay powers of two
+    until the end, so y_l overflowing and j_l underflowing for l >> q never
+    meet as 0 * inf: a phase too small to represent comes out as 0. Where
+    the plain Bessel products are normal floats, alpha and beta equal them
+    bit for bit. Rows up to q's own cutoff do not depend on l_max. For
+    eps = 1 every row is exactly neutral.
     """
     qs, q_list = _size_parameters(q)
     eps = spec.epsilon
@@ -175,27 +178,27 @@ def phase_table(spec: SphereSpec, q, l_max: int) -> PhaseTable:
         # no sphere: every channel is neutral, exactly
         out[..., 1:] = out[..., :1]
     else:
-        root = math.sqrt(eps)
-        qp_list = [root * x for x in q_list]
+        x = qs.reshape(-1)
+        xp = math.sqrt(eps) * x
         # the j sweeps run at least to q's own cutoff, so every table up to
         # that cutoff starts the recurrence alike and agrees on shared rows;
         # only orders 0..l_max + 1 are kept
         width = l_max + 2
+        tops = np.array([max(l_max + 1, min(_cutoff(v) + 1, specfun.HARD_CAP_LMAX))
+                         for v in q_list])
         mant = np.empty((3, n, width))
         exps = np.empty((3, n, width), dtype=int)
-        for i, (x, xp) in enumerate(zip(q_list, qp_list)):
-            top = max(l_max + 1, min(_cutoff(x) + 1, specfun.HARD_CAP_LMAX))
-            for row, (m, e) in enumerate((specfun._j_scaled(top, x),
-                                          specfun._y_scaled(l_max + 1, x),
-                                          specfun._j_scaled(top, xp))):
-                mant[row, i], exps[row, i] = m[:width], e[:width]
+        for row, (m, e) in enumerate((specfun._j_scaled(tops, x),
+                                      specfun._y_scaled(l_max + 1, x),
+                                      specfun._j_scaled(tops, xp))):
+            mant[row], exps[row] = m[:, :width], e[:, :width]
         # orders l and l + 1 for l = 1..l_max, both in units of 2^exps[l],
         # with mantissas in [0.5, 1) so that their products stay in range
         frac, bits = np.frexp(mant)
         exps += bits
         (j0, y0, i0), (ej, ey, ei) = frac[..., 1:-1], exps[..., 1:-1]
         j1, y1, i1 = np.ldexp(frac[..., 2:], exps[..., 2:] - exps[..., 1:-1])
-        qc, qpc = qs.reshape(-1, 1), np.array(qp_list)[:, None]
+        qc, qpc = x[:, None], xp[:, None]
         qq, qqp = qc * qc, qc * qpc
         contact = (qpc * ((eps - 1.0) / eps)) * np.arange(2.0, l_max + 2.0) * i0
         iy, yi, ij, ji = i1 * y0, i0 * y1, i0 * j1, i1 * j0

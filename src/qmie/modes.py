@@ -180,7 +180,7 @@ def _assemble(
     The angular factors come from one harmonic contraction against the
     mode's single (l, m) weight, which runs the Legendre recurrence on the
     columns |m'| <= |m| + 1 only: O(l) per point. The radial factors come
-    from one radial table per distinct radius.
+    from one radial table over the distinct radii.
     """
     p, single = _as_points(point)
     r, theta, phi = _spherical_coords(p)
@@ -335,8 +335,11 @@ def _radial_tables(
     term. branch None resolves by position; r = R lands on the outside branch.
     Each array is indexed [..., p, l] with p = 0 for TE and 1 for TM (row
     l = 0 unused); r is one radius, or N radii giving a leading axis N. The
-    phase table is built once per call; each distinct radius costs one j
-    sweep at k r, plus one y sweep outside or one interior j sweep inside.
+    phase table is built once per call. The Bessel sweeps over the distinct
+    radii are two calls: one j call at k r for every radius together with
+    sqrt(eps) k r for those inside, and one y call at k r for those outside.
+    From ``specfun.BATCH_MIN`` arguments on, a call is one batched
+    recurrence, equal bit for bit to the scalar sweeps it replaces.
     Outside, sin phi and y_l'(k r) stay mantissas and powers of two until
     their product: for l >> k r, y_l' overflows where sin phi underflows,
     and the product comes out as a float or 0, never as 0 * inf. Where no
@@ -346,20 +349,21 @@ def _radial_tables(
     radii, where = np.unique(np.asarray(r, dtype=float), return_inverse=True)
     ls = np.arange(l_max + 1)
     lps = (ls, np.minimum(ls + 1, l_max + 1), np.maximum(ls - 1, 0))
-    j_vac = np.array([specfun.spherical_bessel_j(l_max + 1, k * x) for x in radii])[:, None]
+    args = [k * radii]
+    if kind != "vacuum":
+        inside = radii < spec.radius if branch is None else np.full(radii.shape, branch == "inside")
+        args.append(math.sqrt(spec.epsilon) * k * radii[inside])
+    j = specfun.spherical_bessel_j(l_max + 1, np.concatenate(args))[:, None]
+    j_vac, j_in = j[:radii.size], j[radii.size:]
     if kind == "vacuum":
         fams = [np.repeat(j_vac[..., lp], 2, axis=1).astype(complex) for lp in lps]
     else:
-        inside = radii < spec.radius if branch is None else np.full(radii.shape, branch == "inside")
         outside = ~inside
         sign = -1.0 if direction == "outgoing" else 1.0
         table = phase_table(spec, k * spec.radius, l_max)
         ph = np.exp(sign * 1j * table.phi)
         fams = [np.empty((radii.size, 2, l_max + 1), dtype=complex) for _ in lps]
         if inside.any():
-            # the interior j sweep inside the sphere
-            j_in = np.array([specfun.spherical_bessel_j(l_max + 1, math.sqrt(spec.epsilon) * k * x)
-                             for x in radii[inside]])[:, None]
             inner = ph * table.gamma
             for f, lp in zip(fams, lps):
                 f[inside] = inner * j_in[..., lp]
@@ -369,8 +373,7 @@ def _radial_tables(
             # sin phi h_l'(k r) at the scale of the mantissas of sin phi and
             # y_l', then rescaled once: j_l' is small wherever y_l' is large,
             # so bringing it to y_l''s scale loses nothing that matters
-            y_mant, y_exp = (np.array(a)[:, None] for a in
-                             zip(*(specfun._y_scaled(l_max + 1, k * x) for x in radii[outside])))
+            y_mant, y_exp = (a[:, None] for a in specfun._y_scaled(l_max + 1, k * radii[outside]))
             j_out = j_vac[outside]
             h1 = np.ldexp(j_out, -y_exp) + 1j * y_mant
             if direction == "incoming":

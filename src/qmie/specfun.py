@@ -8,6 +8,12 @@ Numerical strategy: j_l is generated by a Miller-type downward recurrence
 seeded well above the requested order and renormalized against a closed-form
 anchor (upward recurrence for j_l is catastrophically unstable for l > x);
 y_l is generated upward from its closed forms, which is the stable direction.
+Both sweeps take one argument or a 1-D array of them. From ``BATCH_MIN``
+(24) arguments on, one recurrence runs over the whole array, each argument
+taking exactly the steps, rescalings and anchors of its scalar sweep, so
+every row equals the scalar sweep bit for bit; smaller arrays loop over the
+scalar sweep. Arguments are capped at ``HARD_CAP_ARGUMENT`` (2^20), which
+bounds the length of every sweep.
 Angular derivatives of Y_l^m are evaluated through ladder identities that stay
 finite at the poles; nothing is differentiated numerically.
 """
@@ -23,6 +29,7 @@ from .errors import DomainError, ResourceLimitError
 
 __all__ = [
     "HARD_CAP_LMAX",
+    "HARD_CAP_ARGUMENT",
     "AngularPoint",
     "VectorHarmonicTriple",
     "spherical_bessel_j",
@@ -43,6 +50,17 @@ __all__ = [
 
 # Hard cap on multipole order; guards runaway truncation requests.
 HARD_CAP_LMAX = 512
+
+# Hard cap on a Bessel argument x. A j sweep takes about max(l, x) steps, and
+# in a batch the largest argument sets the step count for all, so the cap
+# bounds every sweep's length; the default g2-map detector sits at k r = 1e3.
+HARD_CAP_ARGUMENT = 2.0 ** 20
+
+# Batches of fewer arguments run one scalar sweep per argument: the batched
+# sweep pays numpy's fixed cost per call at every recurrence step, which a
+# smaller batch does not earn back. The two cost the same at about 16-24
+# arguments, for tops 5-231 and x up to 200.
+BATCH_MIN = 24
 
 # Below x = 1e-6 (l+1) the two-term power series is more reliable than the
 # renormalized recurrence (whose anchor underflows first).
@@ -149,41 +167,81 @@ def _miller_j(l_top: int, x: float) -> tuple[list[float], list[int]]:
     return mant, exps
 
 
-def _j_scaled(l_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """j_0(x)..j_{l_max}(x) as mantissas and powers of two.
+def _unchecked_steps(size: np.ndarray, growth: np.ndarray) -> int:
+    """Recurrence steps in which no running pair can pass 1e250.
 
-    j_l = ldexp(mantissa_l, exponent_l), with mantissas inside the float
-    range, also where j_l itself underflows.
+    size bounds each argument's pair (at least the 1e-30 seed counts, which
+    covers arguments still at their seed) and one step multiplies it by at
+    most growth; the margin of ten covers the rounding of the steps.
     """
-    l_max = _check_order(l_max)
-    x = float(x)
-    if math.isnan(x):
-        raise DomainError("x is NaN")
-    if x < 0.0:
-        raise DomainError(f"x={x} must be non-negative")
-    mant = [0.0] * (l_max + 1)
-    exps = [0] * (l_max + 1)
-    if x == 0.0:
-        mant[0] = 1.0
-        return np.array(mant), np.array(exps)
-    # orders with x < threshold*(l+1) take the series branch
-    l_series = l_max + 1
-    while l_series > 0 and x < _SERIES_THRESHOLD * l_series:
-        l_series -= 1
-    if l_series > 0:
-        mant[:l_series], exps[:l_series] = _miller_j(l_series - 1, x)
-    for l in range(l_series, l_max + 1):
-        mant[l], exps[l] = _series_j(l, x)
-    return np.array(mant), np.array(exps)
+    steps = np.log(1e249 / np.maximum(size, 1e-30)) / np.log(growth)
+    return max(0, int(steps.min()))
 
 
-def _y_scaled(l_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """y_0(x)..y_{l_max}(x) by upward recurrence, as mantissas and powers of
-    two; the mantissas stay inside the float range, also where y_l overflows."""
-    l_max = _check_order(l_max)
-    x = float(x)
-    if math.isnan(x) or x <= 0.0:
-        raise DomainError(f"x={x} must be positive (y_l diverges at 0)")
+def _miller_j_batch(tops: np.ndarray, x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """_miller_j over N arguments at once, as two (N, width) arrays.
+
+    Row n equals the first width <= min(tops) + 1 entries of
+    _miller_j(tops[n], x[n]) bit for bit. One downward recurrence runs from
+    the largest start. The arguments are sorted by start, so the ones under
+    way are always a prefix; each waits at its seed (0, 1e-30) until its own
+    start, takes the scalar steps in the same order, rescales on its own,
+    and is anchored on math.sin and math.cos as the scalar sweep is. The
+    rescale test runs at every step that a growth bound cannot clear. Only
+    the orders kept (and the anchor orders 0 and 1) are stored, so memory
+    does not grow with x.
+    """
+    starts = (np.maximum(tops, np.ceil(x)).astype(int) + 16
+              + (2.0 * np.sqrt(np.maximum(tops, x))).astype(int))
+    order = np.argsort(-starts, kind="stable")
+    starts, tops, x = starts[order], tops[order], x[order]
+    n_all, first = x.size, int(starts[0])
+    # live[l]: the arguments under way at the step that computes order l - 1
+    live = np.searchsorted(-starts, -np.arange(first + 1), side="right").tolist()
+    # orders l + 1, l and l - 1 sit in rows (l + 1) % 3, l % 3 and (l - 1) % 3,
+    # so an argument that has not started keeps its seed in place
+    ring = np.zeros((3, n_all))
+    ring[starts % 3, np.arange(n_all)] = 1e-30
+    keep = max(width, 2)
+    out = np.empty((keep, n_all))
+    scale = np.zeros((keep, n_all), dtype=int)
+    size = np.zeros(n_all)
+    check = first
+    for l in range(first, 0, -1):
+        n = live[l]
+        cur, new = ring[l % 3, :n], ring[(l - 1) % 3, :n]
+        np.divide(2 * l + 1, x[:n], out=new)
+        new *= cur
+        new -= ring[(l + 1) % 3, :n]
+        if l == check:
+            over = np.flatnonzero(np.abs(new) > 1e250)
+            if over.size:
+                cur[over] *= _RESCALE
+                new[over] *= _RESCALE
+                scale[:min(l, keep), over] += _RESCALE_BITS
+            np.maximum(np.abs(cur), np.abs(new), out=size[:n])
+            check = l - 1 - _unchecked_steps(size, (2 * l - 1) / x + 1.0)
+        if l - 1 < keep:
+            # every argument is under way: each start exceeds its top by 16
+            out[l - 1] = new
+    sin = np.array([math.sin(v) for v in x.tolist()])
+    j0 = sin / x
+    use_j1 = ~((x < 1.0) | (np.abs(sin) > 0.1) | (tops == 0))
+    cos = np.array([math.cos(v) for v in x.tolist()])
+    anchor = np.where(use_j1, sin / (x * x) - cos / x, j0)
+    cols, a = np.arange(n_all), use_j1.astype(int)
+    pivot = out[a, cols]
+    ratio = np.divide(anchor, pivot, out=np.zeros(n_all), where=pivot != 0.0)
+    mant = out[:width] * ratio
+    exps = scale[:width] - scale[a, cols]
+    mant[0], exps[0] = j0, 0
+    back = np.empty_like(order)
+    back[order] = cols
+    return mant.T[back], exps.T[back]
+
+
+def _upward_y(l_max: int, x: float) -> tuple[list[float], list[int]]:
+    """y_0..y_{l_max} by upward recurrence, as mantissas and powers of two."""
     yp, yc, bits = 0.0, -math.cos(x) / x, 0
     mant = [yc]
     exps = [0] * (l_max + 1)
@@ -198,16 +256,166 @@ def _y_scaled(l_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
             bits += _RESCALE_BITS
         mant.append(yc)
         exps[l + 1] = bits
-    return np.array(mant), np.array(exps)
+    return mant, exps
 
 
-def spherical_bessel_j(l_max: int, x: float) -> np.ndarray:
-    """Spherical Bessel functions j_0(x)..j_{l_max}(x), 0 <= l_max <= HARD_CAP_LMAX, x >= 0."""
+def _upward_y_batch(x: np.ndarray, l_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """_upward_y over N arguments at once, as two (N, l_max + 1) arrays.
+
+    Row n equals _upward_y(l_max, x[n]) bit for bit: the same steps, the
+    same per-argument rescaling, math.sin and math.cos for the seeds.
+    """
+    sin = np.array([math.sin(v) for v in x.tolist()])
+    cos = np.array([math.cos(v) for v in x.tolist()])
+    table = np.empty((l_max + 1, x.size))
+    scale = np.zeros((l_max + 1, x.size), dtype=int)
+    table[0] = -cos / x
+    if l_max >= 1:
+        table[1] = -cos / (x * x) - sin / x
+    growth = (2 * l_max - 1) / x + 1.0
+    check = 1
+    # orders l whose row was rescaled as the running yp: the scalar sweep
+    # keeps their unscaled value
+    stored = []
+    for l in range(1, l_max):
+        new = table[l + 1]
+        np.divide(2 * l + 1, x, out=new)
+        new *= table[l]
+        new -= table[l - 1]
+        if l == check:
+            over = np.flatnonzero(np.abs(new) > 1e250)
+            if over.size:
+                stored.append((l, over, table[l, over]))
+                table[l, over] *= _RESCALE
+                new[over] *= _RESCALE
+                scale[l + 1:, over] += _RESCALE_BITS
+            size = np.maximum(np.abs(table[l]), np.abs(new))
+            check = l + 1 + _unchecked_steps(size, growth)
+    for l, over, values in stored:
+        table[l, over] = values
+    return table.T.copy(), scale.T.copy()
+
+
+def _j_one(l_max: int, x: float) -> tuple[list[float], list[int]]:
+    """The scalar sweep behind _j_scaled, for one checked argument."""
+    mant = [0.0] * (l_max + 1)
+    exps = [0] * (l_max + 1)
+    if x == 0.0:
+        mant[0] = 1.0
+        return mant, exps
+    # orders with x < threshold*(l+1) take the series branch
+    l_series = l_max + 1
+    while l_series > 0 and x < _SERIES_THRESHOLD * l_series:
+        l_series -= 1
+    if l_series > 0:
+        mant[:l_series], exps[:l_series] = _miller_j(l_series - 1, x)
+    for l in range(l_series, l_max + 1):
+        mant[l], exps[l] = _series_j(l, x)
+    return mant, exps
+
+
+def _reject(xs: np.ndarray, positive: bool):
+    """Raise for the first argument outside the sweeps' range."""
+    flat = xs.reshape(-1)
+    bad = ~np.isfinite(flat) | ((flat <= 0.0) if positive else (flat < 0.0))
+    rule = "positive (y_l diverges at 0)" if positive else "non-negative"
+    for mask, error, text in ((bad, DomainError, f"must be finite and {rule}"),
+                              (flat > HARD_CAP_ARGUMENT, ResourceLimitError,
+                               f"exceeds the argument cap {HARD_CAP_ARGUMENT:.0f}")):
+        if mask.any():
+            n = int(np.argmax(mask))
+            name = "x" if xs.ndim == 0 else f"x[{n}]"
+            raise error(f"Bessel argument {name}={float(flat[n])!r} {text}")
+
+
+def _arguments(l_max, x, positive: bool):
+    """Checked tops and arguments of a sweep, the whole batch before any
+    sweep runs. Returns (int, float) for one argument, else two 1-D arrays
+    with one top per argument."""
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1 or xs.size == 0:
+        raise DomainError(f"x must be a scalar or a non-empty 1-D array, got shape {xs.shape}")
+    low, high = xs.min(), xs.max()
+    # NaN fails both tests
+    if not ((low > 0.0 if positive else low >= 0.0) and high <= HARD_CAP_ARGUMENT):
+        _reject(xs, positive)
+    if xs.ndim == 0:
+        return _check_order(l_max), float(xs)
+    if np.ndim(l_max) == 0:
+        return np.full(xs.shape, _check_order(l_max)), xs
+    tops = np.asarray(l_max)
+    if tops.shape != xs.shape or tops.dtype.kind not in "iu":
+        raise DomainError(f"orders must be one integer or one per argument, got {tops!r}")
+    _check_order(int(tops.min()))
+    _check_order(int(tops.max()))
+    return tops, xs
+
+
+def _rows(sweeps, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mantissa and exponent arrays from scalar sweeps, first width orders."""
+    return (np.array([m[:width] for m, _ in sweeps], dtype=float),
+            np.array([e[:width] for _, e in sweeps], dtype=int))
+
+
+def _j_scaled(l_max, x) -> tuple[np.ndarray, np.ndarray]:
+    """j_0(x)..j_{l_max}(x) as mantissas and powers of two.
+
+    j_l = ldexp(mantissa_l, exponent_l), with mantissas inside the float
+    range, also where j_l itself underflows. One argument x gives two arrays
+    of l_max + 1 entries. A 1-D array of N arguments gives two (N, L + 1)
+    arrays: l_max is then one top or one per argument, L is the smallest
+    top, and row n equals the first L + 1 entries of
+    ``_j_scaled(l_max[n], x[n])`` bit for bit. From ``BATCH_MIN`` arguments
+    on, one batched Miller sweep serves every argument without series
+    orders; x = 0 and arguments with series orders take the scalar sweep.
+    Every x must be finite, >= 0 and at most ``HARD_CAP_ARGUMENT``, checked
+    over the whole batch before any sweep.
+    """
+    tops, xs = _arguments(l_max, x, positive=False)
+    if not isinstance(xs, np.ndarray):
+        return tuple(np.array(a) for a in _j_one(tops, xs))
+    width = int(tops.min()) + 1
+    if xs.size < BATCH_MIN:
+        return _rows([_j_one(t, v) for t, v in zip(tops.tolist(), xs.tolist())], width)
+    series = xs < _SERIES_THRESHOLD * (tops + 1)
+    if not series.any():
+        return _miller_j_batch(tops, xs, width)
+    mant = np.empty((xs.size, width))
+    exps = np.empty((xs.size, width), dtype=int)
+    mant[series], exps[series] = _rows([_j_one(t, v) for t, v in
+                                        zip(tops[series].tolist(), xs[series].tolist())], width)
+    if not series.all():
+        rest = ~series
+        mant[rest], exps[rest] = _miller_j_batch(tops[rest], xs[rest], width)
+    return mant, exps
+
+
+def _y_scaled(l_max, x) -> tuple[np.ndarray, np.ndarray]:
+    """y_0(x)..y_{l_max}(x) by upward recurrence, as mantissas and powers of
+    two; the mantissas stay inside the float range, also where y_l overflows.
+
+    Arguments and tops as for ``_j_scaled``; x must be > 0. From
+    ``BATCH_MIN`` arguments on, one batched upward sweep serves the batch,
+    its rows equal to the scalar sweep's bit for bit.
+    """
+    tops, xs = _arguments(l_max, x, positive=True)
+    if not isinstance(xs, np.ndarray):
+        return tuple(np.array(a) for a in _upward_y(tops, xs))
+    top = int(tops.min())
+    if xs.size >= BATCH_MIN:
+        return _upward_y_batch(xs, top)
+    return _rows([_upward_y(top, v) for v in xs.tolist()], top + 1)
+
+
+def spherical_bessel_j(l_max, x) -> np.ndarray:
+    """Spherical Bessel functions j_0(x)..j_{l_max}(x), 0 <= l_max <= HARD_CAP_LMAX,
+    0 <= x <= HARD_CAP_ARGUMENT; a 1-D array of x gives one row per argument."""
     return np.ldexp(*_j_scaled(l_max, x))
 
 
-def spherical_bessel_y(l_max: int, x: float) -> np.ndarray:
-    """Spherical Bessel functions y_0(x)..y_{l_max}(x); -inf past the float range."""
+def spherical_bessel_y(l_max, x) -> np.ndarray:
+    """Spherical Bessel functions y_0(x)..y_{l_max}(x), 0 < x <= HARD_CAP_ARGUMENT;
+    -inf past the float range; a 1-D array of x gives one row per argument."""
     with np.errstate(over="ignore"):
         return np.ldexp(*_y_scaled(l_max, x))
 

@@ -1,0 +1,190 @@
+"""Batched Bessel sweeps: every row equals the scalar sweep byte for byte.
+
+The batched recurrences in ``specfun`` are one definition with the scalar
+sweeps, not a second implementation: mantissas are compared as int64 views
+and exponents exactly. The callers that switched to them are guarded by
+counting the scalar kernels they still call.
+"""
+
+import math
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qmie import bogoliubov, modes, specfun
+from qmie.errors import DomainError, ResourceLimitError
+from qmie.miecore import SphereSpec, phase_table
+
+BATCH = specfun.BATCH_MIN
+
+# x in [1e-3, 400]: for small x and high tops the sweeps rescale
+MILLER_X = st.floats(1e-3, 400.0)
+# below 1e-6 (l + 1) some orders take the series branch
+SERIES_X = st.floats(1e-12, 5e-4)
+J_ARGS = st.one_of(MILLER_X, MILLER_X, MILLER_X, SERIES_X, st.just(0.0))
+TOPS = st.integers(0, specfun.HARD_CAP_LMAX - 1)
+
+
+def assert_rows_equal(got, ref):
+    """Mantissas as int64 views and exponents, row by row."""
+    (m, e), (rm, re_) = got, ref
+    assert m.dtype == np.float64 and rm.dtype == np.float64
+    assert np.array_equal(m.view(np.int64), rm.view(np.int64))
+    assert np.array_equal(e, re_)
+
+
+def scalar_j(tops, xs, width):
+    rows = [specfun._j_scaled(int(t), float(x)) for t, x in zip(tops, xs)]
+    return (np.array([m[:width] for m, _ in rows]), np.array([e[:width] for _, e in rows]))
+
+
+def scalar_y(top, xs):
+    rows = [specfun._y_scaled(top, float(x)) for x in xs]
+    return np.array([m for m, _ in rows]), np.array([e for _, e in rows])
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(J_ARGS, TOPS), min_size=BATCH, max_size=BATCH + 40))
+def test_j_batch_rows_equal_scalar_sweeps(pairs):
+    xs = np.array([x for x, _ in pairs])
+    tops = np.array([t for _, t in pairs])
+    assert_rows_equal(specfun._j_scaled(tops, xs), scalar_j(tops, xs, int(tops.min()) + 1))
+    # one top for all, full width
+    top = int(tops.max())
+    assert_rows_equal(specfun._j_scaled(top, xs), scalar_j([top] * xs.size, xs, top + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(xs=st.lists(MILLER_X, min_size=BATCH, max_size=BATCH + 40),
+       top=st.integers(0, specfun.HARD_CAP_LMAX))
+def test_y_batch_rows_equal_scalar_sweeps(xs, top):
+    xs = np.array(xs)
+    assert_rows_equal(specfun._y_scaled(top, xs), scalar_y(top, xs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(xs=st.lists(st.floats(1e-3, 1.0), min_size=BATCH, max_size=BATCH + 20),
+       top=st.integers(400, specfun.HARD_CAP_LMAX))
+def test_y_batch_near_overflow(xs, top):
+    # y_l passes the float range for these l >> x; the mantissas rescale
+    xs = np.array(xs)
+    got = specfun._y_scaled(top, xs)
+    assert_rows_equal(got, scalar_y(top, xs))
+    assert got[1].max() > 0
+    with np.errstate(over="ignore"):
+        assert np.isinf(specfun.spherical_bessel_y(top, xs)[:, -1]).all()
+
+
+def test_rescaled_and_mixed_batch():
+    # small x with the top order rescale both sweeps; series arguments, x = 0
+    # and ordinary arguments share one batch with per-argument tops
+    xs = np.concatenate([np.geomspace(1e-3, 1.0, BATCH), [0.0, 1e-9, 2e-4, 37.5, 399.0]])
+    tops = np.resize([511, 300, 17, 3, 0, 250], xs.size)
+    j = specfun._j_scaled(tops, xs)
+    assert_rows_equal(j, scalar_j(tops, xs, int(tops.min()) + 1))
+    full = specfun._j_scaled(511, xs)
+    assert_rows_equal(full, scalar_j([511] * xs.size, xs, 512))
+    assert full[1].min() < 0
+    y = specfun._y_scaled(511, xs[xs > 0])
+    assert_rows_equal(y, scalar_y(511, xs[xs > 0]))
+    assert y[1].max() > 0
+
+
+@pytest.mark.parametrize("n", [BATCH - 1, BATCH])
+def test_both_sides_of_the_switch_agree(n):
+    xs = np.linspace(0.05, 60.0, n)
+    assert_rows_equal(specfun._j_scaled(90, xs), scalar_j([90] * n, xs, 91))
+    assert_rows_equal(specfun._y_scaled(90, xs), scalar_y(90, xs))
+    assert np.array_equal(specfun.spherical_bessel_j(90, xs),
+                          np.array([specfun.spherical_bessel_j(90, x) for x in xs]))
+
+
+def test_order_validation():
+    xs = np.linspace(1.0, 2.0, BATCH)
+    with pytest.raises(DomainError, match="one per argument"):
+        specfun._j_scaled(np.arange(3), xs)
+    with pytest.raises(ResourceLimitError):
+        specfun._j_scaled(np.full(BATCH, 513), xs)
+    with pytest.raises(DomainError, match="non-empty 1-D"):
+        specfun._y_scaled(3, np.empty(0))
+
+
+# ----------------------------------------------------------- argument range
+
+@pytest.mark.parametrize("sweep", [specfun.spherical_bessel_j, specfun.spherical_bessel_y])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_argument_is_a_domain_error(sweep, bad):
+    with pytest.raises(DomainError, match="finite"):
+        sweep(3, bad)
+
+
+@pytest.mark.parametrize("sweep", [specfun.spherical_bessel_j, specfun.spherical_bessel_y])
+def test_argument_cap_bounds_the_sweep(sweep):
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="argument cap"):
+        sweep(3, 1e300)
+    with pytest.raises(ResourceLimitError, match="argument cap"):
+        sweep(3, np.nextafter(specfun.HARD_CAP_ARGUMENT, math.inf))
+    assert time.perf_counter() - start < 1.0
+    assert np.isfinite(sweep(3, specfun.HARD_CAP_ARGUMENT)).all()
+
+
+def test_batch_is_checked_whole_before_any_sweep(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a sweep ran before the batch was checked")
+
+    for name in ("_miller_j", "_miller_j_batch", "_upward_y", "_upward_y_batch"):
+        monkeypatch.setattr(specfun, name, forbidden)
+    xs = np.linspace(1.0, 2.0, BATCH + 5)
+    xs[7], xs[9] = 1e7, math.nan
+    with pytest.raises(DomainError, match=r"x\[9\]=nan"):
+        specfun._j_scaled(4, xs)
+    xs[9] = 1.0
+    with pytest.raises(ResourceLimitError, match=r"x\[7\]=10000000.0"):
+        specfun._y_scaled(4, xs)
+
+
+# -------------------------------------------------------------- the callers
+
+@pytest.fixture
+def scalar_sweeps(monkeypatch):
+    """Counts the calls of the scalar kernels, one per argument swept."""
+    calls = {"j": 0, "y": 0}
+    for key, name in (("j", "_miller_j"), ("y", "_upward_y")):
+        kernel = getattr(specfun, name)
+
+        def counted(*args, _kernel=kernel, _key=key):
+            calls[_key] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(specfun, name, counted)
+    return calls
+
+
+def test_field_map_radial_tables_sweep_no_radius_alone(scalar_sweeps):
+    # the radii of a default 41 x 41 field-map grid
+    spec, k = SphereSpec(2.1, 1.0), 3.4
+    ticks = np.linspace(-4.0, 4.0, 41)
+    r = np.hypot(*np.meshgrid(ticks, ticks)).ravel()
+    for l in (1, 2):
+        modes._radial_tables(spec, k, r, l, "outgoing", "full")
+    # only the single-q phase table of each call: j, y at q and j at sqrt(eps) q
+    assert scalar_sweeps == {"j": 4, "y": 2}
+
+
+def test_phase_table_sweeps(scalar_sweeps):
+    spec = SphereSpec(2.1, 1.0)
+    phase_table(spec, np.linspace(0.49, 12.05, 400), 5)
+    assert scalar_sweeps == {"j": 0, "y": 0}
+    phase_table(spec, 3.4, 5)
+    assert scalar_sweeps == {"j": 2, "y": 1}
+
+
+def test_band_overlaps_sweep_no_node_alone(scalar_sweeps):
+    bogoliubov._band_overlaps(np.arange(6), 3.0, 3.0, 1.0, 1e-11)
+    bogoliubov._band_overlaps(np.arange(6), 3.0, 3.0 * (1 + 1e-6), 1.0, 1e-11)
+    assert scalar_sweeps == {"j": 0, "y": 0}
+

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -197,6 +198,33 @@ def test_field_map_grid_shape(tmp_path):
     rows = read_rows(out)
     assert len(rows) == 25
     assert all(float(r[2]) >= 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("half_width", ["inf", "-inf", "nan"])
+def test_field_map_non_finite_half_width_exits_2_without_warning(tmp_path, capsys, half_width):
+    out = tmp_path / "fm.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["field-map", "--epsilon", "2.1", "--q", "1.0", "--half-width", half_width,
+                    "-o", str(out)]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert "half-width" in err and "Warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["field-map", "--epsilon", "2.1", "--q", "1", "--half-width", "1e9", "--points", "2"],
+    ["g2-map", "--q", "1", "--r-detector", "1e9"],
+])
+def test_huge_radius_exits_2_at_once(tmp_path, capsys, argv):
+    # k r = 1e9 is past the Bessel argument cap; the sweep is refused, not run
+    out = tmp_path / "out.csv"
+    start = time.perf_counter()
+    assert run(argv + ["-o", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "argument cap" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_diff_cross_section_scan(tmp_path):

@@ -254,9 +254,11 @@ def test_array_degenerate_channel_names_its_q(qs, data, l_max):
     interior = math.sqrt(2.1) * target
     sweep = specfun._j_scaled
 
-    def zeroed(order, x):
-        mant, exps = sweep(order, x)
-        return (np.zeros_like(mant), exps) if x == interior else (mant, exps)
+    def zeroed(orders, x):
+        # the sweep takes every q of the table in one call: zero the rows
+        # of the interior argument at the chosen q
+        mant, exps = sweep(orders, x)
+        return np.where((np.asarray(x) == interior)[..., None], 0.0, mant), exps
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(specfun, "_j_scaled", zeroed)
