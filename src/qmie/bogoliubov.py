@@ -134,11 +134,16 @@ def _band_overlaps(ls: np.ndarray, a: float, b: float, radius: float, rtol: floa
 def _resolved_overlaps(l_top: int, a: float, b: float, radius: float, rtol: float):
     """The overlaps of _overlaps, with every order whose rounding bound
     exceeds rtol |T_l| (near a = b, at a == b or at a zero of T_l) recomputed
-    by _band_overlaps. Returns (values, abs_errs), as the two routines do."""
+    by _band_overlaps. A band value replaces the closed form only where the
+    band's rule difference is below the closed form's bound: the bound can
+    sit just above rtol |T_l| while the rules, held only to rtol S_l, differ
+    by more. Returns (values, abs_errs), as the two routines do."""
     values, errs = _overlaps(l_top, a, b, radius)
     band = np.flatnonzero(errs > rtol * np.abs(values))
     if band.size:
-        values[band], errs[band] = _band_overlaps(band, a, b, radius, rtol)
+        band_values, band_errs = _band_overlaps(band, a, b, radius, rtol)
+        better = band_errs < errs[band]
+        values[band[better]], errs[band[better]] = band_values[better], band_errs[better]
     return values, errs
 
 

@@ -88,9 +88,14 @@ class Resolver:
         if val is None:
             val = default
         if val is not None and cast is not None:
+            # a JSON true or 3.9 would cast to 1 or 3 without a word
+            if isinstance(val, bool) or (cast is int and isinstance(val, float)
+                                         and not val.is_integer()):
+                kind = "an integer" if cast is int else "a number"
+                raise ConfigError(f"{key}: {val!r} is not {kind}")
             try:
                 val = cast(val)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigError(f"{key}: cannot interpret {val!r}") from None
         self.effective[key] = val
         return val

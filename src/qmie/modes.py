@@ -48,6 +48,8 @@ class SphericalModeIndex:
     direction: str = "outgoing"
 
     def __post_init__(self) -> None:
+        if self.m != int(self.m):
+            raise DomainError(f"m={self.m} must be an integer")
         if abs(self.m) > self.channel.l:
             raise DomainError(f"|m|={abs(self.m)} exceeds l={self.channel.l}")
         if not (math.isfinite(self.k) and self.k > 0.0):
@@ -289,10 +291,12 @@ def _coefficient_overlaps(theta, phi, c_ref: np.ndarray, l_max: int) -> np.ndarr
     c_ref is one (TE, TM) pair of coefficient tables, shaped
     (2, l_max+1, 2 l_max+1). Returns (N, 2, 2, l_max+1) indexed [n, g - 1, p, l].
     The directions' own tables are never formed: the m sums are taken by
-    ``specfun.vector_harmonics_contract``, on the m columns c_ref uses.
+    ``specfun.spherical_harmonics_contract``, on the m columns c_ref uses,
+    and only X is formed from them.
     """
-    x, _, _ = specfun.vector_harmonics_contract(l_max, theta, phi, c_ref)
+    _, dy, u = specfun.spherical_harmonics_contract(l_max, theta, phi, c_ref)
     ls = np.arange(l_max + 1)
+    x = specfun._x_family(ls.astype(float), dy, u)
     return np.stack([
         np.stack([np.conj(1j**(ls + shift)) * x[:, p, :, comp]
                   for p, (comp, shift) in enumerate(rule)], axis=1)

@@ -43,6 +43,7 @@ __all__ = [
     "vector_spherical_harmonics",
     "vector_harmonics_block",
     "vector_harmonics_batch",
+    "spherical_harmonics_contract",
     "vector_harmonics_contract",
     "unit_vectors",
     "spherical_to_cartesian",
@@ -102,10 +103,16 @@ class VectorHarmonicTriple:
 
 
 def _as_angles(point) -> tuple[float, float]:
-    if isinstance(point, AngularPoint):
-        return point.theta, point.phi
-    theta, phi = point
-    return AngularPoint(theta, phi).theta, AngularPoint(theta, phi).phi
+    if not isinstance(point, AngularPoint):
+        theta, phi = point
+        point = AngularPoint(theta, phi)
+    return point.theta, point.phi
+
+
+def _check_degree(l: int, m) -> int:
+    if m != int(m) or abs(m) > l:
+        raise DomainError(f"m={m} must be an integer with |m| <= l={l}")
+    return int(m)
 
 
 def _check_order(l_max: int) -> int:
@@ -439,7 +446,7 @@ def legendre_p(l: int, x: float) -> float:
     return pc
 
 
-# Values per order l of one chunk of vector_harmonics_contract: the chunk's
+# Values per order l of one chunk of spherical_harmonics_contract: the chunk's
 # directions times the 2 (M + 1) + 1 columns |m| <= M + 1 that its weights
 # need. Large enough to amortize the per-l loop, small enough that a chunk's
 # rows stay well under a megabyte.
@@ -447,7 +454,7 @@ CHUNK_VALUES = 2**13
 
 
 def chunk_directions(m_top: int) -> int:
-    """Directions per chunk of ``vector_harmonics_contract``.
+    """Directions per chunk of ``spherical_harmonics_contract``.
 
     m_top is the largest |m| with a nonzero weight; each direction of a
     chunk holds 2 (m_top + 1) + 1 columns of each row l.
@@ -494,17 +501,18 @@ def _recurrence_tables(l_max: int) -> tuple[np.ndarray, ...]:
     """Per-(l, m) coefficients of the column recurrence and the ladder.
 
     The column recurrence is P_l^m = a x P_{l-1}^m - a b P_{l-2}^m; a and
-    a b are indexed [l, m] for m >= 0 (zero where the recurrence does not
-    apply). up, dn are indexed [l, m + l_max] (zero outside |m| <= l).
+    a b are indexed [l, m] for m >= 0, a nonzero for m <= l - 1 (at m = l - 1
+    exactly sqrt(2l + 1), which gives the off-diagonal P_{m+1}^m) and a b
+    for m <= l - 2 (b at (1, 0) is -0.0, a sign the u zeros must not see).
+    up, dn are indexed [l, m + l_max] (zero outside |m| <= l).
     """
     ls = np.arange(l_max + 1, dtype=float)[:, None]
     ms = np.arange(l_max + 1, dtype=float)[None, :]
-    col = ms <= ls - 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.sqrt((4.0 * ls * ls - 1.0) / (ls * ls - ms * ms))
         b = np.sqrt(((ls - 1.0) ** 2 - ms * ms) / (4.0 * (ls - 1.0) ** 2 - 1.0))
-    a = np.where(col, a, 0.0)
-    ab = np.where(col, a * b, 0.0)
+    ab = np.where(ms <= ls - 2.0, a * b, 0.0)
+    a = np.where(ms <= ls - 1.0, a, 0.0)
     m = np.arange(-l_max, l_max + 1, dtype=float)[None, :]
     live = np.abs(m) <= ls
     up = np.where(live & (m + 1.0 <= ls),
@@ -514,53 +522,60 @@ def _recurrence_tables(l_max: int) -> tuple[np.ndarray, ...]:
     return a, ab, up, dn
 
 
-def _legendre_seeds(theta: np.ndarray, m_top: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos(theta) and the seeds of the column recurrence for m = 0..m_top.
+def _legendre_seeds(theta: np.ndarray, m_top: int) -> np.ndarray:
+    """The diagonal P_m^m of the column recurrence for m = 0..m_top.
 
-    Returns x shaped (N, 1) and seeds shaped (2, 2, N, m_top + 1), indexed
-    [s, f, n, m]: s = 0 holds the diagonal P_m^m, s = 1 the first
-    off-diagonal P_{m+1}^m; f = 0 holds the normalized Legendre value p and
-    f = 1 its companion u = m p / sin(theta). The u diagonal runs with one
-    sin(theta) factor removed, so no 0/0 forms appear at theta = 0 or pi.
+    Returns seeds shaped (2, N, m_top + 1) and indexed [f, n, m]: f = 0
+    holds the normalized Legendre value p and f = 1 its companion
+    u = m p / sin(theta). The u diagonal runs with one sin(theta) factor
+    removed, so no 0/0 forms appear at theta = 0 or pi. The rest of each
+    column, the first off-diagonal P_{m+1}^m included, comes from the
+    recurrence in ``_legendre_rows``.
     """
     n = theta.size
-    x = np.cos(theta)[:, None]
     s = np.sin(theta)[:, None]
-    seeds = np.zeros((2, 2, n, m_top + 1))
+    seeds = np.zeros((2, n, m_top + 1))
     # diagonal by running product, Condon-Shortley sign folded in
     m = np.arange(1, m_top + 1)
     step = -np.sqrt((2 * m + 1) / (2.0 * m)) * s
     p00 = 1.0 / math.sqrt(4.0 * math.pi)
-    seeds[0, 0] = np.cumprod(np.concatenate([np.full((n, 1), p00), step], axis=1), axis=1)
+    seeds[0] = np.cumprod(np.concatenate([np.full((n, 1), p00), step], axis=1), axis=1)
     if m_top >= 1:
         # same diagonal with one sin(theta) factor removed, times m
         d1 = np.full((n, 1), -math.sqrt(3.0 / 2.0) * p00)
-        seeds[0, 1, :, 1:] = m * np.cumprod(np.concatenate([d1, step[:, 1:]], axis=1), axis=1)
-    seeds[1] = np.sqrt(2 * np.arange(m_top + 1) + 3.0) * x * seeds[0]
-    return x, seeds
+        seeds[1, :, 1:] = m * np.cumprod(np.concatenate([d1, step[:, 1:]], axis=1), axis=1)
+    return seeds
 
 
-def _legendre_norm(l_max: int, theta: np.ndarray, a: np.ndarray, ab: np.ndarray) -> np.ndarray:
-    """Normalized associated Legendre values and their /sin(theta) companions.
+def _legendre_rows(theta: np.ndarray, band: int, l_stop: int, a: np.ndarray,
+                   ab: np.ndarray, rows: np.ndarray):
+    """Write the Legendre row (p, u) of each order l < l_stop, columns
+    m = 0..band, into rows[l % len(rows)] and yield l.
 
-    Returns pu shaped (2, N, l_max + 1, l_max + 1) and indexed [f, n, l, m]
-    for m >= 0: f = 0 holds p with Y_l^m = p e^{i m phi}, f = 1 holds
-    u = m p / sin(theta), computed pole-safely from ``_legendre_seeds``.
-    Only the loop over l is in Python; each step updates every m, every
-    direction and both families at once.
+    Y_l^m = p e^{i m phi} and u = m p / sin(theta), as in ``_legendre_seeds``.
+    rows holds every row (the whole block) or a ring of three (the streamed
+    contraction). Columns m < l come from the recurrence; at m = l - 1 its
+    two-back term is 0.0 times 0.0, and it starts at l = 2 (with two rows,
+    l = 1 would read the row it writes). Column l is the seed; columns
+    m > l keep their zeros, which a ring's row l had as row l - 3.
     """
-    x, seeds = _legendre_seeds(theta, l_max)
-    pu = np.zeros((l_max + 1, 2, theta.size, l_max + 1))
-    diag = np.arange(l_max + 1)
-    pu[diag, :, :, diag] = seeds[0].transpose(2, 0, 1)
-    pu[diag[1:], :, :, diag[:-1]] = seeds[1, ..., :-1].transpose(2, 0, 1)
-    ax = a[:, None, :] * x
-    for l in range(2, l_max + 1):
-        c = slice(0, l - 1)
-        out = pu[l, :, :, c]
-        np.multiply(ax[l, :, c], pu[l - 1, :, :, c], out=out)
-        out -= ab[l, c] * pu[l - 2, :, :, c]
-    return pu.transpose(1, 2, 0, 3)
+    x = np.cos(theta)[:, None]
+    seeds = _legendre_seeds(theta, band)
+    ring = len(rows)
+    # formed once for the whole block, per order in a ring: O(band) memory
+    ax = a[:l_stop, None, :band + 1] * x if ring >= l_stop else None
+    for l in range(l_stop):
+        row = rows[l % ring]
+        c = min(l, band + 1)
+        out = row[:, :, :c]
+        if l >= 1:
+            np.multiply(a[l, :c] * x if ax is None else ax[l, :, :c],
+                        rows[(l - 1) % ring, :, :, :c], out=out)
+        if l >= 2:
+            out -= ab[l, :c] * rows[(l - 2) % ring, :, :, :c]
+        if l <= band:
+            row[:, :, l] = seeds[:, :, l]
+        yield l
 
 
 # the factors taking column m to column -m, m = 1..HARD_CAP_LMAX: (-1)^m
@@ -577,7 +592,7 @@ def _phases(phi: np.ndarray, m_top: int) -> tuple[np.ndarray, np.ndarray, np.nda
 def _complete(pu: np.ndarray, phases, em, ep, up, dn) -> np.ndarray:
     """Y, dY/dtheta and mY/sin(theta) from the m >= 0 Legendre columns.
 
-    pu stacks (p, u) on its first axis, as ``_legendre_norm`` does, and holds
+    pu stacks (p, u) on its first axis, as ``_legendre_rows`` does, and holds
     the columns m = 0..c on its last. The result stacks (Y, dY/dtheta,
     mY/sin(theta)) on its first axis and holds m = -c..c on its last,
     column c + m for order m. phases, em and ep (from ``_phases``) broadcast
@@ -607,13 +622,6 @@ def _complete(pu: np.ndarray, phases, em, ep, up, dn) -> np.ndarray:
     return out
 
 
-def _harmonics(l_max: int, theta: np.ndarray, phi: np.ndarray, tables):
-    """Y, dY/dtheta and mY/sin(theta), each (N, l_max + 1, 2 l_max + 1)."""
-    a, ab, up, dn = tables
-    phases, em, ep = (f[:, None] for f in _phases(phi, l_max))
-    return tuple(_complete(_legendre_norm(l_max, theta, a, ab), phases, em, ep, up, dn))
-
-
 def _x_family(ls: np.ndarray, dy, u):
     """X from dY/dtheta and mY/sin(theta) at orders ``ls``, as in _vector_families."""
     live = ls > 0
@@ -636,17 +644,12 @@ def _vector_families(ls: np.ndarray, y, dy, u):
     live = ls > 0
     nv = np.sqrt((ls + 1.0) * (2.0 * ls + 1.0))
     nw = np.where(live, np.sqrt(ls * (2.0 * ls + 1.0)), 1.0)
-    shape = y.shape + (3,)
-    v = np.empty(shape, dtype=complex)
-    w = np.empty(shape, dtype=complex)
-    v[..., 0] = -(ls + 1.0) * y / nv
-    v[..., 1] = dy / nv
-    v[..., 2] = 1j * u / nv
-    w[..., 0] = ls * y / nw
-    w[..., 1] = dy / nw
-    w[..., 2] = 1j * u / nw
     mask = live[..., None].astype(float)
-    for arr in (v, w):
+    v, w = (np.empty(y.shape + (3,), dtype=complex) for _ in range(2))
+    for arr, radial, norm in ((v, -(ls + 1.0), nv), (w, ls, nw)):
+        arr[..., 0] = radial * y / norm
+        arr[..., 1] = dy / norm
+        arr[..., 2] = 1j * u / norm
         arr *= mask
     return _x_family(ls, dy, u), v, w
 
@@ -664,12 +667,17 @@ def spherical_harmonics_batch(l_max: int, theta, phi) -> tuple[np.ndarray, np.nd
     theta and phi are scalars or 1-D arrays of one length N. Returns three
     complex arrays shaped (N, l_max + 1, 2 l_max + 1) indexed
     [n, l, m + l_max]; entries with |m| > l are zero. The whole batch is
-    held at once; ``vector_harmonics_contract`` is the bounded-memory route
-    for many directions.
+    held at once; ``spherical_harmonics_contract`` is the bounded-memory
+    route for many directions.
     """
     l_max = _check_order(l_max)
     theta, phi = _as_angle_arrays(theta, phi)
-    return _harmonics(l_max, theta, phi, _recurrence_tables(l_max))
+    a, ab, up, dn = _recurrence_tables(l_max)
+    rows = np.zeros((l_max + 1, 2, theta.size, l_max + 1))
+    for _ in _legendre_rows(theta, l_max, l_max + 1, a, ab, rows):
+        pass
+    phases, em, ep = (f[:, None] for f in _phases(phi, l_max))
+    return tuple(_complete(rows.transpose(1, 2, 0, 3), phases, em, ep, up, dn))
 
 
 def spherical_harmonics_block(l_max: int, theta: float, phi: float) -> HarmonicsBlock:
@@ -685,8 +693,7 @@ def spherical_harmonics_block(l_max: int, theta: float, phi: float) -> Harmonics
 def spherical_harmonic(l: int, m: int, point) -> complex:
     """Orthonormal Y_l^m(theta, phi) with the Condon-Shortley phase."""
     l = _check_order(l)
-    if abs(m) > l:
-        raise DomainError(f"|m|={abs(m)} exceeds l={l}")
+    m = _check_degree(l, m)
     y, _, _ = spherical_harmonics_batch(l, *_as_angles(point))
     return complex(y[0, l, m + l])
 
@@ -720,17 +727,14 @@ def vector_harmonics_batch(l_max: int, theta, phi) -> tuple[np.ndarray, np.ndarr
 
     Returns three complex arrays shaped (N, l_max + 1, 2 l_max + 1, 3)
     indexed [n, l, m + l_max, spherical component]; rows with l = 0 or
-    |m| > l are zero.
+    |m| > l are zero. The family view of ``spherical_harmonics_batch``.
     """
     l_max = _check_vector_order(l_max)
-    theta, phi = _as_angle_arrays(theta, phi)
-    y, dy, u = _harmonics(l_max, theta, phi, _recurrence_tables(l_max))
+    y, dy, u = spherical_harmonics_batch(l_max, theta, phi)
     return _vector_families(np.arange(l_max + 1, dtype=float)[:, None], y, dy, u)
 
 
-def vector_harmonics_block(
-    l_max: int, theta: float, phi: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def vector_harmonics_block(l_max: int, theta: float, phi: float) -> tuple[np.ndarray, ...]:
     """All (X, V, W) triples for l <= l_max at one direction, in bulk.
 
     Returns three complex arrays shaped (l_max + 1, 2 l_max + 1, 3) indexed
@@ -741,34 +745,29 @@ def vector_harmonics_block(
     return x[0], v[0], w[0]
 
 
-def vector_harmonics_contract(
-    l_max: int, theta, phi, weights
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted sums over m of the (X, V, W) triples at N directions.
+def spherical_harmonics_contract(l_max: int, theta, phi, weights) -> tuple[np.ndarray, ...]:
+    """Weighted sums over m of Y, dY/dtheta and mY/sin(theta) at N directions.
 
     weights is shaped (K, l_max + 1, 2 l_max + 1) and indexed like a harmonic
-    block. Returns three complex arrays shaped (N, K, l_max + 1, 3) holding
-    sum_m weights[k, l, m] F[n, l, m, c] for F = X, V, W.
+    block. Returns three complex arrays shaped (N, K, l_max + 1) holding
+    sum_m weights[k, l, m] F[n, l, m] for the three arrays F of
+    ``spherical_harmonics_batch``.
 
     No harmonic block is formed. With M the largest |m| at which any weight
-    is nonzero (NaN counts), the Legendre column recurrence runs once over l
-    for a chunk of directions on the columns |m| <= M + 1 only (the dY
-    ladder reads column m + 1), and each row l is contracted against
-    weights[:, l] as soon as it exists; rows whose weights are all zero are
-    never completed. A chunk holds ``chunk_directions(M)`` directions, so
-    memory is O(M) per direction whatever N and l_max are, and the work is
-    O(l_max M) per direction: O(l_max) for one m column, as for a plane wave
-    along z or a single eigenmode. The sums equal those over the whole
-    block bit for bit.
+    is nonzero (NaN counts), ``_legendre_rows`` runs over l for a chunk of
+    directions on the columns |m| <= M + 1 only (the dY ladder reads column
+    m + 1), into a ring of three rows, and each row l whose weights are not
+    all zero is completed and contracted as soon as it exists. A chunk holds
+    ``chunk_directions(M)`` directions, so memory is O(M) per direction
+    whatever N and l_max are, and the work is O(l_max M) per direction. The
+    sums equal those over the whole block bit for bit.
     """
-    l_max = _check_vector_order(l_max)
+    l_max = _check_order(l_max)
     theta, phi = _as_angle_arrays(theta, phi)
     weights = np.asarray(weights, dtype=complex)
     width = 2 * l_max + 1
     if weights.ndim != 3 or weights.shape[1:] != (l_max + 1, width):
-        raise DomainError(
-            f"weights must be (K, {l_max + 1}, {width}), got {weights.shape}"
-        )
+        raise DomainError(f"weights must be (K, {l_max + 1}, {width}), got {weights.shape}")
     live = weights != 0
     m_top = int(np.abs(np.flatnonzero(np.any(live, axis=(0, 1))) - l_max).max(initial=0))
     row_live = np.any(live, axis=(0, 2))
@@ -782,24 +781,25 @@ def vector_harmonics_contract(
     step = chunk_directions(m_top)
     for start in range(0, n, step):
         chunk = slice(start, start + step)
-        x, seeds = _legendre_seeds(theta[chunk], band)
         phases, em, ep = _phases(phi[chunk], band)
-        # (p, u) of rows l - 2, l - 1 and l in turn; the columns m > l of
-        # row l stay zero, as they were three rows earlier
-        ring = np.zeros((3, 2, x.size, band + 1))
-        for l in range(l_stop):
-            pu = ring[l % 3]
-            if l >= 2:
-                c = slice(0, min(l - 1, band + 1))
-                np.multiply(a[l, c] * x, ring[(l - 1) % 3, :, :, c], out=pu[:, :, c])
-                pu[:, :, c] -= ab[l, c] * ring[(l - 2) % 3, :, :, c]
-            if 1 <= l <= band + 1:
-                pu[:, :, l - 1] = seeds[1, :, :, l - 1]
-            if l <= band:
-                pu[:, :, l] = seeds[0, :, :, l]
+        ring = np.zeros((3, 2, phases.shape[0], band + 1))
+        for l in _legendre_rows(theta[chunk], band, l_stop, a, ab, ring):
             if row_live[l]:
-                harm = _complete(pu, phases, em, ep, up[l, cols], dn[l, cols])
+                harm = _complete(ring[l % 3], phases, em, ep, up[l, cols], dn[l, cols])
                 sums[:, chunk, :, l] = np.einsum("km,inm->ink", band_weights[:, l], harm)
+    return tuple(sums)
+
+
+def vector_harmonics_contract(l_max: int, theta, phi, weights) -> tuple[np.ndarray, ...]:
+    """Weighted sums over m of the (X, V, W) triples at N directions.
+
+    weights as for ``spherical_harmonics_contract``, of which this is the
+    family view. Returns three complex arrays shaped (N, K, l_max + 1, 3)
+    holding sum_m weights[k, l, m] F[n, l, m, c] for F = X, V, W, equal bit
+    for bit to the sums over the whole ``vector_harmonics_batch``.
+    """
+    l_max = _check_vector_order(l_max)
+    sums = spherical_harmonics_contract(l_max, theta, phi, weights)
     return _vector_families(np.arange(l_max + 1, dtype=float), *sums)
 
 
@@ -813,7 +813,6 @@ def vector_spherical_harmonics(l: int, m: int, point) -> VectorHarmonicTriple:
     l = _check_order(l)
     if l < 1:
         raise DomainError("l must be >= 1; the l=0 triple vanishes identically")
-    if abs(m) > l:
-        raise DomainError(f"|m|={abs(m)} exceeds l={l}")
+    m = _check_degree(l, m)
     x, v, w = vector_harmonics_batch(l, *_as_angles(point))
     return VectorHarmonicTriple(X=x[0, l, m + l], V=v[0, l, m + l], W=w[0, l, m + l])

@@ -1,0 +1,131 @@
+"""The harmonic block and the streamed contraction, pinned byte for byte.
+
+Both routes run one Legendre row recurrence, so comparing them with each
+other cannot catch a change in its bits. These sha256 digests were recorded
+from the two separate recurrences the routes ran before they shared one;
+zero signs at the poles and at theta > pi/2 are among the pinned bytes.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from qmie import specfun
+
+
+def digest(arrays) -> str:
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def directions(n):
+    """n directions from theta = pi (n = 1) or theta = 0 through pi; phi
+    runs past 2 pi so that its wrap is pinned too."""
+    theta = np.linspace(0.0, math.pi, n) if n > 1 else np.array([math.pi])
+    return theta, 0.3 + 0.7 * np.arange(n)
+
+
+def weights(k, l_max, m_top):
+    """Dense arithmetic weights cut to |m| <= m_top; the cut leaves -0.0
+    where a weight was negative, which is no live weight either."""
+    shape = (k, l_max + 1, 2 * l_max + 1)
+    idx = np.arange(math.prod(shape), dtype=float).reshape(shape)
+    w = ((idx * 0.6180339887498949) % 1.0 - 0.5) + 1j * ((idx * 0.4142135623730951) % 1.0 - 0.5)
+    keep = np.abs(np.arange(-l_max, l_max + 1)) <= m_top
+    return w * keep
+
+
+# (l_max, N): every l_max with N = 1 and 2, N = 91 up to l_max 55
+BATCH_DIGESTS = {
+    (1, 1):
+        "c7f6216f0259357a28ea0809f4aaf3ad957baf295d4af2527c417060a073c8e3",
+    (1, 2):
+        "5cba151b83eca79389928fb048be902178e8d3654a036f43953c02f0c4a03266",
+    (1, 91):
+        "78721c6ad74aa806169ebb7a1f1a804aa406de383a670e2bdf98538763c75022",
+    (2, 1):
+        "bb1d6445ab57d093d0bce28aa315217a3591ef28879b695da7d1962d43932a3e",
+    (2, 2):
+        "4e90b0099ac1a97577f2a49c0af13632139ddaf5ed2dd70f8906f373e81919b6",
+    (2, 91):
+        "1ec5607b070357b8872308316f322b21575bb3d2a02bd2f0af8b2ae653a7abf2",
+    (3, 1):
+        "dedbb42dd9ec8337be2b0d183bf1d8d4454a123414bba7ad855637b8318deabc",
+    (3, 2):
+        "2198f0a7692b0c9674d2a7206fd042b10ef5accda7bcbab341e977364580d767",
+    (3, 91):
+        "d7fdaed631a1f14ce50fc7effc266319bfd66591a36c68684206db8e9f9d4be2",
+    (55, 1):
+        "3b2803f03b54037840902fc7e9c340a0a84408615dae62603e4bb30c4e8ac811",
+    (55, 2):
+        "4637460d4365a22bef4a7e88ffe384ba72213ddcda8b01b4d09ca1b2836e0629",
+    (55, 91):
+        "96b7d8a995cb1640234c32fc84e8d7d81bd3ac488c3c6d7dcfd8cefac3cad37d",
+    (181, 1):
+        "87c04470537e481e61a912eb5653ad660e17e402b5a077fa954aefceb7afb958",
+    (181, 2):
+        "effb0030b6721a70cad541232f6b9209626cd57b61b1a9e03d112d8a49fc8a9a",
+}
+
+
+def contraction_case(name):
+    """(l_max, weights) of each pinned contraction."""
+    if name == "M=0":
+        return 5, weights(2, 5, 0)
+    if name == "M=1":
+        w = weights(2, 8, 1)
+        w[:, 4] = 0.0
+        return 8, w
+    if name == "dense":
+        return 12, weights(3, 12, 12)
+    w = weights(2, 8, 1)
+    w[1, 3, -2 + 8] = math.nan
+    return 8, w
+
+
+CONTRACTION_DIGESTS = {
+    "M=0": "57555274923cc127007eea526d24e0dc3c59905831f61038abcd73be7995ee43",
+    "M=1": "22bdebf305d6c4f8daf160887c22f97d9eaf8e1b8e017a867eca084471ce6be5",
+    "dense": "431a3696d103c4a3bc85657e1fb9872b5e90a37d3c66508b71fee5b434c72bd9",
+    "NaN": "1a58171d6231968bb52e1f5919428b1cc8132fca3b000fb3a9ad6a3dd52d21eb",
+}
+
+
+@pytest.mark.parametrize("l_max,n", sorted(BATCH_DIGESTS))
+def test_harmonics_batch_bits(l_max, n):
+    got = digest(specfun.spherical_harmonics_batch(l_max, *directions(n)))
+    assert got == BATCH_DIGESTS[l_max, n]
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACTION_DIGESTS))
+def test_vector_contraction_bits(name):
+    # one direction past the default chunk: the second chunk holds one
+    l_max, w = contraction_case(name)
+    m_top = int(np.abs(np.flatnonzero(np.any(w != 0, axis=(0, 1))) - l_max).max())
+    theta, phi = directions(specfun.chunk_directions(m_top) + 1)
+    got = digest(specfun.vector_harmonics_contract(l_max, theta, phi, w))
+    assert got == CONTRACTION_DIGESTS[name]
+
+
+
+def test_block_and_contraction_share_one_row_recurrence(monkeypatch):
+    # every route to the harmonics runs _legendre_rows: the block with all
+    # its rows, the contraction with a ring of three on its m band
+    calls, rows = [], specfun._legendre_rows
+
+    def counting(theta, band, l_stop, a, ab, ring):
+        calls.append((band, l_stop, len(ring)))
+        return rows(theta, band, l_stop, a, ab, ring)
+
+    monkeypatch.setattr(specfun, "_legendre_rows", counting)
+    theta, phi = directions(3)
+    w = weights(1, 4, 1)
+    specfun.spherical_harmonics_batch(4, theta, phi)
+    specfun.vector_harmonics_batch(4, theta, phi)
+    specfun.spherical_harmonics_contract(4, theta, phi, w)
+    specfun.vector_harmonics_contract(4, theta, phi, w)
+    assert calls == [(4, 5, 5)] * 2 + [(2, 5, 3)] * 2

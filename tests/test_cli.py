@@ -163,6 +163,38 @@ def test_config_file_invalid_json(tmp_path, capsys):
     assert rc == 2
 
 
+INTEGER_FIELDS = [
+    ("phase-shifts", "l_max"), ("cross-section", "l_max"), ("palpha-scan", "q_steps"),
+    ("field-map", "m"), ("field-map", "points"), ("diff-cross-section", "g"),
+    ("diff-cross-section", "n_theta"), ("diff-cross-section", "l_max"), ("g2-map", "n_phi"),
+    ("g2-map", "l_max"), ("bogoliubov", "kp_steps"), ("bogoliubov", "g"),
+    ("bogoliubov", "gp"), ("bogoliubov", "l_max"),
+]
+
+
+@pytest.mark.parametrize("value", [3.9, True])
+@pytest.mark.parametrize("command,field", INTEGER_FIELDS)
+def test_config_integer_field_is_not_truncated(tmp_path, capsys, command, field, value):
+    # int() would turn 3.9 into 3 and true into 1 and run on
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epsilon": 2.1, "q": 1.0, field: value}))
+    out = tmp_path / "x.csv"
+    assert run([command, "--config", str(cfg), "-o", str(out)]) == 2
+    assert f"{field}: {value!r} is not an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_integral_float_is_an_integer_and_boolean_no_number(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+    cfg.write_text(json.dumps({"epsilon": 2.1, "q": 1.0, "l_max": 3.0}))
+    assert run(["phase-shifts", "--config", str(cfg), "-o", str(out)]) == 0
+    assert "l_max=3" in config_tokens(out)
+    for field in ("epsilon", "radius", "q"):
+        cfg.write_text(json.dumps({"epsilon": 2.1, "q": 1.0, field: True}))
+        assert run(["phase-shifts", "--config", str(cfg), "-o", str(tmp_path / "y.csv")]) == 2
+        assert f"{field}: True is not a number" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------- command output
 
 def test_cross_section_transparent_row(tmp_path):

@@ -14,12 +14,11 @@ from qmie import specfun
 REFERENCE_SLICE = 16
 
 
-def block_contract(l_max, theta, phi, weights):
+def block_sums(l_max, theta, phi, weights):
     """sum_m weights[k, l, m] F[n, l, m] from every harmonic of the whole block.
 
     The m sums run over all 2 l_max + 1 columns of Y, dY/dtheta and
-    mY/sin(theta) at each direction; the (X, V, W) families are formed from
-    the sums, as the contraction does.
+    mY/sin(theta) at each direction.
     """
     theta, phi = np.atleast_1d(theta), np.atleast_1d(phi)
     sums = np.empty((3, theta.size, weights.shape[0], l_max + 1), dtype=complex)
@@ -28,6 +27,12 @@ def block_contract(l_max, theta, phi, weights):
         block = specfun.spherical_harmonics_batch(l_max, theta[part], phi[part])
         for i, arr in enumerate(block):
             sums[i, part] = np.einsum("klm,nlm->nkl", weights, arr)
+    return sums
+
+
+def block_contract(l_max, theta, phi, weights):
+    """The (X, V, W) families formed from ``block_sums``, as the contraction does."""
+    sums = block_sums(l_max, theta, phi, weights)
     return specfun._vector_families(np.arange(l_max + 1, dtype=float), *sums)
 
 
@@ -101,6 +106,17 @@ def test_contraction_crosses_default_chunk_boundary(l_max, m_top, offset):
     theta, phi = directions(specfun.chunk_directions(m_top) + offset, rng)
     got = specfun.vector_harmonics_contract(l_max, theta, phi, weights)
     assert_same_bits(got, block_contract(l_max, theta, phi, weights))
+    got = specfun.spherical_harmonics_contract(l_max, theta, phi, weights)
+    assert_same_bits(got, block_sums(l_max, theta, phi, weights))
+
+
+def test_scalar_contraction_takes_l_max_zero():
+    # the vector families start at l = 1; Y_0^0 sums do not
+    theta, phi = directions(5, np.random.default_rng(4))
+    weights = np.array([[[2.0 - 1.0j]], [[0.0]]])
+    got = specfun.spherical_harmonics_contract(0, theta, phi, weights)
+    assert_same_bits(got, block_sums(0, theta, phi, weights))
+    assert np.all(got[0][:, 0, 0] == (2.0 - 1.0j) / math.sqrt(4.0 * math.pi))
 
 
 @pytest.mark.parametrize("l,m", [(3, 5), (3, -2), (0, 0), (8, 8)])

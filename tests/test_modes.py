@@ -34,6 +34,10 @@ def test_mode_index_validation():
         modes.SphericalModeIndex(ch, 0, -1.0)
     with pytest.raises(DomainError):
         modes.SphericalModeIndex(ch, 0, 1.0, "sideways")
+    # a fractional m is no order, not m = 1
+    with pytest.raises(DomainError, match="integer"):
+        modes.SphericalModeIndex(ch, 1.5, 1.0)
+    assert modes.SphericalModeIndex(ch, -2.0, 1.0).m == -2
     with pytest.raises(DomainError):
         modes.PlaneModeIndex(3, (0, 0, 1))
     with pytest.raises(DomainError):
@@ -242,6 +246,23 @@ def test_coefficient_channel_sum_rule():
         acc[key] = acc.get(key, 0.0) + abs(c.value) ** 2
     for l in range(1, l_max + 1):
         assert acc[l] == pytest.approx((2 * l + 1) / (4 * math.pi), rel=1e-12)
+
+
+def test_coefficient_overlaps_form_only_x(monkeypatch):
+    # the far-field overlaps take the scalar m sums and form X from them,
+    # bit for bit the X of the vector contraction, which is never called
+    rng = np.random.default_rng(12)
+    l_max, n = 9, 7
+    theta, phi = rng.uniform(0.0, math.pi, n), rng.uniform(0.0, 2 * math.pi, n)
+    c_ref = modes._coefficient_table([0.4], [1.1], [2], l_max)[0]
+    x, _, _ = specfun.vector_harmonics_contract(l_max, theta, phi, c_ref)
+    monkeypatch.setattr(specfun, "vector_harmonics_contract", None)
+    got = modes._coefficient_overlaps(theta, phi, c_ref, l_max)
+    ls = np.arange(l_max + 1)
+    for g, rule in enumerate(modes._COEFFICIENT_RULE):
+        for p, (comp, shift) in enumerate(rule):
+            ref = np.conj(1j**(ls + shift)) * x[:, p, :, comp]
+            assert got[:, g, p].tobytes() == ref.tobytes()
 
 
 def test_coefficients_axial_selection_rule():

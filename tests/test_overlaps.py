@@ -98,6 +98,19 @@ def test_band_resolves_an_order_at_a_zero_of_the_overlap():
     assert abs(mp.mpf(resolved[0]) - ref[0]) <= 1e-16 and errs[0] <= 1e-16
 
 
+def test_band_keeps_the_closed_form_where_its_bound_is_smaller():
+    # order 5's closed-form bound sits just above rtol |T_5|, so the order
+    # enters the band, whose rules differ by more than that bound; the band
+    # value was 26 times further from mpmath than the closed form
+    a, b, radius, rtol = 19.021934212499463, 0.1, 1.7842187965305232, 1e-11
+    values, bounds = bg._overlaps(5, a, b, radius)
+    assert bounds[5] > rtol * abs(values[5])
+    resolved, errs = bg._resolved_overlaps(5, a, b, radius, rtol)
+    assert resolved[5] == values[5] and errs[5] == bounds[5]
+    ref = reference_overlaps(5, a, b, radius)
+    assert abs(mp.mpf(resolved[5]) - ref[5]) <= rtol * abs(ref[5])
+
+
 def test_closed_form_orders_need_no_quadrature_off_the_diagonal():
     values, bounds = bg._overlaps(30, 3.0, 2.0 * math.sqrt(EPSILON), 1.0)
     assert np.all(bounds <= 1e-11 * np.abs(values))

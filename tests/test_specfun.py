@@ -176,6 +176,15 @@ def test_harmonic_domain():
         specfun.spherical_harmonic(2, 3, (0.3, 0.3))
 
 
+def test_fractional_m_is_a_domain_error():
+    # 1.5 passed |m| <= l and then failed as an array index
+    for evaluate in (specfun.spherical_harmonic, specfun.vector_spherical_harmonics):
+        with pytest.raises(DomainError, match="integer"):
+            evaluate(2, 1.5, (0.3, 0.2))
+    assert specfun.spherical_harmonic(2, -1.0, (0.3, 0.2)) == \
+        specfun.spherical_harmonic(2, -1, (0.3, 0.2))
+
+
 def test_addition_theorem():
     rng = np.random.default_rng(20260815)
     for _ in range(12):
