@@ -68,47 +68,62 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-class Resolver:
-    """Merges command-line flags over config-file values over defaults and
-    records every effective value for the provenance echo."""
+class Option:
+    """One option of one command, declared once. The name gives the config-file
+    field and the flag (``--half-width`` from ``half_width``). cast is float,
+    int or str; default is echoed when neither flag nor file gives a value;
+    choices bind flags and file values alike."""
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file_data = {}
-        if getattr(args, "config", None):
-            self.file_data = _load_config_file(args.config)
-        self.known = set()
-        self.effective = {}
+    def __init__(self, name, cast=str, default=None, choices=None, help=None):
+        self.name, self.cast, self.default = name, cast, default
+        self.choices, self.help = choices, help
 
-    def get(self, key: str, default=None, cast=None):
-        self.known.add(key)
-        val = getattr(self.args, key.replace("-", "_"), None)
+    def resolve(self, val):
+        """val, from a flag, the config file or the default, cast and checked."""
         if val is None:
-            val = self.file_data.get(key)
-        if val is None:
-            val = default
-        if val is not None and cast is not None:
+            return None
+        if self.cast is str:
+            wrong = not isinstance(val, str)
+        else:
             # a JSON true or 3.9 would cast to 1 or 3 without a word
-            if isinstance(val, bool) or (cast is int and isinstance(val, float)
-                                         and not val.is_integer()):
-                kind = "an integer" if cast is int else "a number"
-                raise ConfigError(f"{key}: {val!r} is not {kind}")
-            try:
-                val = cast(val)
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"{key}: cannot interpret {val!r}") from None
-        self.effective[key] = val
+            wrong = isinstance(val, bool) or (self.cast is int and isinstance(val, float)
+                                              and not val.is_integer())
+        if wrong:
+            kind = {str: "a string", int: "an integer", float: "a number"}[self.cast]
+            raise ConfigError(f"{self.name}: {val!r} is not {kind}")
+        try:
+            val = self.cast(val)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{self.name}: cannot interpret {val!r}") from None
+        if self.choices and val not in self.choices:
+            raise ConfigError(f"{self.name}: {val!r} not one of {', '.join(self.choices)}")
         return val
 
-    def reject_unknown(self) -> None:
-        extra = sorted(set(self.file_data) - self.known)
+
+class Resolver:
+    """Every option of one command, resolved once: command-line flag over
+    config-file field over default. effective holds each value for the
+    provenance echo."""
+
+    def __init__(self, args: argparse.Namespace, options):
+        file_data = _load_config_file(args.config) if args.config else {}
+        self.effective = {}
+        for opt in options:
+            val = getattr(args, opt.name)
+            if val is None:
+                val = file_data.get(opt.name)
+            self.effective[opt.name] = opt.resolve(opt.default if val is None else val)
+        # only after every declared field is cast, so a bad value is named as such
+        extra = sorted(set(file_data) - set(self.effective))
         if extra:
             raise ConfigError(f"config: unknown field {extra[0]!r}")
 
+    def __getitem__(self, name: str):
+        return self.effective[name]
+
     def wavenumber(self, radius: float) -> tuple[float, float]:
         """Exactly one of q (= k R) and k must be set; returns (q, k)."""
-        q = self.get("q", cast=float)
-        k = self.get("k", cast=float)
+        q, k = self["q"], self["k"]
         if (q is None) == (k is None):
             raise ConfigError("q/k: exactly one of q and k must be given")
         if q is None:
@@ -120,12 +135,10 @@ class Resolver:
         self.effective["q"], self.effective["k"] = q, k
         return q, k
 
-    def sphere(self, default_epsilon=None) -> SphereSpec:
-        eps = self.get("epsilon", default=default_epsilon, cast=float)
-        radius = self.get("radius", default=1.0, cast=float)
-        if eps is None:
+    def sphere(self) -> SphereSpec:
+        if self["epsilon"] is None:
             raise ConfigError("epsilon: required")
-        return SphereSpec(epsilon=eps, radius=radius)
+        return SphereSpec(epsilon=self["epsilon"], radius=self["radius"])
 
 
 def _cells(column) -> list:
@@ -201,8 +214,9 @@ def _write_atomic(path: str, text: str) -> None:
 def cmd_phase_shifts(res: Resolver):
     spec = res.sphere()
     q, _ = res.wavenumber(spec.radius)
-    l_max = res.get("l_max", default=truncation_order(q), cast=int)
-    res.reject_unknown()
+    l_max = res["l_max"]
+    if l_max is None:
+        l_max = res.effective["l_max"] = truncation_order(q)
     t = phase_table(spec, q, l_max)
     # rows run over l, then over the polarizations: the transposed tables
     ls = [l for l in range(1, l_max + 1) for _ in POLARIZATIONS]
@@ -214,17 +228,13 @@ def cmd_phase_shifts(res: Resolver):
 
 def cmd_palpha_scan(res: Resolver):
     spec = res.sphere()
-    q_min = res.get("q_min", cast=float)
-    q_max = res.get("q_max", cast=float)
-    steps = res.get("q_steps", cast=int)
-    chan_text = res.get("channels", default=_FIG_CHANNELS)
-    res.reject_unknown()
+    q_min, q_max, steps = res["q_min"], res["q_max"], res["q_steps"]
     if q_min is None or q_max is None or steps is None:
         raise ConfigError("q-min/q-max/q-steps: all three are required")
     if steps < 1 or not (0.0 < q_min <= q_max):
         raise ConfigError(
             f"q range [{q_min}, {q_max}] with {steps} steps is empty or invalid")
-    channels = [_parse_channel(t) for t in chan_text.split(",") if t.strip()]
+    channels = [_parse_channel(t) for t in res["channels"].split(",") if t.strip()]
     if not channels:
         raise ConfigError("channels: empty list")
     _check_rows("palpha-scan", steps * len(channels))
@@ -248,21 +258,13 @@ def cmd_palpha_scan(res: Resolver):
 def cmd_field_map(res: Resolver):
     spec = res.sphere()
     _, k = res.wavenumber(spec.radius)
-    ch = _parse_channel(res.get("channel", default="TM:1"))
-    m = res.get("m", default=0, cast=int)
-    direction = res.get("direction", default="outgoing")
-    plane = res.get("plane", default="xz")
-    half_width = res.get("half_width", default=4.0, cast=float)
-    points = res.get("points", default=41, cast=int)
-    res.reject_unknown()
-    if plane not in ("xy", "xz", "yz"):
-        raise ConfigError(f"plane: {plane!r} not one of xy, xz, yz")
+    plane, half_width, points = res["plane"], res["half_width"], res["points"]
     if not (math.isfinite(half_width) and half_width > 0.0):
         raise ConfigError(f"half-width: {half_width} must be finite and positive")
     if points < 2:
         raise ConfigError("points/half-width: grid is empty or degenerate")
     _check_rows("field-map", points * points)
-    mode = SphericalModeIndex(ch, m, k, direction)
+    mode = SphericalModeIndex(_parse_channel(res["channel"]), res["m"], k, res["direction"])
     axes = {"xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}[plane]
     ticks = np.linspace(-half_width * spec.radius, half_width * spec.radius, points)
     us, vs = np.repeat(ticks, points), np.tile(ticks, points)
@@ -275,9 +277,7 @@ def cmd_field_map(res: Resolver):
 def cmd_cross_section(res: Resolver):
     spec = res.sphere()
     q, _ = res.wavenumber(spec.radius)
-    l_max = res.get("l_max", cast=int)
-    res.reject_unknown()
-    result = observables.total_cross_section(spec, q, l_max=l_max)
+    result = observables.total_cross_section(spec, q, l_max=res["l_max"])
     n = len(result.per_channel)
     return ("cross-section", ("q", "p", "l", "sigma_channel", "sigma_total"),
             [[q] * n, [ch.p for ch, _ in result.per_channel],
@@ -288,195 +288,163 @@ def cmd_cross_section(res: Resolver):
 def cmd_diff_cross_section(res: Resolver):
     spec = res.sphere()
     _, k = res.wavenumber(spec.radius)
-    g = res.get("g", default=1, cast=int)
-    inc_theta = res.get("incident_theta", default=0.0, cast=float)
-    inc_phi = res.get("incident_phi", default=0.0, cast=float)
-    n_theta = res.get("n_theta", default=91, cast=int)
-    det_phi = res.get("detector_phi", default=0.0, cast=float)
-    l_max = res.get("l_max", cast=int)
-    res.reject_unknown()
+    inc_theta, inc_phi, n_theta = res["incident_theta"], res["incident_phi"], res["n_theta"]
     if n_theta < 2:
         raise ConfigError("n-theta: need at least two detector angles")
     _check_rows("diff-cross-section", n_theta)
     kvec = (k * math.sin(inc_theta) * math.cos(inc_phi),
             k * math.sin(inc_theta) * math.sin(inc_phi),
             k * math.cos(inc_theta))
-    kappa = PlaneModeIndex(g, kvec)
+    kappa = PlaneModeIndex(res["g"], kvec)
     thetas = np.linspace(0.0, math.pi, n_theta)
+    det_phi = res["detector_phi"]
     dirs = np.stack([np.sin(thetas) * math.cos(det_phi),
                      np.sin(thetas) * math.sin(det_phi),
                      np.cos(thetas)], axis=-1)
-    vals = observables.differential_cross_section(spec, kappa, dirs, l_max=l_max)
+    vals = observables.differential_cross_section(spec, kappa, dirs, l_max=res["l_max"])
     return "diff-cross-section", ("theta", "dsigma_domega"), [thetas, vals], ()
 
 
 def cmd_g2_map(res: Resolver):
-    spec = res.sphere(default_epsilon=2.1)
+    spec = res.sphere()
     _, k = res.wavenumber(spec.radius)
-    n_phi = res.get("n_phi", default=64, cast=int)
-    theta1 = res.get("theta1", default=math.pi / 4.0, cast=float)
-    theta2 = res.get("theta2", default=3.0 * math.pi / 4.0, cast=float)
-    pol_i = res.get("pol_i", default="z")
-    pol_j = res.get("pol_j", default="z")
-    r_det = res.get("r_detector", cast=float)
-    l_max = res.get("l_max", cast=int)
-    res.reject_unknown()
+    n_phi = res["n_phi"]
     if n_phi < 2:
         raise ConfigError("n-phi: need at least two azimuths")
     _check_rows("g2-map", n_phi * n_phi)
     kappa1 = PlaneModeIndex(1, (k, 0.0, 0.0))
     kappa2 = PlaneModeIndex(1, (0.0, k, 0.0))
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    grid = observables.g2_map(spec, kappa1, kappa2, pol_i, pol_j,
-                              theta1, theta2, phis, phis, r_detector=r_det, l_max=l_max)
+    grid = observables.g2_map(spec, kappa1, kappa2, res["pol_i"], res["pol_j"],
+                              res["theta1"], res["theta2"], phis, phis,
+                              r_detector=res["r_detector"], l_max=res["l_max"])
     return ("g2-map", ("phi1", "phi2", "g2"),
             [np.repeat(phis, n_phi), np.tile(phis, n_phi), grid.values.ravel()], ())
+
+
+_KERNELS = {"V": bogoliubov.coupling_v,
+            "B": bogoliubov.b_coefficient,
+            "A_offdiag": bogoliubov.a_offdiagonal_kernel}
 
 
 def cmd_bogoliubov(res: Resolver):
     spec = res.sphere()
     _, k = res.wavenumber(spec.radius)
-    kind = res.get("kind", default="B")
-    kp_min = res.get("kp_min", cast=float)
-    kp_max = res.get("kp_max", cast=float)
-    steps = res.get("kp_steps", cast=int)
-    kp_theta = res.get("kp_theta", default=1.0, cast=float)
-    kp_phi = res.get("kp_phi", default=0.7, cast=float)
-    g = res.get("g", default=1, cast=int)
-    gp = res.get("gp", default=2, cast=int)
-    direction = res.get("direction", default="outgoing")
-    l_max = res.get("l_max", cast=int)
-    res.reject_unknown()
-    ops = {"V": bogoliubov.coupling_v,
-           "B": bogoliubov.b_coefficient,
-           "A_offdiag": bogoliubov.a_offdiagonal_kernel}
-    if kind not in ops:
-        raise ConfigError(f"kind: {kind!r} not one of {sorted(ops)}")
+    kind, kp_min, kp_max, steps = res["kind"], res["kp_min"], res["kp_max"], res["kp_steps"]
+    kp_theta, kp_phi, l_max = res["kp_theta"], res["kp_phi"], res["l_max"]
     if kp_min is None or kp_max is None or steps is None:
         raise ConfigError("kp-min/kp-max/kp-steps: all three are required")
     if steps < 1 or not (0.0 < kp_min <= kp_max):
         raise ConfigError(f"k' range [{kp_min}, {kp_max}] is empty or invalid")
     _check_rows("bogoliubov", steps)
-    kappa = PlaneModeIndex(g, (0.0, 0.0, k))
+    kappa = PlaneModeIndex(res["g"], (0.0, 0.0, k))
+    # V takes no boundary condition
+    extra = {} if kind == "V" else {"direction": res["direction"]}
     kps, kerns = np.linspace(kp_min, kp_max, steps), []
     for kp in kps:
         kvec = (kp * math.sin(kp_theta) * math.cos(kp_phi),
                 kp * math.sin(kp_theta) * math.sin(kp_phi),
                 kp * math.cos(kp_theta))
-        kappa_p = PlaneModeIndex(gp, kvec)
-        if kind == "V":
-            kern = ops[kind](spec, kappa, kappa_p, l_max=l_max)
-        else:
-            kern = ops[kind](spec, kappa, kappa_p, l_max=l_max, direction=direction)
-        kerns.append(kern)
+        kappa_p = PlaneModeIndex(res["gp"], kvec)
+        kerns.append(_KERNELS[kind](spec, kappa, kappa_p, l_max=l_max, **extra))
     return ("bogoliubov", ("k_prime", "value_re", "value_im", "abs_err"),
             [kps, [kern.value.real for kern in kerns], [kern.value.imag for kern in kerns],
              [kern.abs_err for kern in kerns]], ())
 
 
+# ------------------------------------------------------------- the table
+
+def _common(epsilon=None, wavenumber=True, l_max=True) -> list:
+    """The sphere, wavenumber, cutoff and output options the commands share."""
+    opts = [Option("epsilon", float, epsilon, help="relative permittivity (>= 1)"),
+            Option("radius", float, 1.0, help="sphere radius R (default 1)")]
+    if wavenumber:
+        opts += [Option("q", float, help="size parameter q = k R"),
+                 Option("k", float, help="vacuum wavenumber")]
+    if l_max:
+        opts.append(Option("l_max", int, help="multipole cutoff override"))
+    return opts + [Option("format", default="csv", choices=("csv", "json")),
+                   Option("output", help="output file path")]
+
+
+_DIRECTION = Option("direction", default="outgoing", choices=("outgoing", "incoming"))
+
+# name: (function, help, options). Each option is declared here only: its
+# flag, config-file field, cast, default, choices and echo all derive from it.
 _COMMANDS = {
-    "phase-shifts": cmd_phase_shifts,
-    "palpha-scan": cmd_palpha_scan,
-    "field-map": cmd_field_map,
-    "cross-section": cmd_cross_section,
-    "diff-cross-section": cmd_diff_cross_section,
-    "g2-map": cmd_g2_map,
-    "bogoliubov": cmd_bogoliubov,
+    "phase-shifts": (cmd_phase_shifts, "Mie phase-shift table per channel", _common()),
+    "palpha-scan": (cmd_palpha_scan, "scattered power fraction over a q grid", [
+        *_common(wavenumber=False, l_max=False),
+        Option("q_min", float), Option("q_max", float), Option("q_steps", int),
+        Option("channels", default=_FIG_CHANNELS, help=f"comma list, default {_FIG_CHANNELS}")]),
+    "field-map": (cmd_field_map, "planar |S/k|^2 map of one eigenmode", [
+        *_common(l_max=False),
+        Option("channel", default="TM:1", help="mode channel, e.g. TM:1"),
+        Option("m", int, 0), _DIRECTION,
+        Option("plane", default="xz", choices=("xy", "xz", "yz")),
+        Option("half_width", float, 4.0, help="half extent in units of R"),
+        Option("points", int, 41, help="grid points per axis")]),
+    "cross-section": (cmd_cross_section, "total cross section by channel", _common()),
+    "diff-cross-section": (cmd_diff_cross_section, "differential cross section scan", [
+        *_common(),
+        Option("g", int, 1, help="incident polarization index"),
+        Option("incident_theta", float, 0.0), Option("incident_phi", float, 0.0),
+        Option("n_theta", int, 91), Option("detector_phi", float, 0.0)]),
+    "g2-map": (cmd_g2_map, "two-photon correlation map over azimuths", [
+        *_common(epsilon=2.1),
+        Option("n_phi", int, 64), Option("theta1", float, math.pi / 4.0),
+        Option("theta2", float, 3.0 * math.pi / 4.0),
+        Option("pol_i", default="z", choices=("x", "y", "z")),
+        Option("pol_j", default="z", choices=("x", "y", "z")),
+        Option("r_detector", float)]),
+    "bogoliubov": (cmd_bogoliubov, "coupling-kernel scan over |k'|", [
+        *_common(),
+        Option("kind", default="B", choices=tuple(_KERNELS)),
+        Option("kp_min", float), Option("kp_max", float), Option("kp_steps", int),
+        Option("kp_theta", float, 1.0), Option("kp_phi", float, 0.7),
+        Option("g", int, 1, help="polarization of the fixed mode"),
+        Option("gp", int, 2, help="polarization of the scanned mode"), _DIRECTION]),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone when it names one."""
     parser = argparse.ArgumentParser(
         prog="qmie",
         description="Datasets for quantized Lorenz-Mie scattering off a "
                     "lossless dielectric sphere.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, wavenumber=True, l_max=True):
-        p.add_argument("--epsilon", type=float, help="relative permittivity (>= 1)")
-        p.add_argument("--radius", type=float, help="sphere radius R (default 1)")
-        if wavenumber:
-            p.add_argument("--q", type=float, help="size parameter q = k R")
-            p.add_argument("--k", type=float, help="vacuum wavenumber")
-        if l_max:
-            p.add_argument("--l-max", type=int, dest="l_max", help="multipole cutoff override")
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # a parser of one command still shows them all in its usage line
+    every = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in names:
+        _, help_text, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for opt in options:
+            flags = ["--" + opt.name.replace("_", "-")] + (["-o"] if opt.name == "output" else [])
+            p.add_argument(*flags, dest=opt.name, type=opt.cast, choices=opt.choices,
+                           help=opt.help)
         p.add_argument("--config", help="JSON config file; flags take precedence")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--output", "-o", help="output file path")
-
-    p = sub.add_parser("phase-shifts", help="Mie phase-shift table per channel")
-    common(p)
-
-    p = sub.add_parser("palpha-scan", help="scattered power fraction over a q grid")
-    common(p, wavenumber=False, l_max=False)
-    p.add_argument("--q-min", type=float, dest="q_min")
-    p.add_argument("--q-max", type=float, dest="q_max")
-    p.add_argument("--q-steps", type=int, dest="q_steps")
-    p.add_argument("--channels", help=f"comma list, default {_FIG_CHANNELS}")
-
-    p = sub.add_parser("field-map", help="planar |S/k|^2 map of one eigenmode")
-    common(p, l_max=False)
-    p.add_argument("--channel", help="mode channel, e.g. TM:1")
-    p.add_argument("--m", type=int)
-    p.add_argument("--direction", choices=("outgoing", "incoming"))
-    p.add_argument("--plane", choices=("xy", "xz", "yz"))
-    p.add_argument("--half-width", type=float, dest="half_width",
-                   help="half extent in units of R")
-    p.add_argument("--points", type=int, help="grid points per axis")
-
-    p = sub.add_parser("cross-section", help="total cross section by channel")
-    common(p)
-
-    p = sub.add_parser("diff-cross-section", help="differential cross section scan")
-    common(p)
-    p.add_argument("--g", type=int, help="incident polarization index")
-    p.add_argument("--incident-theta", type=float, dest="incident_theta")
-    p.add_argument("--incident-phi", type=float, dest="incident_phi")
-    p.add_argument("--n-theta", type=int, dest="n_theta")
-    p.add_argument("--detector-phi", type=float, dest="detector_phi")
-
-    p = sub.add_parser("g2-map", help="two-photon correlation map over azimuths")
-    common(p)
-    p.add_argument("--n-phi", type=int, dest="n_phi")
-    p.add_argument("--theta1", type=float)
-    p.add_argument("--theta2", type=float)
-    p.add_argument("--pol-i", dest="pol_i")
-    p.add_argument("--pol-j", dest="pol_j")
-    p.add_argument("--r-detector", type=float, dest="r_detector")
-
-    p = sub.add_parser("bogoliubov", help="coupling-kernel scan over |k'|")
-    common(p)
-    p.add_argument("--kind", choices=("V", "B", "A_offdiag"))
-    p.add_argument("--kp-min", type=float, dest="kp_min")
-    p.add_argument("--kp-max", type=float, dest="kp_max")
-    p.add_argument("--kp-steps", type=int, dest="kp_steps")
-    p.add_argument("--kp-theta", type=float, dest="kp_theta")
-    p.add_argument("--kp-phi", type=float, dest="kp_phi")
-    p.add_argument("--g", type=int, help="polarization of the fixed mode")
-    p.add_argument("--gp", type=int, help="polarization of the scanned mode")
-    p.add_argument("--direction", choices=("outgoing", "incoming"))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    run, _, options = _COMMANDS[args.command]
     output = None
     try:
-        res = Resolver(args)
-        fmt = res.get("format", default="csv")
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"format: {fmt!r} not one of csv, json")
-        output = res.get("output")
+        res = Resolver(args, options)
+        output = res["output"]
         if not output:
             raise ConfigError("output: required")
-        command, names, columns, notes = _COMMANDS[args.command](res)
+        command, names, columns, notes = run(res)
         _require_finite(command, names, columns)
-        text = _render(fmt, command, res.effective, names, columns, notes)
+        text = _render(res["format"], command, res.effective, names, columns, notes)
         _write_atomic(output, text)
     except (ConfigError, DomainError, PoleExcludedError, ResourceLimitError) as exc:
         print(f"qmie: config error: {exc}", file=sys.stderr)

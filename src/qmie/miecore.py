@@ -60,9 +60,10 @@ class ChannelIndex:
     def __post_init__(self) -> None:
         if self.p not in POLARIZATIONS:
             raise DomainError(f"polarization {self.p!r} not in {POLARIZATIONS}")
-        if self.l != int(self.l) or self.l < 1:
-            raise DomainError(f"multipole order l={self.l} must be an integer >= 1")
-        object.__setattr__(self, "l", int(self.l))
+        l = specfun._as_integer(self.l, "multipole order l")
+        if l < 1:
+            raise DomainError(f"multipole order l={l} must be an integer >= 1")
+        object.__setattr__(self, "l", l)
 
 
 @dataclass(frozen=True)
@@ -165,9 +166,9 @@ def phase_table(spec: SphereSpec, q, l_max: int) -> PhaseTable:
     """
     qs, q_list = _size_parameters(q)
     eps = spec.epsilon
-    if l_max != int(l_max) or l_max < 1:
+    l_max = specfun._as_integer(l_max, "l_max")
+    if l_max < 1:
         raise DomainError(f"l_max={l_max} must be an integer >= 1")
-    l_max = int(l_max)
     n = len(q_list)
     # alpha, beta, gamma, sin_phi, cos_phi, phi, sin_mantissa; column l = 0
     # is neutral

@@ -48,15 +48,14 @@ class SphericalModeIndex:
     direction: str = "outgoing"
 
     def __post_init__(self) -> None:
-        if self.m != int(self.m):
-            raise DomainError(f"m={self.m} must be an integer")
-        if abs(self.m) > self.channel.l:
-            raise DomainError(f"|m|={abs(self.m)} exceeds l={self.channel.l}")
+        m = specfun._as_integer(self.m, "m")
+        if abs(m) > self.channel.l:
+            raise DomainError(f"|m|={abs(m)} exceeds l={self.channel.l}")
         if not (math.isfinite(self.k) and self.k > 0.0):
             raise DomainError(f"wavenumber k={self.k} must be finite and positive")
         if self.direction not in DIRECTIONS:
             raise DomainError(f"direction {self.direction!r} not in {DIRECTIONS}")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "k", float(self.k))
 
 

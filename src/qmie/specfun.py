@@ -109,20 +109,32 @@ def _as_angles(point) -> tuple[float, float]:
     return point.theta, point.phi
 
 
+def _as_integer(value, name: str) -> int:
+    """value as an int, or DomainError when it is not integral (NaN, inf)."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name}={value} must be an integer")
+
+
 def _check_degree(l: int, m) -> int:
-    if m != int(m) or abs(m) > l:
+    m = _as_integer(m, "m")
+    if abs(m) > l:
         raise DomainError(f"m={m} must be an integer with |m| <= l={l}")
-    return int(m)
+    return m
 
 
 def _check_order(l_max: int) -> int:
-    if l_max != int(l_max) or l_max < 0:
+    l_max = _as_integer(l_max, "order")
+    if l_max < 0:
         raise DomainError(f"order must be a non-negative integer, got {l_max}")
     if l_max > HARD_CAP_LMAX:
         raise ResourceLimitError(
             f"l_max={l_max} exceeds the hard cap {HARD_CAP_LMAX}"
         )
-    return int(l_max)
+    return l_max
 
 
 def _ln_double_factorial_odd(l: int) -> float:

@@ -1,5 +1,6 @@
 """Command-line surface: determinism, formats, exit codes, config handling."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +197,108 @@ def test_config_integral_float_is_an_integer_and_boolean_no_number(tmp_path, cap
         assert f"{field}: True is not a number" in capsys.readouterr().err
 
 
+STRING_FIELDS = [(command, opt.name) for command, (_, _, options) in cli._COMMANDS.items()
+                 for opt in options if opt.cast is str]
+
+
+@pytest.mark.parametrize("value", [5, [1, 0, 0]])
+@pytest.mark.parametrize("command,field", STRING_FIELDS)
+def test_config_string_field_takes_only_a_json_string(tmp_path, capsys, command, field, value):
+    # a number would fail deep inside a command; a list would be echoed with
+    # spaces that split the config line
+    cfg, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+    cfg.write_text(json.dumps({"epsilon": 2.1, "q": 1.0, field: value}))
+    argv = [command, "--config", str(cfg)] + ([] if field == "output" else ["-o", str(out)])
+    assert run(argv) == 2
+    assert f"{field}: {value!r} is not a string" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value", [("plane", "ab"), ("kind", "W"), ("pol_i", "q"),
+                                         ("format", "xml"), ("direction", "sideways")])
+def test_config_choices_are_checked_like_flags(tmp_path, capsys, field, value):
+    command = {"plane": "field-map", "kind": "bogoliubov", "pol_i": "g2-map",
+               "format": "phase-shifts", "direction": "field-map"}[field]
+    cfg, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+    cfg.write_text(json.dumps({"epsilon": 2.1, "q": 1.0, field: value}))
+    assert run([command, "--config", str(cfg), "-o", str(out)]) == 2
+    assert f"{field}: {value!r} not one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ------------------------------------------------------------------ parser
+
+def subcommands(parser):
+    action, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def test_parser_holds_the_invoked_command_alone():
+    assert subcommands(cli.build_parser("bogoliubov")) == ["bogoliubov"]
+    everything = ["phase-shifts", "palpha-scan", "field-map", "cross-section",
+                  "diff-cross-section", "g2-map", "bogoliubov"]
+    assert subcommands(cli.build_parser()) == everything
+    assert subcommands(cli.build_parser("frobnicate")) == everything
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_command_help_exits_0(capsys, command):
+    assert run([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: qmie {command} ")
+
+
+# a cheap valid run of each command, as config fields
+ECHO_BASE = {
+    "phase-shifts": {"epsilon": 2.1, "q": 0.5},
+    "palpha-scan": {"epsilon": 2.1, "q_min": 1.0, "q_max": 2.0, "q_steps": 3},
+    "field-map": {"epsilon": 2.1, "q": 1.0, "points": 3},
+    "cross-section": {"epsilon": 2.1, "q": 0.5},
+    "diff-cross-section": {"epsilon": 2.1, "q": 0.5, "n_theta": 3},
+    "g2-map": {"q": 0.5, "n_phi": 2},
+    "bogoliubov": {"epsilon": 2.1, "k": 0.5, "kp_min": 0.6, "kp_max": 0.7, "kp_steps": 1},
+}
+# a valid value, other than the default, of every option of every command
+ECHO_VALUES = {
+    "epsilon": 1.5, "radius": 1.25, "q": 0.75, "k": 0.75, "l_max": 3, "format": "json",
+    "output": "out", "q_min": 1.5, "q_max": 2.5, "q_steps": 2, "channels": "TE:2",
+    "channel": "TE:2", "m": 1, "direction": "incoming", "plane": "xy", "half_width": 2.5,
+    "points": 4, "g": 2, "incident_theta": 0.5, "incident_phi": 0.25, "n_theta": 4,
+    "detector_phi": 1.0, "n_phi": 3, "theta1": 0.5, "theta2": 2.5, "pol_i": "x", "pol_j": "y",
+    "r_detector": 4000.0, "kind": "V", "kp_min": 0.55, "kp_max": 0.65, "kp_steps": 2,
+    "kp_theta": 0.5, "kp_phi": 0.25, "gp": 1,
+}
+DECLARED = [(command, opt.name) for command, (_, _, options) in cli._COMMANDS.items()
+            for opt in options]
+
+
+@pytest.mark.parametrize("command,name", DECLARED)
+def test_flag_and_config_field_echo_alike(tmp_path, monkeypatch, command, name):
+    value = ECHO_VALUES[name]
+    fields = dict(ECHO_BASE[command])
+    if name in ("q", "k"):
+        fields.pop("q", None)
+        fields.pop("k", None)
+    flag = ["--" + name.replace("_", "-"), str(value)]
+    outputs = []
+    for where in ("flag", "file"):
+        (tmp_path / where).mkdir()
+        monkeypatch.chdir(tmp_path / where)
+        given = {name: value} if where == "file" else {}
+        Path("cfg.json").write_text(json.dumps({**fields, **given}))
+        argv = [command, "--config", "cfg.json"]
+        if where == "flag":
+            argv += flag
+        if name != "output":
+            argv += ["-o", "out"]
+        assert run(argv) == 0
+        outputs.append(Path("out").read_bytes())
+    assert outputs[0] == outputs[1]
+    if name == "format":
+        assert json.loads(outputs[0])["config"]["format"] == "json"
+    else:
+        assert f"{name}={cli._fmt(value)}" in config_tokens(tmp_path / "file" / "out")
+
+
 # ----------------------------------------------------------- command output
 
 def test_cross_section_transparent_row(tmp_path):
@@ -360,6 +464,15 @@ def test_l_max_rejected_where_unused(tmp_path, capsys, args):
     assert run(args + ["--l-max", "2", "-o", str(out)]) == 2
     assert "--l-max" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_l_max_replaces_the_default_cutoff(tmp_path):
+    # the default cutoff of q = 474 needs order 512 and is not computed
+    out = tmp_path / "ps.csv"
+    assert run(["phase-shifts", "--epsilon", "2.1", "--q", "474", "--l-max", "10",
+                "-o", str(out)]) == 0
+    assert "l_max=10" in config_tokens(out)
+    assert max(int(r[0]) for r in read_rows(out)) == 10
 
 
 def test_truncation_beyond_hard_cap_names_needed_order(tmp_path, capsys):

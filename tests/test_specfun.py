@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from qmie import specfun
 from qmie.errors import DomainError, ResourceLimitError
+from qmie.miecore import ChannelIndex, SphereSpec, phase_table
+from qmie.modes import SphericalModeIndex
 from quadrature import solid_angle_grid
 
 mpmath.mp.dps = 40
@@ -183,6 +185,25 @@ def test_fractional_m_is_a_domain_error():
             evaluate(2, 1.5, (0.3, 0.2))
     assert specfun.spherical_harmonic(2, -1.0, (0.3, 0.2)) == \
         specfun.spherical_harmonic(2, -1, (0.3, 0.2))
+
+
+ORDER_ENTRY_POINTS = {
+    "ChannelIndex": lambda n: ChannelIndex("TM", n),
+    "SphericalModeIndex": lambda n: SphericalModeIndex(ChannelIndex("TM", 1), n, 1.0),
+    "spherical_harmonic-m": lambda n: specfun.spherical_harmonic(2, n, (0.3, 0.2)),
+    "spherical_harmonic-l": lambda n: specfun.spherical_harmonic(n, 0, (0.3, 0.2)),
+    "spherical_bessel_j": lambda n: specfun.spherical_bessel_j(n, 1.0),
+    "legendre_p": lambda n: specfun.legendre_p(n, 0.5),
+    "phase_table": lambda n: phase_table(SphereSpec(2.1, 1.0), 1.0, n),
+}
+
+
+@pytest.mark.parametrize("order", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(ORDER_ENTRY_POINTS))
+def test_non_finite_order_is_a_domain_error(entry, order):
+    # int(nan) and int(inf) raise ValueError and OverflowError of their own
+    with pytest.raises(DomainError, match="must be an integer"):
+        ORDER_ENTRY_POINTS[entry](order)
 
 
 def test_addition_theorem():
