@@ -18,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modes, specfun
-from .errors import DomainError, PoleExcludedError, ResourceLimitError, ToleranceError
+from .errors import (
+    DomainError,
+    PoleExcludedError,
+    QmieError,
+    ResourceLimitError,
+    ToleranceError,
+)
 from .miecore import SphereSpec, phase_table, truncation_order
 from .modes import PlaneModeIndex
 
@@ -148,16 +154,18 @@ def _resolved_overlaps(l_top: int, a: float, b: float, radius: float, rtol: floa
 
 
 def _angular_sums(kappa: PlaneModeIndex, kappa_prime: PlaneModeIndex,
-                  l_max: int, conjugate_pair: bool):
+                  l_max: int, conjugate_pair: bool, tables=None):
     """Per-(p, l) sums over m of the plane-wave coefficient products.
 
     Normal kinds pair c*(khat) with c(khat'); the counter-rotating kind pairs
     c*(khat) with c*(khat') at mirrored m, picking up the conjugation parity
-    of the vector harmonics: (-1)^(m+1) for TE, (-1)^m for TM. Returns
-    (2, l_max+1) sums indexed [p, l].
+    of the vector harmonics: (-1)^(m+1) for TE, (-1)^m for TM. tables is the
+    (kappa, kappa') pair of coefficient tables at l_max, built here when not
+    given. Returns (2, l_max+1) sums indexed [p, l].
     """
-    (t1, p1), (t2, p2) = kappa.angles, kappa_prime.angles
-    c1, c2 = modes._coefficient_table([t1, t2], [p1, p2], [kappa.g, kappa_prime.g], l_max)
+    if tables is None:
+        tables = _ScanTables(kappa, [kappa_prime], l_max).pair(kappa_prime, l_max)
+    c1, c2 = tables
     if not conjugate_pair:
         return np.einsum("plm,plm->pl", np.conj(c1), c2)
     m = np.arange(-l_max, l_max + 1)
@@ -175,18 +183,20 @@ def _volume_overlap(
     scattered: bool,
     phase_sign: float,
     conjugate_pair: bool,
+    tables=None,
 ):
     """Reduced sphere-volume integral of G*_kappa dotted into the kappa'
     family member: G (scattered=False), F or F* (scattered=True).
 
     Returns (value, abs_err). The reduction is
-    (2/pi) sum_{p,l} M^p_l Phi^p_l T^p_l with M the angular coefficient sums,
-    Phi the interior radial phase factor and T the radial overlaps.
+    (2/pi) sum_{p,l} M^p_l Phi^p_l T^p_l with M the angular coefficient sums
+    (over tables, as in _angular_sums), Phi the interior radial phase factor
+    and T the radial overlaps.
     """
     k = kappa.k
     kp = kappa_prime.k
     b_scale = math.sqrt(spec.epsilon) if scattered else 1.0
-    weight = _angular_sums(kappa, kappa_prime, l_max, conjugate_pair)
+    weight = _angular_sums(kappa, kappa_prime, l_max, conjugate_pair, tables)
     if scattered:
         t = phase_table(spec, kp * spec.radius, l_max)
         weight = weight * t.gamma * np.exp(phase_sign * 1j * t.phi)
@@ -200,6 +210,27 @@ def _volume_overlap(
     total = np.sum(weight[:, 1:] * radial)
     err = np.sum(np.abs(weight[:, 1:]) * radial_err)
     return (2.0 / math.pi) * total, (2.0 / math.pi) * err
+
+
+class _ScanTables:
+    """The coefficient tables of one scan, from one ``modes._coefficient_table``
+    call at the scan's largest cutoff top. Its rows are kappa and each
+    distinct exact (theta, phi, g) among the kappa', so two k' that differ
+    only in |k'| share a row."""
+
+    def __init__(self, kappa: PlaneModeIndex, kappa_primes, top: int):
+        keys = [(*kappa.angles, kappa.g)] + [(*kp.angles, kp.g) for kp in kappa_primes]
+        self.rows = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+        theta, phi, g = zip(*self.rows)
+        self.table = modes._coefficient_table(theta, phi, g, top)
+        self.top = top
+
+    def pair(self, kappa_prime: PlaneModeIndex, l_max: int) -> np.ndarray:
+        """The (kappa, kappa') tables at l_max <= top: rows l <= l_max and
+        columns |m| <= l_max, equal bit for bit to a table built at l_max."""
+        rows = [0, self.rows[(*kappa_prime.angles, kappa_prime.g)]]
+        top = self.top
+        return np.ascontiguousarray(self.table[rows, :, :l_max + 1, top - l_max:top + l_max + 1])
 
 
 def _default_l_max(spec: SphereSpec, kappa, kappa_prime, scattered: bool) -> int:
@@ -217,21 +248,68 @@ def _check_kernel_order(l_max: int) -> int:
     return l_max
 
 
-def _kernel(kind: str, pref: float, spec: SphereSpec, kappa, kappa_prime,
-            l_max, rtol: float, scattered: bool, phase_sign: float,
-            conjugate_pair: bool) -> CouplingKernel:
-    """pref times the reduced volume integral, checked against the kernel
-    order range; exactly zero for a transparent sphere."""
-    if l_max is not None:
-        _check_kernel_order(l_max)
-    if spec.epsilon == 1.0:
-        return CouplingKernel(kappa, kappa_prime, 0.0 + 0.0j, kind, 0.0)
-    if l_max is None:
-        l_max = _check_kernel_order(_default_l_max(spec, kappa, kappa_prime, scattered))
-    val, err = _volume_overlap(
-        spec, kappa, kappa_prime, l_max, rtol, scattered, phase_sign, conjugate_pair
-    )
-    return CouplingKernel(kappa, kappa_prime, pref * val, kind, abs(pref) * err)
+def _prefactor(kind: str, spec: SphereSpec, k: float, kp: float) -> float:
+    """The kernel's prefactor of the reduced volume integral; A_offdiag
+    refuses the pole |k| = |k'|."""
+    if kind == "V":
+        return math.sqrt(k * kp) / 4.0 * (spec.epsilon - 1.0) / spec.epsilon
+    if kind == "B":
+        return -(spec.epsilon - 1.0) / 2.0 * math.sqrt(k * kp) / (k + kp)
+    if abs(k - kp) <= _POLE_RTOL * max(k, kp):
+        raise PoleExcludedError(
+            f"|k| = {k!r} and |k'| = {kp!r} sit on the 1/(|k|-|k'|) pole"
+        )
+    return (spec.epsilon - 1.0) / 2.0 * math.sqrt(k * kp) / (k - kp)
+
+
+def _kernel_scan(kind: str, spec: SphereSpec, kappa: PlaneModeIndex, kappa_primes,
+                 l_max: int | None = None, rtol: float = 1e-11,
+                 direction: str = "outgoing") -> list[CouplingKernel]:
+    """The kernels of one kind ("V", "B" or "A_offdiag") between kappa and
+    each kappa' in turn, exactly zero for a transparent sphere.
+
+    kappa_primes is any iterable, drawn once. Each kappa' is first checked
+    and given its cutoff: l_max when given, or its own default, within the
+    kernel order range. One coefficient table at the largest cutoff then
+    serves every kernel, each reading its slice. A QmieError met while
+    drawing or checking kappa' number i is raised only after the kernels
+    before it are evaluated, so a scan fails where a loop over single
+    kernels would, with the same error.
+    """
+    # V takes no boundary condition; the conjugated F* of B flips the
+    # interior phase factor e^{sign i phi}
+    sign = 0.0 if kind == "V" else _check_direction(direction)
+    scattered, phase_sign, conjugate_pair = {
+        "V": (False, 0.0, False), "B": (True, -sign, True), "A_offdiag": (True, sign, False),
+    }[kind]
+    plans, failure = [], None
+    try:
+        for kappa_prime in kappa_primes:
+            pref = _prefactor(kind, spec, kappa.k, kappa_prime.k)
+            if l_max is not None:
+                _check_kernel_order(l_max)
+            if spec.epsilon == 1.0:
+                cutoff = None
+            elif l_max is None:
+                cutoff = _check_kernel_order(_default_l_max(spec, kappa, kappa_prime, scattered))
+            else:
+                cutoff = l_max
+            plans.append((kappa_prime, pref, cutoff))
+    except QmieError as exc:  # raised below, after the kernels before it
+        failure = exc
+    kernels, tables = [], None
+    if plans and spec.epsilon != 1.0:
+        tables = _ScanTables(kappa, [kp for kp, _, _ in plans], max(c for _, _, c in plans))
+    for kappa_prime, pref, cutoff in plans:
+        if cutoff is None:
+            kernels.append(CouplingKernel(kappa, kappa_prime, 0.0 + 0.0j, kind, 0.0))
+            continue
+        val, err = _volume_overlap(spec, kappa, kappa_prime, cutoff, rtol, scattered,
+                                   phase_sign, conjugate_pair, tables.pair(kappa_prime, cutoff))
+        kernels.append(CouplingKernel(kappa, kappa_prime, pref * val, kind, abs(pref) * err))
+    if failure is not None:
+        raise failure
+    return kernels
 
 
 def coupling_v(
@@ -244,10 +322,7 @@ def coupling_v(
     """Sphere-mediated plane-wave coupling V = (sqrt(w w')/4) v with
     v = ((eps-1)/eps) integral_V G* . G'. Hermitian: V(k,k') = conj(V(k',k)).
     """
-    k, kp = kappa.k, kappa_prime.k
-    pref = math.sqrt(k * kp) / 4.0 * (spec.epsilon - 1.0) / spec.epsilon
-    return _kernel("V", pref, spec, kappa, kappa_prime, l_max, rtol,
-                   scattered=False, phase_sign=0.0, conjugate_pair=False)
+    return _kernel_scan("V", spec, kappa, [kappa_prime], l_max, rtol)[0]
 
 
 def b_coefficient(
@@ -261,12 +336,7 @@ def b_coefficient(
     """Counter-rotating coefficient
     B = -((eps-1)/2) (sqrt(k k')/(k + k')) integral_V G* . F'*.
     """
-    sign = _check_direction(direction)
-    k, kp = kappa.k, kappa_prime.k
-    pref = -(spec.epsilon - 1.0) / 2.0 * math.sqrt(k * kp) / (k + kp)
-    # conjugating F flips the interior phase factor e^{sign i phi} as well
-    return _kernel("B", pref, spec, kappa, kappa_prime, l_max, rtol,
-                   scattered=True, phase_sign=-sign, conjugate_pair=True)
+    return _kernel_scan("B", spec, kappa, [kappa_prime], l_max, rtol, direction)[0]
 
 
 def a_offdiagonal_kernel(
@@ -283,15 +353,7 @@ def a_offdiagonal_kernel(
     The point |k| = |k'| is excluded: its principal-value treatment has no
     stand-alone numeric value outside the full scattering derivation.
     """
-    sign = _check_direction(direction)
-    k, kp = kappa.k, kappa_prime.k
-    if abs(k - kp) <= _POLE_RTOL * max(k, kp):
-        raise PoleExcludedError(
-            f"|k| = {k!r} and |k'| = {kp!r} sit on the 1/(|k|-|k'|) pole"
-        )
-    pref = (spec.epsilon - 1.0) / 2.0 * math.sqrt(k * kp) / (k - kp)
-    return _kernel("A_offdiag", pref, spec, kappa, kappa_prime, l_max, rtol,
-                   scattered=True, phase_sign=sign, conjugate_pair=False)
+    return _kernel_scan("A_offdiag", spec, kappa, [kappa_prime], l_max, rtol, direction)[0]
 
 
 def a_diagonal_channel_sum(

@@ -72,11 +72,11 @@ class Option:
     """One option of one command, declared once. The name gives the config-file
     field and the flag (``--half-width`` from ``half_width``). cast is float,
     int or str; default is echoed when neither flag nor file gives a value;
-    choices bind flags and file values alike."""
+    choices bind flags and file values alike; finite refuses inf and NaN."""
 
-    def __init__(self, name, cast=str, default=None, choices=None, help=None):
+    def __init__(self, name, cast=str, default=None, choices=None, help=None, finite=False):
         self.name, self.cast, self.default = name, cast, default
-        self.choices, self.help = choices, help
+        self.choices, self.help, self.finite = choices, help, finite
 
     def resolve(self, val):
         """val, from a flag, the config file or the default, cast and checked."""
@@ -97,6 +97,8 @@ class Option:
             raise ConfigError(f"{self.name}: cannot interpret {val!r}") from None
         if self.choices and val not in self.choices:
             raise ConfigError(f"{self.name}: {val!r} not one of {', '.join(self.choices)}")
+        if self.finite and not math.isfinite(val):
+            raise ConfigError(f"{self.name}: {val!r} is not finite")
         return val
 
 
@@ -280,9 +282,10 @@ def cmd_cross_section(res: Resolver):
     result = observables.total_cross_section(spec, q, l_max=res["l_max"])
     n = len(result.per_channel)
     return ("cross-section", ("q", "p", "l", "sigma_channel", "sigma_total"),
-            [[q] * n, [ch.p for ch, _ in result.per_channel],
+            [np.full(n, q), [ch.p for ch, _ in result.per_channel],
              [ch.l for ch, _ in result.per_channel],
-             [contrib for _, contrib in result.per_channel], [result.sigma] * n], ())
+             np.array([contrib for _, contrib in result.per_channel]),
+             np.full(n, result.sigma)], ())
 
 
 def cmd_diff_cross_section(res: Resolver):
@@ -322,11 +325,6 @@ def cmd_g2_map(res: Resolver):
             [np.repeat(phis, n_phi), np.tile(phis, n_phi), grid.values.ravel()], ())
 
 
-_KERNELS = {"V": bogoliubov.coupling_v,
-            "B": bogoliubov.b_coefficient,
-            "A_offdiag": bogoliubov.a_offdiagonal_kernel}
-
-
 def cmd_bogoliubov(res: Resolver):
     spec = res.sphere()
     _, k = res.wavenumber(spec.radius)
@@ -338,15 +336,14 @@ def cmd_bogoliubov(res: Resolver):
         raise ConfigError(f"k' range [{kp_min}, {kp_max}] is empty or invalid")
     _check_rows("bogoliubov", steps)
     kappa = PlaneModeIndex(res["g"], (0.0, 0.0, k))
-    # V takes no boundary condition
-    extra = {} if kind == "V" else {"direction": res["direction"]}
-    kps, kerns = np.linspace(kp_min, kp_max, steps), []
-    for kp in kps:
-        kvec = (kp * math.sin(kp_theta) * math.cos(kp_phi),
-                kp * math.sin(kp_theta) * math.sin(kp_phi),
-                kp * math.cos(kp_theta))
-        kappa_p = PlaneModeIndex(res["gp"], kvec)
-        kerns.append(_KERNELS[kind](spec, kappa, kappa_p, l_max=l_max, **extra))
+    kps = np.linspace(kp_min, kp_max, steps)
+    # drawn one at a time, so a k' that cannot be labelled fails in its place
+    kappa_ps = (PlaneModeIndex(res["gp"], (kp * math.sin(kp_theta) * math.cos(kp_phi),
+                                           kp * math.sin(kp_theta) * math.sin(kp_phi),
+                                           kp * math.cos(kp_theta))) for kp in kps)
+    # one scan: one coefficient table for every k'; V ignores the direction
+    kerns = bogoliubov._kernel_scan(kind, spec, kappa, kappa_ps, l_max=l_max,
+                                    direction=res["direction"])
     return ("bogoliubov", ("k_prime", "value_re", "value_im", "abs_err"),
             [kps, [kern.value.real for kern in kerns], [kern.value.imag for kern in kerns],
              [kern.abs_err for kern in kerns]], ())
@@ -369,6 +366,12 @@ def _common(epsilon=None, wavenumber=True, l_max=True) -> list:
 
 _DIRECTION = Option("direction", default="outgoing", choices=("outgoing", "incoming"))
 
+
+def _angle(name: str, default: float) -> Option:
+    """An angle in radians: any finite value, refused before any trigonometry."""
+    return Option(name, float, default, finite=True)
+
+
 # name: (function, help, options). Each option is declared here only: its
 # flag, config-file field, cast, default, choices and echo all derive from it.
 _COMMANDS = {
@@ -388,20 +391,20 @@ _COMMANDS = {
     "diff-cross-section": (cmd_diff_cross_section, "differential cross section scan", [
         *_common(),
         Option("g", int, 1, help="incident polarization index"),
-        Option("incident_theta", float, 0.0), Option("incident_phi", float, 0.0),
-        Option("n_theta", int, 91), Option("detector_phi", float, 0.0)]),
+        _angle("incident_theta", 0.0), _angle("incident_phi", 0.0),
+        Option("n_theta", int, 91), _angle("detector_phi", 0.0)]),
     "g2-map": (cmd_g2_map, "two-photon correlation map over azimuths", [
         *_common(epsilon=2.1),
-        Option("n_phi", int, 64), Option("theta1", float, math.pi / 4.0),
-        Option("theta2", float, 3.0 * math.pi / 4.0),
+        Option("n_phi", int, 64), _angle("theta1", math.pi / 4.0),
+        _angle("theta2", 3.0 * math.pi / 4.0),
         Option("pol_i", default="z", choices=("x", "y", "z")),
         Option("pol_j", default="z", choices=("x", "y", "z")),
         Option("r_detector", float)]),
     "bogoliubov": (cmd_bogoliubov, "coupling-kernel scan over |k'|", [
         *_common(),
-        Option("kind", default="B", choices=tuple(_KERNELS)),
+        Option("kind", default="B", choices=("V", "B", "A_offdiag")),
         Option("kp_min", float), Option("kp_max", float), Option("kp_steps", int),
-        Option("kp_theta", float, 1.0), Option("kp_phi", float, 0.7),
+        _angle("kp_theta", 1.0), _angle("kp_phi", 0.7),
         Option("g", int, 1, help="polarization of the fixed mode"),
         Option("gp", int, 2, help="polarization of the scanned mode"), _DIRECTION]),
 }

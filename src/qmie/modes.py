@@ -261,26 +261,30 @@ def plane_wave_mode(kappa: PlaneModeIndex, point) -> FieldSample:
 
 
 # c^p_{lmg} = i^(l + shift) conj(X_lm . e_component): (component, shift) of
-# the TE and TM tables, for g = 1 and g = 2
+# the TE and TM tables, for g = 1 and g = 2; component 1 is e_theta and 2 is
+# e_phi (X has no radial component)
 _COEFFICIENT_RULE = (((2, 1), (1, -1)), ((1, 0), (2, 0)))
 
 
 def _coefficient_table(theta_k, phi_k, g, l_max: int) -> np.ndarray:
-    """c_{lmg}^p for N propagation directions, each at its own g, from one X block.
+    """c_{lmg}^p for N propagation directions, each at its own g.
 
     Shaped (N, 2, l_max+1, 2 l_max+1) and indexed [n, p, l, m + l_max]
-    with p = 0 for TE and 1 for TM.
+    with p = 0 for TE and 1 for TM. Only the two tangential components of X
+    are formed, not the whole X family. Each entry depends on its direction,
+    g, l and m only: the rows l <= L and columns |m| <= L of a table at
+    l_max >= L are the table at L.
     """
     if l_max < 1:
         raise DomainError(f"l_max={l_max} must be >= 1")
     _, dy, u = specfun.spherical_harmonics_batch(l_max, theta_k, phi_k)
     ls = np.arange(l_max + 1)[:, None]
-    bx = specfun._x_family(ls.astype(float), dy, u)
-    n = np.arange(bx.shape[0])
-    rules = np.array(_COEFFICIENT_RULE)[np.broadcast_to(np.asarray(g) - 1, n.shape)]
-    out = np.empty((n.size, 2) + bx.shape[1:3], dtype=complex)
-    for p, (comp, shift) in enumerate(rules.transpose(1, 2, 0)):
-        out[:, p] = 1j**(ls + shift[:, None, None]) * np.conj(bx[n, ..., comp])
+    x_theta, x_phi = specfun._x_components(ls, dy, u)
+    x = {1: x_theta, 2: x_phi}
+    out = np.empty((dy.shape[0], 2) + dy.shape[1:], dtype=complex)
+    for n, g_n in enumerate(np.broadcast_to(g, dy.shape[:1])):
+        for p, (comp, shift) in enumerate(_COEFFICIENT_RULE[g_n - 1]):
+            np.multiply(1j**(ls + shift), np.conj(x[comp][n]), out=out[n, p])
     return out
 
 

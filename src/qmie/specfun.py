@@ -20,6 +20,7 @@ finite at the poles; nothing is differentiated numerically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -509,6 +510,7 @@ def _as_angle_arrays(theta, phi) -> tuple[np.ndarray, np.ndarray]:
     return theta, np.mod(phi, 2.0 * math.pi)
 
 
+@functools.lru_cache(maxsize=8)
 def _recurrence_tables(l_max: int) -> tuple[np.ndarray, ...]:
     """Per-(l, m) coefficients of the column recurrence and the ladder.
 
@@ -516,7 +518,9 @@ def _recurrence_tables(l_max: int) -> tuple[np.ndarray, ...]:
     a b are indexed [l, m] for m >= 0, a nonzero for m <= l - 1 (at m = l - 1
     exactly sqrt(2l + 1), which gives the off-diagonal P_{m+1}^m) and a b
     for m <= l - 2 (b at (1, 0) is -0.0, a sign the u zeros must not see).
-    up, dn are indexed [l, m + l_max] (zero outside |m| <= l).
+    up, dn are indexed [l, m + l_max] (zero outside |m| <= l); dn at m is up
+    at -m, so dn is the mirrored view of up. Built once per l_max and
+    cached, so the arrays are read-only.
     """
     ls = np.arange(l_max + 1, dtype=float)[:, None]
     ms = np.arange(l_max + 1, dtype=float)[None, :]
@@ -526,12 +530,11 @@ def _recurrence_tables(l_max: int) -> tuple[np.ndarray, ...]:
     ab = np.where(ms <= ls - 2.0, a * b, 0.0)
     a = np.where(ms <= ls - 1.0, a, 0.0)
     m = np.arange(-l_max, l_max + 1, dtype=float)[None, :]
-    live = np.abs(m) <= ls
-    up = np.where(live & (m + 1.0 <= ls),
+    up = np.where((np.abs(m) <= ls) & (m + 1.0 <= ls),
                   np.sqrt(np.maximum((ls - m) * (ls + m + 1.0), 0.0)), 0.0)
-    dn = np.where(live & (m - 1.0 >= -ls),
-                  np.sqrt(np.maximum((ls + m) * (ls - m + 1.0), 0.0)), 0.0)
-    return a, ab, up, dn
+    for table in (a, ab, up):
+        table.setflags(write=False)
+    return a, ab, up, up[:, ::-1]
 
 
 def _legendre_seeds(theta: np.ndarray, m_top: int) -> np.ndarray:
@@ -634,15 +637,22 @@ def _complete(pu: np.ndarray, phases, em, ep, up, dn) -> np.ndarray:
     return out
 
 
-def _x_family(ls: np.ndarray, dy, u):
-    """X from dY/dtheta and mY/sin(theta) at orders ``ls``, as in _vector_families."""
+def _x_components(ls: np.ndarray, dy, u):
+    """X . e_theta and X . e_phi from dY/dtheta and mY/sin(theta) at orders
+    ``ls``; X . e_r is zero."""
     live = ls > 0
     # l = 0 divides by one instead of zero; the mask then clears those rows
     s = np.where(live, np.sqrt(ls * (ls + 1.0)), 1.0)
+    x_theta, x_phi = -u / s, -1j * dy / s
+    x_theta *= live
+    x_phi *= live
+    return x_theta, x_phi
+
+
+def _x_family(ls: np.ndarray, dy, u):
+    """X from dY/dtheta and mY/sin(theta) at orders ``ls``, as in _vector_families."""
     x = np.zeros(dy.shape + (3,), dtype=complex)
-    x[..., 1] = -u / s
-    x[..., 2] = -1j * dy / s
-    x *= live[..., None]
+    x[..., 1], x[..., 2] = _x_components(ls, dy, u)
     return x
 
 

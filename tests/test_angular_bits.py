@@ -129,3 +129,18 @@ def test_block_and_contraction_share_one_row_recurrence(monkeypatch):
     specfun.spherical_harmonics_contract(4, theta, phi, w)
     specfun.vector_harmonics_contract(4, theta, phi, w)
     assert calls == [(4, 5, 5)] * 2 + [(2, 5, 3)] * 2
+
+
+def test_recurrence_tables_are_cached_read_only():
+    specfun._recurrence_tables.cache_clear()
+    tables = specfun._recurrence_tables(40)
+    assert specfun._recurrence_tables(40) is tables
+    assert not any(t.flags.writeable for t in tables)
+    # dn at m is up at -m: the mirrored view equals the ladder formula bit for bit
+    up, dn = tables[2], tables[3]
+    ls = np.arange(41, dtype=float)[:, None]
+    m = np.arange(-40, 41, dtype=float)[None, :]
+    ref = np.where((np.abs(m) <= ls) & (m - 1.0 >= -ls),
+                   np.sqrt(np.maximum((ls + m) * (ls - m + 1.0), 0.0)), 0.0)
+    assert np.array_equal(dn.view(np.int64), ref.view(np.int64))
+    assert np.shares_memory(up, dn)

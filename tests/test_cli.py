@@ -700,3 +700,58 @@ def test_rows_above_cap_are_refused_before_allocation(tmp_path, monkeypatch, cap
     assert run(args + [str(largest + 1), "-o", str(out)]) == 2
     assert f"exceed the cap of {cli.MAX_ROWS} rows" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ------------------------------------------------------------- angle options
+
+ANGLE_ARGS = {
+    "theta1": ["g2-map", "--k", "1.0", "--n-phi", "2"],
+    "theta2": ["g2-map", "--k", "1.0", "--n-phi", "2"],
+    "incident_theta": ["diff-cross-section", "--epsilon", "2.1", "--q", "0.5"],
+    "incident_phi": ["diff-cross-section", "--epsilon", "2.1", "--q", "0.5"],
+    "detector_phi": ["diff-cross-section", "--epsilon", "2.1", "--q", "0.5"],
+    "kp_theta": ["bogoliubov", "--epsilon", "2.1", "--k", "0.5", "--kp-min", "0.6",
+                 "--kp-max", "0.9", "--kp-steps", "2"],
+    "kp_phi": ["bogoliubov", "--epsilon", "2.1", "--k", "0.5", "--kp-min", "0.6",
+               "--kp-max", "0.9", "--kp-steps", "2"],
+}
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+@pytest.mark.parametrize("option", sorted(ANGLE_ARGS))
+def test_infinite_angle_exits_2_before_any_math(tmp_path, monkeypatch, capsys, option, value):
+    def refuse(*args):
+        raise AssertionError("trigonometry reached")
+
+    # the commands' own trigonometry runs on math.sin and math.cos
+    monkeypatch.setattr(cli.math, "sin", refuse)
+    monkeypatch.setattr(cli.math, "cos", refuse)
+    out = tmp_path / "x.csv"
+    # --flag=-inf, since argparse reads a bare -inf as an option
+    flag = "--" + option.replace("_", "-")
+    assert run(ANGLE_ARGS[option] + [f"{flag}={value}", "-o", str(out)]) == 2
+    assert f"config error: {option}: {float(value)!r} is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infinite_angle_in_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"kp_phi": Infinity}')
+    out = tmp_path / "x.csv"
+    assert run(ANGLE_ARGS["kp_phi"] + ["--config", str(cfg), "-o", str(out)]) == 2
+    assert "kp_phi: inf is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cross_section_columns_are_float_arrays():
+    args = build_args(["cross-section", "--epsilon", "2.1", "--q", "3.0", "-o", "x.csv"])
+    res = cli.Resolver(args, cli._COMMANDS["cross-section"][2])
+    _, names, columns, _ = cli.cmd_cross_section(res)
+    cols = dict(zip(names, columns))
+    for name in ("q", "sigma_channel", "sigma_total"):
+        assert isinstance(cols[name], np.ndarray) and cols[name].dtype == np.float64
+    assert len(set(cols["q"].tolist())) == len(set(cols["sigma_total"].tolist())) == 1
+
+
+def build_args(argv):
+    return cli.build_parser(argv[0]).parse_args(argv)
