@@ -17,6 +17,7 @@ from . import specfun
 from .errors import DegenerateChannelError, DomainError, ResourceLimitError
 
 __all__ = [
+    "Q_FLOOR",
     "SphereSpec",
     "ChannelIndex",
     "SizeParams",
@@ -30,6 +31,12 @@ __all__ = [
 ]
 
 POLARIZATIONS = ("TE", "TM")
+
+# Smallest size parameter q = kR a phase table accepts. Below about 5.7e-56
+# one step (2l + 1)/q of the upward y_l recurrence at l <= 511 can carry a
+# value under the sweep's rescaling threshold (1e250) past the float range,
+# giving inf - inf = NaN; below about 1.5e-162, q * q underflows to 0.
+Q_FLOOR = 1e-50
 
 
 @dataclass(frozen=True)
@@ -132,9 +139,9 @@ def _size_parameters(q) -> tuple[np.ndarray, list[float]]:
         raise DomainError(f"q must be a scalar or a non-empty 1-D array, got shape {qs.shape}")
     q_list = qs.reshape(-1).tolist()
     for n, x in enumerate(q_list):
-        if not (math.isfinite(x) and x > 0.0):
+        if not (math.isfinite(x) and x >= Q_FLOOR):
             name = "q" if qs.ndim == 0 else f"q[{n}]"
-            raise DomainError(f"{name}={x} must be finite and positive")
+            raise DomainError(f"{name}={x} must be finite and at least Q_FLOOR={Q_FLOOR}")
     return qs, q_list
 
 
@@ -143,7 +150,8 @@ def phase_table(spec: SphereSpec, q, l_max: int) -> PhaseTable:
 
     q is one size parameter, giving arrays shaped (2, l_max + 1), or a 1-D
     array of N of them, giving (N, 2, l_max + 1). Every entry must be finite
-    and positive (DomainError naming the first bad entry otherwise), and a
+    and at least ``Q_FLOOR`` (DomainError naming the first bad entry
+    otherwise), and a
     2-D or empty q is a DomainError; a degenerate channel raises
     DegenerateChannelError naming its q. The scalar table is the N = 1 slice
     of the array form, and slice [n] of an array table equals

@@ -37,6 +37,9 @@ __all__ = [
 
 DIRECTIONS = ("outgoing", "incoming")
 
+# the smallest normal float
+_TINY = float(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True)
 class SphericalModeIndex:
@@ -72,8 +75,9 @@ class PlaneModeIndex:
         kv = tuple(float(c) for c in self.kvec)
         if len(kv) != 3 or not all(math.isfinite(c) for c in kv):
             raise DomainError("kvec must be a finite 3-vector")
-        if kv == (0.0, 0.0, 0.0):
-            raise DomainError("kvec must be nonzero")
+        if sum(c * c for c in kv) < _TINY:
+            # |k| and the direction kz/|k| would come from a subnormal or 0
+            raise DomainError(f"kvec={kv} must be nonzero, and |kvec|^2 must not underflow")
         object.__setattr__(self, "kvec", kv)
 
     @property

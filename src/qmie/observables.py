@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import modes
+from . import modes, specfun
 from .errors import ConsistencyError, DomainError
 from .miecore import (POLARIZATIONS, ChannelIndex, SphereSpec, phase_shift, phase_table,
                       truncation_order)
@@ -88,29 +88,14 @@ def _require_elastic(kappa_out: PlaneModeIndex, kappa_in: PlaneModeIndex) -> flo
     return k_in
 
 
-def p_alpha(spec: SphereSpec, q: float, channel: ChannelIndex, method: str = "phase") -> float:
+def p_alpha(spec: SphereSpec, q: float, channel: ChannelIndex) -> float:
     """Scattered far-field power fraction P_alpha = sin^2 phi of one channel.
 
-    method "phase" uses the channel phase shift; "quadrature" integrates
-    |S_sc|^2 numerically over the far-field sphere as a cross-check route.
+    It equals (pi/2) r^2 times the integral of |S_sc|^2 of the channel's
+    m = 0 mode over a far-field sphere of radius r; the tests check that
+    with a solid-angle quadrature.
     """
-    if method == "phase":
-        return phase_shift(spec, q, channel).sin_phi ** 2
-    if method != "quadrature":
-        raise DomainError(f"method {method!r} not in ('phase', 'quadrature')")
-    k = q / spec.radius
-    r = 1e3 / k
-    n_theta, n_phi = 24, 28
-    mu, w_mu = np.polynomial.legendre.leggauss(n_theta)
-    thetas = np.arccos(mu)
-    phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
-    mode = modes.SphericalModeIndex(channel, 0, k)
-    st, ct = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
-    pts = r * np.stack(np.broadcast_arrays(st * np.cos(phis), st * np.sin(phis), ct), axis=-1)
-    v = modes.scattered_part(spec, mode, pts.reshape(-1, 3)).value
-    power = np.real(np.einsum("nc,nc->n", np.conj(v), v)).reshape(n_theta, n_phi)
-    acc = float(np.sum(w_mu[:, None] * (2.0 * math.pi / n_phi) * power))
-    return (math.pi / 2.0) * r * r * acc
+    return phase_shift(spec, q, channel).sin_phi ** 2
 
 
 def _amplitudes(spec: SphereSpec, kappa_in: PlaneModeIndex, theta, phi, l_max: int | None):
@@ -154,23 +139,34 @@ def total_cross_section(spec: SphereSpec, q: float, l_max: int | None = None) ->
     """Total elastic cross section, computed two ways and cross-checked.
 
     The addition-theorem form (2 pi/k^2) sum (2l+1) sin^2 phi is returned;
-    the angular-coefficient form built from plane-wave multipole content must
-    agree to 1e-9 relative or a consistency error is raised.
+    the angular-coefficient form 16 pi^2/k^2 sum_plm |c_lmg^p sin phi|^2,
+    built from the plane-wave multipole content of one incoming label, must
+    agree to 1e-9 relative or a consistency error is raised. Both forms read
+    the same phase table, so the check guards the harmonic normalization:
+    the vector addition theorem sum_m |c_lmg^p|^2 = (2l+1)/(8 pi) at every
+    order l, through the Legendre seeds, recurrence and ladder. It stops at
+    the last order whose sin phi is not exactly 0 in either polarization
+    (NaN counts as nonzero, and fails the check); past it every term is 0.
     """
     if l_max is None:
         l_max = truncation_order(q)
     k = q / spec.radius
-    sin2 = phase_table(spec, q, l_max).sin_phi ** 2
+    sin_phi = phase_table(spec, q, l_max).sin_phi
+    sin2 = sin_phi ** 2
     contrib = (2.0 * math.pi / (k * k)) * (2 * np.arange(l_max + 1) + 1) * sin2
     per_channel = tuple((ChannelIndex(p, l), float(contrib[i, l]))
                         for i, p in enumerate(POLARIZATIONS) for l in range(1, l_max + 1))
     sigma = sum(c for _, c in per_channel)
-    # independent route: 16 pi^2/k^2 sum_plm |c_{lmg} sin(phi)|^2 for one
-    # concrete incoming label (any direction and g; the sum is isotropic)
-    kappa = PlaneModeIndex(1, (0.48 * k, 0.36 * k, 0.8 * k))
-    th, pp = kappa.angles
-    tables = modes._coefficient_table(th, pp, kappa.g, l_max)[0]
-    angular = 16.0 * math.pi**2 / (k * k) * float(np.sum(np.abs(tables) ** 2 * sin2[..., None]))
+    # independent route: sum_m |c_lmg^p|^2 for one concrete incoming label
+    # (any direction and g; the sum is isotropic), here g = 1 at cos theta =
+    # 0.8, read from the Legendre rows as sum_m |X . e_phi|^2 (TE) and
+    # |X . e_theta|^2 (TM)
+    live = np.flatnonzero(np.any(sin_phi != 0.0, axis=0))
+    angular = 0.0
+    if live.size:
+        l_live = int(live[-1])
+        norms = specfun._tangential_norms(l_live, math.acos(0.8))
+        angular = 16.0 * math.pi**2 / (k * k) * float(np.sum(norms * sin2[:, :l_live + 1]))
     # written so that NaN on either side fails the check
     if not abs(angular - sigma) <= 1e-9 * max(sigma, 1e-300):
         raise ConsistencyError(

@@ -637,6 +637,35 @@ def _complete(pu: np.ndarray, phases, em, ep, up, dn) -> np.ndarray:
     return out
 
 
+def _tangential_norms(l_max: int, theta: float) -> np.ndarray:
+    """sum over |m| <= l of |dY_l^m/dtheta|^2 and of |m Y_l^m/sin(theta)|^2,
+    each over l (l + 1), for l = 0..l_max at one polar angle: (2, l_max + 1).
+
+    Row 0 is |X . e_phi|^2 summed over m, row 1 |X . e_theta|^2; row l = 0
+    is zero. Neither depends on phi: in the ladder of ``_complete`` both
+    phase factors reduce to e^{i m phi}, so with P_l^{-1} = -P_l^1
+    2 |dY_l^m| = |up P_l^{m+1} - dn P_l^{m-1}|, and |m Y/sin(theta)| = |u|.
+    Column -m mirrors m, so the sums run over m >= 0 in real arithmetic,
+    with weight 2 for m >= 1. The vector addition theorem makes each entry
+    (2l + 1)/(8 pi) at every theta.
+    """
+    a, ab, up, dn = _recurrence_tables(l_max)
+    rows = np.zeros((l_max + 1, 2, 1, l_max + 2))
+    for _ in _legendre_rows(np.array([float(theta)]), l_max, l_max + 1, a, ab, rows):
+        pass
+    p, u = rows[:, 0, 0], rows[:, 1, 0, :-1]
+    # P_l^{m-1} for m = 0..l_max, with P_l^{-1} = -P_l^1; column l_max + 1
+    # of p is the vanishing P_l^{m+1} at m = l_max
+    lower = np.concatenate([-p[:, 1:2], p[:, :-2]], axis=1)
+    dy = up[:, l_max:] * p[:, 1:] - dn[:, l_max:] * lower
+    weight = np.full(l_max + 1, 2.0)
+    weight[0] = 1.0
+    sums = np.stack([0.25 * (dy * dy) @ weight, (u * u) @ weight])
+    ls = np.arange(1, l_max + 1)
+    sums[:, 1:] /= ls * (ls + 1.0)
+    return sums
+
+
 def _x_components(ls: np.ndarray, dy, u):
     """X . e_theta and X . e_phi from dY/dtheta and mY/sin(theta) at orders
     ``ls``; X . e_r is zero."""

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmie
-from qmie import cli, modes, observables
+from qmie import cli, modes, observables, specfun
 from qmie.miecore import ChannelIndex, SphereSpec, phase_shift
 from mie_oracle import qsca
 
@@ -363,6 +363,36 @@ def test_huge_radius_exits_2_at_once(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["cross-section", "--epsilon", "2.1", "--q", "1e-60"],
+    ["cross-section", "--epsilon", "2.1", "--q", "1e-150"],
+    ["cross-section", "--epsilon", "2.1", "--q", "1e-170"],
+    ["phase-shifts", "--epsilon", "2.1", "--q", "1e-60"],
+    ["palpha-scan", "--epsilon", "2.1", "--q-min", "1e-60", "--q-max", "1", "--q-steps", "3"],
+])
+def test_q_below_the_floor_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert run(argv + ["-o", str(out)]) == 2
+    assert "Q_FLOOR" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["diff-cross-section", "--epsilon", "2.1", "--q", "1e-170"],
+    ["g2-map", "--k", "1e-170"],
+    ["bogoliubov", "--epsilon", "2.1", "--k", "1e-170", "--kind", "B",
+     "--kp-min", "0.5", "--kp-max", "1", "--kp-steps", "2"],
+    ["bogoliubov", "--epsilon", "2.1", "--k", "0.5", "--kind", "B",
+     "--kp-min", "5e-324", "--kp-max", "1", "--kp-steps", "2"],
+])
+def test_underflowing_wavevector_exits_2(tmp_path, capsys, argv):
+    # |k|^2 underflows: the plane-wave label is refused, not divided by 0
+    out = tmp_path / "out.csv"
+    assert run(argv + ["-o", str(out)]) == 2
+    assert "underflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diff_cross_section_scan(tmp_path):
     out = tmp_path / "ds.csv"
     assert run(["diff-cross-section", "--epsilon", "2.1", "--q", "1.0",
@@ -514,11 +544,21 @@ def test_non_finite_data_exits_3_without_file(tmp_path, monkeypatch, capsys):
 
 
 def test_cross_section_nan_self_check_exits_3(tmp_path, monkeypatch):
-    real = modes._coefficient_table
-    monkeypatch.setattr(observables.modes, "_coefficient_table",
+    real = specfun._tangential_norms
+    monkeypatch.setattr(observables.specfun, "_tangential_norms",
                         lambda *args: real(*args) * math.nan)
     out = tmp_path / "cs.csv"
     assert run(["cross-section", "--epsilon", "2.1", "--q", "1.0", "-o", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_cross_section_broken_normalization_exits_3(tmp_path, monkeypatch):
+    # Legendre seeds off by 1e-6: the self-check, not the data, catches it
+    real = specfun._legendre_seeds
+    monkeypatch.setattr(specfun, "_legendre_seeds",
+                        lambda theta, m_top: real(theta, m_top) * (1.0 + 1e-6))
+    out = tmp_path / "cs.csv"
+    assert run(["cross-section", "--epsilon", "2.1", "--q", "150.2", "-o", str(out)]) == 3
     assert not out.exists()
 
 

@@ -44,6 +44,21 @@ def test_mode_index_validation():
         modes.PlaneModeIndex(1, (0, 0, 0))
 
 
+
+@pytest.mark.parametrize("kvec", [(0.0, 0.0, 1e-170), (5e-324, 0.0, 0.0),
+                                  (1e-160, -1e-160, 1e-160)])
+def test_plane_mode_index_rejects_an_underflowing_norm(kvec):
+    with pytest.raises(DomainError, match="underflow"):
+        modes.PlaneModeIndex(1, kvec)
+
+
+def test_plane_mode_index_keeps_its_norm_and_direction_near_the_edge():
+    # |k|^2 = 1e-300 is a normal float: accepted, with k = sqrt(sum c^2)
+    kap = modes.PlaneModeIndex(1, (0.0, 0.0, 1e-150))
+    assert kap.k == math.sqrt(1e-150 * 1e-150)
+    assert kap.angles == (0.0, 0.0)
+
+
 # --------------------------------------------------------- radial function
 
 def test_radial_transparent_sphere_is_bessel():

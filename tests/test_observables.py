@@ -1,5 +1,6 @@
 """Scattering amplitudes, cross sections, S-matrix channels and g2 maps."""
 
+import dataclasses
 import math
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 
 from qmie import modes, observables, specfun
 from qmie.errors import ConsistencyError, DomainError
-from qmie.miecore import ChannelIndex, SphereSpec, phase_shift, truncation_order
+from qmie.miecore import ChannelIndex, SphereSpec, phase_shift, phase_table, truncation_order
 from qmie.modes import PlaneModeIndex
 from mie_oracle import amplitude_s12, mie_ab
 from quadrature import solid_angle_grid
@@ -40,11 +41,19 @@ def test_p_alpha_small_q_closed_form():
 
 
 def test_p_alpha_quadrature_route_agrees():
-    val_p = observables.p_alpha(SPEC, 1.0, ChannelIndex("TM", 1))
-    val_q = observables.p_alpha(SPEC, 1.0, ChannelIndex("TM", 1), method="quadrature")
-    assert val_q == pytest.approx(val_p, rel=1e-4)
-    with pytest.raises(DomainError):
-        observables.p_alpha(SPEC, 1.0, ChannelIndex("TM", 1), method="guess")
+    # P_alpha = (pi/2) r^2 int |S_sc|^2 dOmega over a far-field sphere: the
+    # scattered part of the channel's m = 0 eigenmode integrated on a
+    # 24 x 28 solid-angle grid at k r = 1e3
+    q, ch = 1.0, ChannelIndex("TM", 1)
+    k = q / SPEC.radius
+    r = 1e3 / k
+    theta, phi, w = solid_angle_grid(24, 28)
+    pts = r * np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                        np.cos(theta)], axis=-1)
+    v = modes.scattered_part(SPEC, modes.SphericalModeIndex(ch, 0, k), pts).value
+    power = np.real(np.einsum("nc,nc->n", np.conj(v), v))
+    val_q = (math.pi / 2.0) * r * r * float(np.sum(w * power))
+    assert val_q == pytest.approx(observables.p_alpha(SPEC, q, ch), rel=1e-4)
 
 
 # ------------------------------------------------------ scattering amplitude
@@ -352,11 +361,99 @@ def test_g2_default_detector_radius_does_not_warn():
 
 def test_cross_section_guard_catches_nan(monkeypatch):
     # NaN fails every comparison, so the guard must be written to fail on it
-    real = modes._coefficient_table
+    real = specfun._tangential_norms
 
     def poisoned(*args):
         return real(*args) * np.nan
 
-    monkeypatch.setattr(observables.modes, "_coefficient_table", poisoned)
+    monkeypatch.setattr(observables.specfun, "_tangential_norms", poisoned)
     with pytest.raises(ConsistencyError):
         observables.total_cross_section(SPEC, 1.0)
+
+
+# ------------------------------------------------- cross-section self-check
+
+@pytest.mark.parametrize("l_max", [1, 2, 77, 178, 511])
+@pytest.mark.parametrize("theta", [0.0, math.acos(0.8), 1.9, math.pi])
+def test_tangential_norms_equal_coefficient_table_sums(l_max, theta):
+    # sum_m |c^p_lm|^2 of the g = 1 table, TE then TM; phi does not enter
+    table = modes._coefficient_table(theta, 2.3, 1, l_max)[0]
+    ref = np.sum(np.abs(table) ** 2, axis=-1)
+    got = specfun._tangential_norms(l_max, theta)
+    assert got.shape == (2, l_max + 1)
+    assert np.all(got[:, 0] == 0.0)
+    assert np.max(np.abs(got[:, 1:] / ref[:, 1:] - 1.0)) < 1e-14
+
+
+def _scaled_seeds(real):
+    return lambda theta, m_top: real(theta, m_top) * (1.0 + 1e-6)
+
+
+def _scaled_ladder(real):
+    def tables(l_max):
+        a, ab, up, _ = real(l_max)
+        up = up * (1.0 + 1e-6)
+        return a, ab, up, up[:, ::-1]
+    return tables
+
+
+def _scaled_recurrence(real):
+    def tables(l_max):
+        a, ab, up, dn = real(l_max)
+        return a * (1.0 + 1e-6), ab, up, dn
+    return tables
+
+
+@pytest.mark.parametrize("name, perturb", [("_legendre_seeds", _scaled_seeds),
+                                           ("_recurrence_tables", _scaled_ladder),
+                                           ("_recurrence_tables", _scaled_recurrence)])
+def test_cross_section_check_catches_a_broken_normalization(monkeypatch, name, perturb):
+    # a harmonic normalization off by 1e-6 (the diagonal seeds, the TE
+    # ladder, the column recurrence) moves the angular sum far past 1e-9
+    observables.total_cross_section(SPEC, 2.0)
+    monkeypatch.setattr(specfun, name, perturb(getattr(specfun, name)))
+    with pytest.raises(ConsistencyError):
+        observables.total_cross_section(SPEC, 2.0)
+
+
+def test_cross_section_check_stops_at_the_last_live_order(monkeypatch):
+    calls, real = [], specfun._tangential_norms
+    monkeypatch.setattr(specfun, "_tangential_norms",
+                        lambda l_max, theta: calls.append(l_max) or real(l_max, theta))
+    observables.total_cross_section(SPEC, 0.5, l_max=200)
+    sin_phi = phase_table(SPEC, 0.5, 200).sin_phi
+    (l_live,) = calls
+    assert l_live < 200
+    assert np.any(sin_phi[:, l_live] != 0.0) and np.all(sin_phi[:, l_live + 1:] == 0.0)
+    # with no sphere no order is live, and nothing is built
+    calls.clear()
+    assert observables.total_cross_section(VACUUM, 1.0).sigma == 0.0
+    assert calls == []
+
+
+def test_cross_section_nan_past_the_live_orders_fails(monkeypatch):
+    # a NaN counts as a live order, so a NaN where sin phi is otherwise 0
+    # still reaches the check and fails it
+    real = observables.phase_table
+
+    def poisoned(spec, q, l_max):
+        t = real(spec, q, l_max)
+        sin_phi = t.sin_phi.copy()
+        sin_phi[0, 150] = np.nan
+        return dataclasses.replace(t, sin_phi=sin_phi)
+
+    monkeypatch.setattr(observables, "phase_table", poisoned)
+    with pytest.raises(ConsistencyError):
+        observables.total_cross_section(SPEC, 0.5, l_max=200)
+
+
+def test_cross_section_builds_no_complex_harmonic_table(monkeypatch):
+    calls = []
+    for module, name in ((modes, "_coefficient_table"), (specfun, "_complete"),
+                         (specfun, "spherical_harmonics_batch")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    observables.total_cross_section(SPEC, 150.2)
+    observables.total_cross_section(SPEC, 0.5, l_max=200)
+    assert calls == []

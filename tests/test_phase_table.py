@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qmie import specfun
 from qmie.errors import DegenerateChannelError, DomainError, ResourceLimitError
 from qmie.miecore import (
+    Q_FLOOR,
     ChannelIndex,
     SphereSpec,
     mie_boundary_coefficients,
@@ -175,6 +176,36 @@ def test_table_order_validation():
         phase_table(spec, 1.0, 512)
     with pytest.raises(DomainError):
         phase_table(spec, 0.0, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_q=st.floats(math.log10(Q_FLOOR), -6.0), eps=st.floats(1.0, 10.0),
+       l_max=st.integers(1, 511))
+@example(log_q=math.log10(Q_FLOOR), eps=2.1, l_max=511)
+def test_table_finite_down_to_the_q_floor(log_q, eps, l_max):
+    q = max(Q_FLOOR, 10.0 ** log_q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = phase_table(SphereSpec(eps, 1.0), q, l_max)
+    for name in FIELDS + ("sin_mantissa",):
+        assert np.all(np.isfinite(getattr(t, name))), name
+    assert np.max(np.abs(t.cos_phi**2 + t.sin_phi**2 - 1.0)) < 1e-14
+
+
+@pytest.mark.parametrize("q", [Q_FLOOR, 1e-30, 1e-12])
+def test_dipole_channel_at_small_q(q):
+    # sin phi of (TM, 1) is -(2/3) q^3 (eps - 1)/(eps + 2) (1 + O(q^2))
+    t = phase_table(SphereSpec(2.1, 1.0), q, 4)
+    assert t.sin_phi[1, 1] == pytest.approx(-2.0 / 3.0 * q**3 * 1.1 / 4.1, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [Q_FLOOR * (1.0 - 2.0**-52), 1e-60, 4.4e-101, 1e-170, 5e-324])
+def test_q_below_the_floor_is_a_domain_error(q):
+    for spec in (SphereSpec(2.1, 1.0), SphereSpec(1.0, 1.0)):
+        with pytest.raises(DomainError, match="Q_FLOOR"):
+            phase_table(spec, q, 4)
+    with pytest.raises(DomainError, match=re.escape("q[1]")):
+        phase_table(SphereSpec(2.1, 1.0), [0.5, q], 4)
 
 
 @pytest.mark.parametrize("x", [1e-6, 0.5, 20.0])
