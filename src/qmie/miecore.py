@@ -231,10 +231,12 @@ def phase_table(spec: SphereSpec, q, l_max: int) -> PhaseTable:
             np.ldexp(alpha, e_alpha, out=out[0, ..., 1:])
         np.ldexp(beta, e_beta, out=out[1, ..., 1:])
         np.ldexp(1.0 / norm, -shift, out=out[2, ..., 1:])
-        np.divide(b, norm, out=out[3, ..., 1:])
         np.divide(a, norm, out=out[4, ..., 1:])
         np.arctan2(b, a, out=out[5, ..., 1:])
         np.divide(beta, norm, out=out[6, ..., 1:])
+        # scaled after the division, so that a sin phi in the normal range
+        # never passes through a subnormal b
+        np.ldexp(out[6, ..., 1:], sin_exponent[..., 1:], out=out[3, ..., 1:])
     out.flags.writeable = False
     sin_exponent.flags.writeable = False
     if qs.ndim == 0:

@@ -182,24 +182,28 @@ def _assemble(
 ) -> FieldSample:
     """S_alpha of the requested radial kind, or its curl, at one or N points.
 
-    The angular factors come from one harmonic contraction against the
-    mode's single (l, m) weight, which runs the Legendre recurrence on the
-    columns |m'| <= |m| + 1 only: O(l) per point. The radial factors come
-    from one radial table over the distinct radii.
+    The angular factors come from one scalar harmonic contraction against
+    the mode's single (l, m) weight, which runs the Legendre recurrence on
+    the columns |m'| <= |m| + 1 only: O(l) per point. Only row l of the
+    sums is read, and only the family it needs is formed from it: X for TE
+    (or the curl of TM), V and W otherwise. The radial factors come from one
+    radial table over the distinct radii.
     """
     p, single = _as_points(point)
     r, theta, phi = _spherical_coords(p)
     l, m, k = mode.channel.l, mode.m, mode.k
     weight = np.zeros((1, l + 1, 2 * l + 1))
     weight[0, l, m + l] = 1.0
-    x, v, w = (f[:, 0, l] for f in specfun.vector_harmonics_contract(l, theta, phi, weight))
+    y, dy, u = (f[:, 0, l:] for f in specfun.spherical_harmonics_contract(l, theta, phi, weight))
+    ls = np.array([float(l)])
     f_ll, f_up, f_dn = (f[:, POLARIZATIONS.index(mode.channel.p), l, None] for f in
                         _radial_tables(spec, k, r, l, mode.direction, kind, branch))
     norm = k * math.sqrt(2.0 / math.pi)
     # the curl swaps the TE and TM angular structures
     if (mode.channel.p == "TE") != curl:
-        sph = norm * f_ll * x
+        sph = norm * f_ll * specfun._x_family(ls, dy, u)[:, 0]
     else:
+        v, w = (f[:, 0] for f in specfun._vw_families(ls, y, dy, u))
         w_v = math.sqrt(l / (2.0 * l + 1.0))
         w_w = math.sqrt((l + 1.0) / (2.0 * l + 1.0))
         sph = norm * (w_v * f_up * v - w_w * f_dn * w)
@@ -404,33 +408,42 @@ def _radial_tables(
 
 def _mode_sum(
     spec: SphereSpec | None,
-    kappa: PlaneModeIndex,
+    kappas: tuple[PlaneModeIndex, ...],
     direction: str,
     points: np.ndarray,
     l_max: int,
     kind: str,
 ) -> np.ndarray:
-    """(1/k) sum_{plm} c_{lmg}^p S^p_{lm}(r) of the requested radial kind.
+    """(1/k) sum_{plm} c_{lmg}^p S^p_{lm}(r) of the requested radial kind,
+    for each of K plane-wave modes at one wavenumber.
 
-    points is (N, 3); the result is (N, 3). The m sums are taken on the
-    batched harmonic contraction against kappa's coefficient tables.
+    kappas is a tuple of K modes; the wavenumber is that of kappas[0], and
+    only the others' directions and g enter. points is (N, 3); the result is
+    (K, N, 3), row i for kappas[i]. All modes share one coefficient table
+    (2K weight rows: TE and TM per mode), one scalar harmonic contraction
+    against it and one radial table, which builds one phase table. X is
+    formed from the TE rows only, V and W from the TM rows only. Row i
+    equals the K = 1 sum of kappas[i] bit for bit.
     """
     r, theta, phi = _spherical_coords(points)
-    k = kappa.k
-    theta_k, phi_k = kappa.angles
-    coeffs = _coefficient_table(theta_k, phi_k, kappa.g, l_max)[0]
-    bx, bv, bw = specfun.vector_harmonics_contract(l_max, theta, phi, coeffs)
+    k = kappas[0].k
+    theta_k, phi_k = np.array([kappa.angles for kappa in kappas]).T
+    coeffs = _coefficient_table(theta_k, phi_k, [kappa.g for kappa in kappas], l_max)
+    y, dy, u = specfun.spherical_harmonics_contract(
+        l_max, theta, phi, coeffs.reshape((-1,) + coeffs.shape[2:]))
+    ls = np.arange(l_max + 1, dtype=float)
+    bx = specfun._x_family(ls, dy[:, 0::2], u[:, 0::2])
+    bv, bw = specfun._vw_families(ls, y[:, 1::2], dy[:, 1::2], u[:, 1::2])
     f_ll, f_up, f_dn = _radial_tables(spec, k, r, l_max, direction, kind)
     f_te, f_tm_up, f_tm_dn = f_ll[:, 0], f_up[:, 1], f_dn[:, 1]
-    ls = np.arange(l_max + 1, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         w_v = np.sqrt(ls / (2.0 * ls + 1.0))
         w_w = np.sqrt((ls + 1.0) / (2.0 * ls + 1.0))
     # per-l radial weights against the per-l angular sums: X with the TE
     # table, V and W with the TM table
-    sph = np.einsum("nl,nlc->nc", f_te, bx[:, 0])
-    sph += np.einsum("nl,nlc->nc", w_v * f_tm_up, bv[:, 1])
-    sph -= np.einsum("nl,nlc->nc", w_w * f_tm_dn, bw[:, 1])
+    sph = np.einsum("nl,nklc->knc", f_te, bx)
+    sph += np.einsum("nl,nklc->knc", w_v * f_tm_up, bv)
+    sph -= np.einsum("nl,nklc->knc", w_w * f_tm_dn, bw)
     norm = k * math.sqrt(2.0 / math.pi)
     return (norm / k) * specfun.spherical_to_cartesian(sph, theta, phi)
 
@@ -472,13 +485,13 @@ def scattering_eigenmode(
         else:
             l_max = truncation_order(q)
     if form == "direct":
-        value = _mode_sum(spec, kappa, direction, p, l_max, "full")
+        value = _mode_sum(spec, (kappa,), direction, p, l_max, "full")[0]
     else:
         if plane_wave == "exact":
             base = plane_wave_mode(kappa, p).value
         else:
-            base = _mode_sum(None, kappa, direction, p, l_max, "vacuum")
-        value = base + _mode_sum(spec, kappa, direction, p, l_max, "scattered")
+            base = _mode_sum(None, (kappa,), direction, p, l_max, "vacuum")[0]
+        value = base + _mode_sum(spec, (kappa,), direction, p, l_max, "scattered")[0]
     return FieldSample(value=value[0] if single else value, point=p[0] if single else p)
 
 

@@ -685,13 +685,8 @@ def _x_family(ls: np.ndarray, dy, u):
     return x
 
 
-def _vector_families(ls: np.ndarray, y, dy, u):
-    """(X, V, W) from Y, dY/dtheta and mY/sin(theta) at orders ``ls``.
-
-    ``ls`` broadcasts against the scalar arrays; the results carry a trailing
-    axis of spherical components (e_r, e_theta, e_phi). Rows with l = 0
-    vanish identically.
-    """
+def _vw_families(ls: np.ndarray, y, dy, u):
+    """(V, W) from Y, dY/dtheta and mY/sin(theta) at orders ``ls``, as in _vector_families."""
     live = ls > 0
     nv = np.sqrt((ls + 1.0) * (2.0 * ls + 1.0))
     nw = np.where(live, np.sqrt(ls * (2.0 * ls + 1.0)), 1.0)
@@ -702,7 +697,19 @@ def _vector_families(ls: np.ndarray, y, dy, u):
         arr[..., 1] = dy / norm
         arr[..., 2] = 1j * u / norm
         arr *= mask
-    return _x_family(ls, dy, u), v, w
+    return v, w
+
+
+def _vector_families(ls: np.ndarray, y, dy, u):
+    """(X, V, W) from Y, dY/dtheta and mY/sin(theta) at orders ``ls``.
+
+    ``ls`` broadcasts against the scalar arrays; the results carry a trailing
+    axis of spherical components (e_r, e_theta, e_phi). Rows with l = 0
+    vanish identically. Each family is elementwise in its inputs, so a caller
+    that reads only some rows or families forms only those, with
+    ``_x_family`` and ``_vw_families``.
+    """
+    return (_x_family(ls, dy, u), *_vw_families(ls, y, dy, u))
 
 
 def _check_vector_order(l_max: int) -> int:

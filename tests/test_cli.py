@@ -564,14 +564,19 @@ def test_cross_section_broken_normalization_exits_3(tmp_path, monkeypatch):
 
 def test_g2_zero_signal_nan_is_written(tmp_path, monkeypatch):
     # the documented exception: g2 is NaN where a detector sees no signal
-    real = modes.scattering_eigenmode
+    real_sum, real_wave = modes._mode_sum, modes.plane_wave_mode
 
-    def muted(spec, kappa, direction, point, **kw):
-        sample = real(spec, kappa, direction, point, **kw)
-        upper = np.asarray(point)[..., 2:] > 0
-        return modes.FieldSample(value=np.where(upper, 0.0, sample.value), point=sample.point)
+    def mute(value, points):
+        return np.where(np.asarray(points)[..., 2:] > 0, 0.0, value)
 
-    monkeypatch.setattr(observables.modes, "scattering_eigenmode", muted)
+    def muted_wave(kappa, point):
+        sample = real_wave(kappa, point)
+        return modes.FieldSample(value=mute(sample.value, point), point=sample.point)
+
+    monkeypatch.setattr(observables.modes, "_mode_sum",
+                        lambda spec, kappas, direction, points, *a:
+                        mute(real_sum(spec, kappas, direction, points, *a), points))
+    monkeypatch.setattr(observables.modes, "plane_wave_mode", muted_wave)
     out = tmp_path / "g2.csv"
     assert run(["g2-map", "--k", "0.01", "--n-phi", "2", "-o", str(out)]) == 0
     assert all(math.isnan(float(r[2])) for r in read_rows(out))

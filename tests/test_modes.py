@@ -8,7 +8,7 @@ from scipy.special import spherical_jn
 
 from qmie import modes, specfun
 from qmie.errors import DomainError
-from qmie.miecore import ChannelIndex, SphereSpec, phase_shift, truncation_order
+from qmie.miecore import POLARIZATIONS, ChannelIndex, SphereSpec, phase_shift, truncation_order
 from qmie.specfun import unit_vectors
 from quadrature import solid_angle_grid
 
@@ -438,15 +438,53 @@ def test_mode_sum_batch_matches_pointwise_calls(offset):
     # an oblique plane wave weights every |m| <= l_max
     pts = random_points(specfun.chunk_directions(l_max) + offset, 600 + offset)
     for kind in ("full", "scattered"):
-        batch = modes._mode_sum(SPEC, kap, "outgoing", pts, l_max, kind)
+        (batch,) = modes._mode_sum(SPEC, (kap,), "outgoing", pts, l_max, kind)
         assert batch.shape == pts.shape
-        single = np.array([modes._mode_sum(SPEC, kap, "outgoing", pt[None], l_max, kind)[0]
+        single = np.array([modes._mode_sum(SPEC, (kap,), "outgoing", pt[None], l_max, kind)[0, 0]
                            for pt in pts])
         assert np.max(np.abs(batch - single)) <= 1e-13 * np.max(np.abs(single))
     far = modes.scattering_eigenmode(SPEC, kap, "incoming", pts, l_max=l_max, form="mie").value
     for pt, got in zip(pts[:5], far[:5]):
         ref = modes.scattering_eigenmode(SPEC, kap, "incoming", pt, l_max=l_max, form="mie").value
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def assemble_by_vector_contraction(spec, mode, pts, kind, curl):
+    # S_alpha, or its curl, from every row and family of the vector
+    # contraction, of which _assemble forms only row l and one family
+    r, theta, phi = modes._spherical_coords(pts)
+    l, m, k = mode.channel.l, mode.m, mode.k
+    weight = np.zeros((1, l + 1, 2 * l + 1))
+    weight[0, l, m + l] = 1.0
+    x, v, w = (f[:, 0, l] for f in specfun.vector_harmonics_contract(l, theta, phi, weight))
+    f_ll, f_up, f_dn = (f[:, POLARIZATIONS.index(mode.channel.p), l, None] for f in
+                        modes._radial_tables(spec, k, r, l, mode.direction, kind))
+    norm = k * math.sqrt(2.0 / math.pi)
+    if (mode.channel.p == "TE") != curl:
+        sph = norm * f_ll * x
+    else:
+        w_v = math.sqrt(l / (2.0 * l + 1.0))
+        w_w = math.sqrt((l + 1.0) / (2.0 * l + 1.0))
+        sph = norm * (w_v * f_up * v - w_w * f_dn * w)
+    if curl:
+        kappa = k * np.where(r < spec.radius, math.sqrt(spec.epsilon), 1.0)[:, None]
+        sph = (-1j if mode.channel.p == "TE" else 1j) * kappa * sph
+    return specfun.spherical_to_cartesian(sph, theta, phi)
+
+
+@pytest.mark.parametrize("kind,curl", [("full", False), ("full", True), ("vacuum", False),
+                                       ("scattered", False), ("scattered", True)])
+@pytest.mark.parametrize("l", [1, 2, 7, 160])
+@pytest.mark.parametrize("p", ["TE", "TM"])
+def test_assemble_equals_the_vector_contraction_route(p, l, kind, curl):
+    spec = None if kind == "vacuum" else SPEC
+    pts = random_points(150, 700 + l)
+    pts[2:4] = [[0.0, 0.0, 2.5], [0.0, 0.0, -0.5]]
+    for m in sorted({0, 1, -l}):
+        mode = modes.SphericalModeIndex(ChannelIndex(p, l), m, 2.3)
+        got = modes._assemble(spec, mode, pts, kind, curl=curl).value
+        ref = assemble_by_vector_contraction(spec, mode, pts, kind, curl)
+        assert got.tobytes() == ref.tobytes()
 
 
 # -------------------------------------------------------------- curl checks

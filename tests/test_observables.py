@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmie import modes, observables, specfun
 from qmie.errors import ConsistencyError, DomainError
@@ -329,17 +331,27 @@ def test_g2_near_field_detector_warns():
         )
 
 
+def mute_upper_detector(monkeypatch):
+    # kill the upper detector entirely: both parts of F = G + (1/k) sum c S^sc
+    real_sum, real_wave = modes._mode_sum, modes.plane_wave_mode
+
+    def mute(value, points):
+        return np.where(np.asarray(points)[..., 2:] > 0, 0.0, value)
+
+    def muted_sum(spec, kappas, direction, points, *args):
+        return mute(real_sum(spec, kappas, direction, points, *args), points)
+
+    def muted_wave(kappa, point):
+        sample = real_wave(kappa, point)
+        return modes.FieldSample(value=mute(sample.value, point), point=sample.point)
+
+    monkeypatch.setattr(observables.modes, "_mode_sum", muted_sum)
+    monkeypatch.setattr(observables.modes, "plane_wave_mode", muted_wave)
+
+
 def test_g2_zero_signal_sentinel(monkeypatch):
     kap1, kap2, _ = small_particle_setup(4)
-    real = modes.scattering_eigenmode
-
-    def muted(spec, kappa, direction, point, **kw):
-        sample = real(spec, kappa, direction, point, **kw)
-        # kill the upper detector entirely; points may come one or N at a time
-        upper = np.asarray(point)[..., 2:] > 0
-        return modes.FieldSample(value=np.where(upper, 0.0, sample.value), point=sample.point)
-
-    monkeypatch.setattr(observables.modes, "scattering_eigenmode", muted)
+    mute_upper_detector(monkeypatch)
     grid = observables.g2_map(
         SPEC, kap1, kap2, "z", "z", math.pi / 4, 3 * math.pi / 4, [0.3], [0.4]
     )
@@ -357,6 +369,52 @@ def test_g2_default_detector_radius_does_not_warn():
         grid = observables.g2_map(SPEC, kap1, kap2, "z", "z", math.pi / 4,
                                   3 * math.pi / 4, [0.3, 1.1], [0.4, 2.0])
     assert np.all(np.isfinite(grid.values))
+
+
+@settings(max_examples=25, deadline=None)
+@given(eps=st.floats(1.0, 10.0),
+       k=st.one_of(st.floats(2.95, 3.05), st.floats(0.0099, 0.0101)),
+       theta1=st.floats(0.0, math.pi), theta2=st.floats(0.0, math.pi),
+       n_phi=st.integers(2, 64))
+def test_g2_map_photon_fields_equal_separate_eigenmodes(eps, k, theta1, theta2, n_phi):
+    # one stacked mode sum for both photons gives each photon's "mie"
+    # eigenmode bit for bit, and the grid is the one those fields give
+    spec = SphereSpec(eps, 1.0)
+    kap1, kap2, phis = small_particle_setup(n_phi, k)
+    seen, real = [], modes._mode_sum
+
+    def spy(*args):
+        seen.append((args[3], real(*args)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modes, "_mode_sum", spy)
+        grid = observables.g2_map(spec, kap1, kap2, "z", "z", theta1, theta2, phis, phis)
+    ((pts, scattered),) = seen
+    fields = [modes.scattering_eigenmode(spec, kap, "outgoing", pts, l_max=truncation_order(k),
+                                         form="mie").value for kap in (kap1, kap2)]
+    for kap, s, f in zip((kap1, kap2), scattered, fields):
+        assert (modes.plane_wave_mode(kap, pts).value + s).tobytes() == f.tobytes()
+    (a1, b1), (a2, b2) = ((f[:n_phi] @ np.array([0.0, 0.0, 1.0]), f[n_phi:] @ np.array([0.0, 0.0, 1.0]))
+                          for f in fields)
+    num = np.abs(a1[:, None] * b2[None, :] + a2[:, None] * b1[None, :]) ** 2
+    den = (np.abs(a1) ** 2 + np.abs(a2) ** 2)[:, None] * (np.abs(b1) ** 2 + np.abs(b2) ** 2)[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert grid.values.tobytes() == np.where(den > 0.0, num / den, np.nan).tobytes()
+
+
+def test_g2_map_builds_one_contraction_and_one_radial_table(monkeypatch):
+    calls = []
+    for module, name in ((specfun, "spherical_harmonics_contract"),
+                         (specfun, "vector_harmonics_contract"), (modes, "_coefficient_table"),
+                         (modes, "_radial_tables"), (modes, "phase_table")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name, **kw:
+                            calls.append(_name) or _real(*a, **kw))
+    kap1, kap2, phis = small_particle_setup(64, k=3.0)
+    observables.g2_map(SPEC, kap1, kap2, "z", "z", math.pi / 4, 3 * math.pi / 4, phis, phis)
+    assert sorted(calls) == ["_coefficient_table", "_radial_tables", "phase_table",
+                             "spherical_harmonics_contract"]
 
 
 def test_cross_section_guard_catches_nan(monkeypatch):
@@ -422,9 +480,13 @@ def test_cross_section_check_stops_at_the_last_live_order(monkeypatch):
                         lambda l_max, theta: calls.append(l_max) or real(l_max, theta))
     observables.total_cross_section(SPEC, 0.5, l_max=200)
     sin_phi = phase_table(SPEC, 0.5, 200).sin_phi
+    sin2 = sin_phi ** 2
     (l_live,) = calls
-    assert l_live < 200
-    assert np.any(sin_phi[:, l_live] != 0.0) and np.all(sin_phi[:, l_live + 1:] == 0.0)
+    # the terms are norms * sin^2 phi: the cut is the last order whose
+    # sin^2 phi is nonzero, before sin phi itself reaches 0
+    assert l_live == 43
+    assert np.any(sin2[:, l_live] != 0.0) and np.all(sin2[:, l_live + 1:] == 0.0)
+    assert np.any(sin_phi[:, l_live + 1:] != 0.0)
     # with no sphere no order is live, and nothing is built
     calls.clear()
     assert observables.total_cross_section(VACUUM, 1.0).sigma == 0.0

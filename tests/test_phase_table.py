@@ -199,6 +199,43 @@ def test_dipole_channel_at_small_q(q):
     assert t.sin_phi[1, 1] == pytest.approx(-2.0 / 3.0 * q**3 * 1.1 / 4.1, rel=1e-12)
 
 
+def ln_odd_double_factorial(j):
+    n = (j + 1) // 2
+    return math.lgamma(2 * n + 1) - n * math.log(2.0) - math.lgamma(n + 1)
+
+
+def small_q_leading_sin_phi(eps, q, p, l):
+    # Bohren & Huffman's small-particle terms, in logs: p = 0 is TE, 1 is TM
+    if p == 0:
+        ln = (math.log(eps - 1.0) + (2 * l + 3) * math.log(q)
+              - ln_odd_double_factorial(2 * l + 1) - ln_odd_double_factorial(2 * l + 3))
+    else:
+        ln = (math.log((l + 1) * (eps - 1.0)) + (2 * l + 1) * math.log(q)
+              - ln_odd_double_factorial(2 * l + 1) - ln_odd_double_factorial(2 * l - 1)
+              - math.log(l * eps + l + 1))
+    return -math.exp(ln) if ln > -745.0 else 0.0
+
+
+@pytest.mark.parametrize("eps", [1.5, 2.1, 10.0])
+def test_tiny_sin_phi_keeps_its_digits(eps):
+    # sin phi between the smallest normal float and 1e-279 is scaled after
+    # the division by the norm, never through a subnormal intermediate
+    checked = 0
+    for q in np.geomspace(Q_FLOOR, 1e-6, 45):
+        sin_phi = phase_table(SphereSpec(eps, 1.0), q, 60).sin_phi
+        for p in (0, 1):
+            for l in range(1, 61):
+                ref = small_q_leading_sin_phi(eps, q, p, l)
+                if 2.3e-308 < abs(ref) < 1e-279:
+                    checked += 1
+                    assert sin_phi[p, l] / ref == pytest.approx(1.0, abs=1e-11), (q, p, l)
+    assert checked > 50
+    if eps == 2.1:
+        te2 = phase_table(SphereSpec(eps, 1.0), 1e-42, 4).sin_phi[0, 2]
+        assert te2 == pytest.approx(small_q_leading_sin_phi(eps, 1e-42, 0, 2), rel=1e-11)
+        assert -7e-298 < te2 < -6.9e-298
+
+
 @pytest.mark.parametrize("q", [Q_FLOOR * (1.0 - 2.0**-52), 1e-60, 4.4e-101, 1e-170, 5e-324])
 def test_q_below_the_floor_is_a_domain_error(q):
     for spec in (SphereSpec(2.1, 1.0), SphereSpec(1.0, 1.0)):
