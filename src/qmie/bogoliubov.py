@@ -5,11 +5,11 @@ All three kernels reduce the sphere-volume integral of a mode product to
 analytic angular sums times one-dimensional radial overlaps
 T_l = integral_0^R r^2 j_l(a r) j_l(b r) dr. The angular part uses the
 multipole coefficient tables of the plane-wave modes. The overlaps of all
-orders come from Lommel's closed form (Watson, Theory of Bessel Functions,
-sec. 5.11) over one Bessel sweep per argument, each order with a stated
-rounding bound. Near the diagonal a = b the closed form cancels; the orders
-whose bound exceeds rtol |T_l| there are recomputed together by two fixed
-Gauss-Legendre rules on [0, R], one Bessel sweep per node and argument.
+orders come from one exact series, Lommel's closed form (Watson, Theory of
+Bessel Functions, sec. 5.11) telescoped over the Bessel recurrence, summed
+from one Bessel sweep per argument. It holds near and on the diagonal
+a = b alike, and each order comes with a stated bound (see _overlaps); the
+module holds no quadrature.
 """
 
 import math
@@ -40,8 +40,8 @@ __all__ = [
 # |k| spacings below this relative gap count as sitting on the pole
 _POLE_RTOL = 1e-13
 
-# Largest kernel order: the TM overlaps reach order l_max + 1, whose closed
-# form needs j_{l_max + 2}.
+# Largest kernel order: the TM overlaps reach order l_max + 1, whose series
+# starts at j_{l_max + 2}; the sweeps stop at HARD_CAP_LMAX.
 KERNEL_LMAX = specfun.HARD_CAP_LMAX - 2
 
 _EPS = float(np.finfo(float).eps)
@@ -49,7 +49,8 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class CouplingKernel:
-    """One evaluated kernel entry with its error bound (see _overlaps)."""
+    """One evaluated kernel entry. abs_err bounds its error: the angular
+    sums weigh the per-order bounds of the radial overlaps (see _overlaps)."""
 
     kappa: PlaneModeIndex
     kappa_prime: PlaneModeIndex
@@ -69,88 +70,73 @@ def _check_direction(direction: str) -> float:
 def _envelope(j: np.ndarray, x: float) -> np.ndarray:
     """|j_l(x)|, raised to 1/x past the turning point x = l + 1/2, where
     j_l oscillates and a sweep's error is absolute rather than relative."""
-    past = x > np.arange(j.size) + 0.5
-    return np.where(past, np.maximum(np.abs(j), 1.0 / x), np.abs(j))
+    env = np.abs(j)
+    past = env[:max(0, math.ceil(x - 0.5))]
+    np.maximum(past, 1.0 / x, out=past)
+    return env
 
 
-def _overlaps(l_top: int, a: float, b: float, radius: float):
+def _overlaps(l_top: int, a: float, b: float, radius: float, rtol: float):
     """Radial overlaps T_l = integral_0^R r^2 j_l(a r) j_l(b r) dr for
-    l = 0..l_top by Lommel's closed form,
+    l = 0..l_top and a, b > 0, by the exact series
 
-        T_l = R^2 (a j_{l+1}(aR) j_l(bR) - b j_l(aR) j_{l+1}(bR)) / (a^2 - b^2),
+        T_l = (R / ab) sum_{n = l+1, l+3, ...} (2n + 1) j_n(aR) j_n(bR).
 
-    from one j sweep at aR and one at bR, each to order l_top + 1.
+    Lommel's closed form (Watson, Theory of Bessel Functions, sec. 5.11),
+    R^2 (a j_{l+1}(aR) j_l(bR) - b j_l(aR) j_{l+1}(bR)) / (a^2 - b^2), and
+    the recurrence of j give T_{l-1} - T_{l+1} = (2l + 1) (R / ab) j_l(aR)
+    j_l(bR); T_l -> 0, so the differences telescope into the series. It
+    holds no 1 / (a^2 - b^2): a == b is no special case. All orders come
+    from one j sweep at aR and one at bR (one when a == b) to order
+    N = max(l_top + 1, ceil(x) + 16) + 8 + floor(4 x^(1/3)), x = max(aR, bR),
+    capped at HARD_CAP_LMAX, and one cumulative sum per parity: past the
+    turning point x, and past the first term of order l_top, the terms fall
+    off over a few x^(1/3) orders.
 
-    Returns (values, bounds). The rounding bound of order l is
-
-        4 eps g_l R^2 (a E_{l+1}(aR) E_l(bR) + b E_l(aR) E_{l+1}(bR)) / |a^2 - b^2|
-
-    with g_l = 2 + l + aR + bR and E from _envelope. It charges every j
-    value an error of order eps g_l E, because the Miller sweep's error grows
-    with its length, and covers the rounding of the products; against
-    mpmath the errors stay below a quarter of it. Near a = b the two terms
-    cancel and the bound grows like eps max(a^2, b^2) / |a^2 - b^2|; at
-    a == b it is inf. Orders that underflow come out as 0 with bound 0.
+    Returns (values, bounds). The bound of order l is 4 eps g_l S_l plus a
+    bound on the terms past N, with g_l = 2 + l + aR + bR and S_l the same
+    series over the envelopes E (_envelope). The first term charges each j
+    value an error of order eps g_l E, as the Miller sweep's error grows with
+    its length, and covers the rounding of the products and sums; against
+    mpmath the errors stay below half of it. For the second: for n > y the
+    ratio j_n(y) / j_{n-1}(y) lies in (0, y / (2n + 1 - y)), so with
+    q = r(aR) r(bR), r(y) = y / (2N + 3 - y), the terms past N sum to at
+    most |j_N(aR) j_N(bR)| ((2N + 1) q / (1 - q) + 2q / (1 - q)^2), doubled
+    for the rounding of j_N; an argument above N counts |j_n| <= 1 and
+    r = 1, and q >= 1 makes the bound infinite. It stays below a few hundred
+    eps S_l up to x of about 450, where the capped sweep stops covering the
+    tail. ToleranceError is raised where a bound exceeds max(rtol S_l, 1e-290):
+    S_l is |T_l| where the terms keep their sign and keeps rounding from
+    failing an order at a zero of T_l; the floor covers orders that
+    underflow, which come out as 0 with bound 0.
     """
-    gap = (a - b) * (a + b)
-    if gap == 0.0:
-        return np.zeros(l_top + 1), np.full(l_top + 1, np.inf)
     x_a, x_b = a * radius, b * radius
-    ja = specfun.spherical_bessel_j(l_top + 1, x_a)
-    jb = specfun.spherical_bessel_j(l_top + 1, x_b)
-    scale = radius * radius / gap
-    values = scale * (a * ja[1:] * jb[:-1] - b * ja[:-1] * jb[1:])
-    ea, eb = _envelope(ja, x_a), _envelope(jb, x_b)
-    growth = 2.0 + np.arange(l_top + 1) + x_a + x_b
-    bounds = 4.0 * _EPS * growth * abs(scale) * (a * ea[1:] * eb[:-1] + b * ea[:-1] * eb[1:])
-    return values, bounds
-
-
-def _band_overlaps(ls: np.ndarray, a: float, b: float, radius: float, rtol: float):
-    """T_l for the ascending orders ls by Gauss-Legendre rules on [0, R] with
-    n = (a + b) R / 2 + l_top / 2 + 16 and n + n // 2 + 8 nodes; the
-    integrand is entire, so they converge once n passes its oscillation
-    count. One j sweep call serves every node of both rules at each distinct
-    argument. Returns the larger rule and its difference from the smaller,
-    which raises ToleranceError above max(rtol S_l, 1e-290): S_l integrates
-    |r^2 j_l(ar) j_l(br)|, |T_l| where the integrand keeps its sign, so
-    rounding cannot fail a zero of T_l."""
-    n = int((a + b) * radius / 2.0 + ls[-1] / 2.0) + 16
-    nodes = [np.polynomial.legendre.leggauss(m) for m in (n, n + n // 2 + 8)]
-    r_all = np.concatenate([radius * (x + 1.0) / 2.0 for x, _ in nodes])
-    args = (a,) if a == b else (a, b)
-    # j[i, node, l] at args[i] times the nodes of both rules, one after the other
-    j = specfun.spherical_bessel_j(ls[-1], np.concatenate([c * r_all for c in args]))
-    j = j[:, ls].reshape(len(args), r_all.size, ls.size)
-    rules, lo = [], 0
-    for x, w in nodes:
-        hi = lo + x.size
-        r, prod = r_all[lo:hi], j[0, lo:hi] * j[-1, lo:hi]
-        rules.append((radius / 2.0) * ((w * r * r) @ prod))
-        lo = hi
-    errs = np.abs(rules[1] - rules[0])
-    mass = (radius / 2.0) * ((w * r * r) @ np.abs(prod))
-    bad = np.flatnonzero(errs > np.maximum(rtol * mass, 1e-290))
+    x = max(x_a, x_b)
+    top = min(specfun.HARD_CAP_LMAX,
+              max(l_top + 1, math.ceil(x) + 16) + 8 + int(4.0 * x ** (1.0 / 3.0)))
+    ja = specfun.spherical_bessel_j(top, x_a)
+    jb = ja if a == b else specfun.spherical_bessel_j(top, x_b)
+    terms = np.stack([ja * jb, _envelope(ja, x_a) * _envelope(jb, x_b)])
+    terms *= 2.0 * np.arange(top + 1) + 1.0
+    tails = np.empty_like(terms)
+    for start in (top, top - 1):
+        tails[:, start::-2] = np.cumsum(terms[:, start::-2], axis=1)
+    scale = radius / (a * b)
+    values, mass = scale * tails[:, 1:l_top + 2]
+    # past the top, |j_{N+k}(y)| <= |j_N(y)| r(y)^k for y <= N, and <= 1 above
+    f_a, r_a = (abs(ja[top]), x_a / (2 * top + 3 - x_a)) if top >= x_a else (1.0, 1.0)
+    f_b, r_b = (abs(jb[top]), x_b / (2 * top + 3 - x_b)) if top >= x_b else (1.0, 1.0)
+    q = r_a * r_b
+    past_top = (2.0 * scale * f_a * f_b * ((2 * top + 1) * q / (1.0 - q) + 2.0 * q / (1.0 - q) ** 2)
+                if q < 1.0 else math.inf)
+    bounds = 4.0 * _EPS * (2.0 + np.arange(l_top + 1) + x_a + x_b) * mass + past_top
+    bad = np.flatnonzero(bounds > np.maximum(rtol * mass, 1e-290))
     if bad.size:
-        raise ToleranceError(f"radial overlap rules differ by {errs[bad[0]]:.3g} at "
-                             f"l={ls[bad[0]]}, above rtol S_l = {rtol * mass[bad[0]]:.3g}")
-    return rules[1], errs
-
-
-def _resolved_overlaps(l_top: int, a: float, b: float, radius: float, rtol: float):
-    """The overlaps of _overlaps, with every order whose rounding bound
-    exceeds rtol |T_l| (near a = b, at a == b or at a zero of T_l) recomputed
-    by _band_overlaps. A band value replaces the closed form only where the
-    band's rule difference is below the closed form's bound: the bound can
-    sit just above rtol |T_l| while the rules, held only to rtol S_l, differ
-    by more. Returns (values, abs_errs), as the two routines do."""
-    values, errs = _overlaps(l_top, a, b, radius)
-    band = np.flatnonzero(errs > rtol * np.abs(values))
-    if band.size:
-        band_values, band_errs = _band_overlaps(band, a, b, radius, rtol)
-        better = band_errs < errs[band]
-        values[band[better]], errs[band[better]] = band_values[better], band_errs[better]
-    return values, errs
+        l = int(bad[0])
+        raise ToleranceError(f"radial overlap bound {bounds[l]:.3g} at l={l} exceeds "
+                             f"rtol S_l = {rtol * mass[l]:.3g}; the Bessel sweeps stop at "
+                             f"order {top}")
+    return values, bounds
 
 
 def _angular_sums(kappa: PlaneModeIndex, kappa_prime: PlaneModeIndex,
@@ -200,7 +186,7 @@ def _volume_overlap(
     if scattered:
         t = phase_table(spec, kp * spec.radius, l_max)
         weight = weight * t.gamma * np.exp(phase_sign * 1j * t.phi)
-    o, o_err = _resolved_overlaps(l_max + 1, k, b_scale * kp, spec.radius, rtol)
+    o, o_err = _overlaps(l_max + 1, k, b_scale * kp, spec.radius, rtol)
     # TE takes the overlap of order l, TM those of orders l + 1 and l - 1
     ls = np.arange(1, l_max + 1)
     w_up = ls / (2.0 * ls + 1.0)

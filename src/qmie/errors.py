@@ -22,7 +22,8 @@ class PoleExcludedError(DomainError):
 
 
 class ToleranceError(QmieError, RuntimeError):
-    """A numerical tolerance could not be met (e.g. two quadrature rules disagree)."""
+    """A numerical tolerance could not be met (e.g. a radial overlap whose
+    error bound exceeds it)."""
 
 
 class ConsistencyError(QmieError, RuntimeError):

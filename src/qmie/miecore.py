@@ -267,12 +267,16 @@ def phase_shift(spec: SphereSpec, q: float, channel: ChannelIndex) -> PhaseShift
 
 
 def small_particle_sin_phi(spec: SphereSpec, q: float, channel: ChannelIndex) -> float:
-    """Leading small-q behavior of sin phi for one channel.
+    """Leading small-q term of sin phi for one channel, from the
+    small-particle expansions of the Mie coefficients (Bohren and Huffman):
 
-    For (TM, 1) this is the closed dipole form -(2/3) q^3 (eps-1)/(eps+2).
-    Other channels only have a published power-law scaling, so the returned
-    value -(eps-1) q^{2l+1} (TM) or -(eps-1) q^{2l+3} (TE) is an order-of-
-    magnitude envelope, not a calibrated prefactor.
+        TM: -(l+1)(eps-1) q^{2l+1} / [(2l+1)!! (2l-1)!! (l eps + l + 1)]
+        TE: -(eps-1) q^{2l+3} / [(2l+1)!! (2l+3)!!]
+
+    (TM, 1) is the dipole form -(2/3) q^3 (eps-1)/(eps+2). ``phase_table``
+    rows equal these terms times 1 + O(q^2). The double factorials are taken
+    in logs, as in ``specfun._series_j``, so an order l >> q gives 0 or a
+    tiny value, never an overflow.
     """
     q = float(q)
     if not math.isfinite(q) or q < 0.0:
@@ -284,17 +288,15 @@ def small_particle_sin_phi(spec: SphereSpec, q: float, channel: ChannelIndex) ->
             UserWarning,
             stacklevel=2,
         )
-    eps = spec.epsilon
-    if channel.p == "TM" and channel.l == 1:
-        return -2.0 / 3.0 * q**3 * (eps - 1.0) / (eps + 2.0)
-    exponent = 2 * channel.l + (1 if channel.p == "TM" else 3)
-    warnings.warn(
-        f"channel ({channel.p}, l={channel.l}) has no closed small-q prefactor; "
-        "returning an order-of-magnitude envelope",
-        UserWarning,
-        stacklevel=2,
-    )
-    return -(eps - 1.0) * q**exponent
+    eps, l = spec.epsilon, channel.l
+    ln_df = specfun._ln_double_factorial_odd
+    if channel.p == "TM":
+        power, ln_denominator = 2 * l + 1, ln_df(l) + ln_df(l - 1)
+        factor = (l + 1) * (eps - 1.0) / (l * eps + l + 1.0)
+    else:
+        power, ln_denominator = 2 * l + 3, ln_df(l) + ln_df(l + 1)
+        factor = eps - 1.0
+    return -factor * q**power * math.exp(-ln_denominator)
 
 
 def _cutoff(q: float, margin: int = 4) -> int:

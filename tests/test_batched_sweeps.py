@@ -183,8 +183,9 @@ def test_phase_table_sweeps(scalar_sweeps):
     assert scalar_sweeps == {"j": 2, "y": 1}
 
 
-def test_band_overlaps_sweep_no_node_alone(scalar_sweeps):
-    bogoliubov._band_overlaps(np.arange(6), 3.0, 3.0, 1.0, 1e-11)
-    bogoliubov._band_overlaps(np.arange(6), 3.0, 3.0 * (1 + 1e-6), 1.0, 1e-11)
-    assert scalar_sweeps == {"j": 0, "y": 0}
+def test_overlaps_sweep_once_per_distinct_argument(scalar_sweeps):
+    bogoliubov._overlaps(5, 3.0, 3.0, 1.0, 1e-11)
+    assert scalar_sweeps == {"j": 1, "y": 0}
+    bogoliubov._overlaps(5, 3.0, 3.0 * (1 + 1e-6), 1.0, 1e-11)
+    assert scalar_sweeps == {"j": 3, "y": 0}
 

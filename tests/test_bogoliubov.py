@@ -67,10 +67,10 @@ def lommel_overlap(l, a, b, radius):
 @pytest.mark.parametrize("l", [1, 2, 5, 9])
 @pytest.mark.parametrize("a,b", [(0.5, 0.75), (1.3, 2.6), (4.0, 0.2), (2.0, 2.0)])
 def test_radial_overlap_against_closed_form(l, a, b):
-    # the band rules, alone and next to a lower order
-    for ls in ([l], [0, l]):
-        vals, errs = bg._band_overlaps(np.array(ls), a, b, 1.0, 1e-12)
-        val, err = vals[-1], errs[-1]
+    # the series at its last order and below it
+    for l_top in (l, l + 3):
+        vals, errs = bg._overlaps(l_top, a, b, 1.0, 1e-12)
+        val, err = vals[l], errs[l]
         ref = lommel_overlap(l, a, b, 1.0)
         assert val == pytest.approx(ref, rel=1e-12, abs=1e-14)
         assert err >= 0.0
@@ -78,11 +78,11 @@ def test_radial_overlap_against_closed_form(l, a, b):
 
 
 def test_radial_overlap_nonconvergence():
-    # on the diagonal every order takes the band, whose two rules cannot
-    # agree to a tolerance below the rounding of the sum
+    # the bound holds the rounding of the sweeps and sums, a few hundred
+    # eps S_l here, so no order meets a tolerance below it
     pair = (PlaneModeIndex(1, (0.0, 0.0, 3.0)), PlaneModeIndex(2, (0.0, 3.0, 0.0)))
     assert bg.coupling_v(SPEC, *pair, rtol=1e-11).abs_err >= 0.0
-    with pytest.raises(ToleranceError, match="radial overlap rules"):
+    with pytest.raises(ToleranceError, match="radial overlap bound"):
         bg.coupling_v(SPEC, *pair, rtol=1e-16)
 
 

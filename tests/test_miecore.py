@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmie.errors import DomainError, ResourceLimitError
 from qmie.miecore import (
+    Q_FLOOR,
     ChannelIndex,
     PhaseShiftRecord,
     SizeParams,
     SphereSpec,
     mie_boundary_coefficients,
     phase_shift,
+    phase_table,
     small_particle_sin_phi,
     truncation_order,
 )
@@ -148,8 +152,7 @@ def test_dipole_asymptotic_ratio_converges():
 def test_transparent_small_particle_is_zero():
     spec = SphereSpec(epsilon=1.0, radius=1.0)
     assert small_particle_sin_phi(spec, 0.2, ChannelIndex("TM", 1)) == 0.0
-    with pytest.warns(UserWarning, match="envelope"):
-        assert small_particle_sin_phi(spec, 0.2, ChannelIndex("TE", 3)) == 0.0
+    assert small_particle_sin_phi(spec, 0.2, ChannelIndex("TE", 3)) == 0.0
 
 
 def test_small_particle_warns_outside_regime():
@@ -160,19 +163,55 @@ def test_small_particle_warns_outside_regime():
 def test_envelope_channels_scale_as_documented():
     ch_te = ChannelIndex("TE", 2)
     ch_tm = ChannelIndex("TM", 2)
-    with pytest.warns(UserWarning, match="envelope"):
-        v1 = small_particle_sin_phi(SPEC21, 0.02, ch_te)
-        v2 = small_particle_sin_phi(SPEC21, 0.01, ch_te)
-        assert v1 / v2 == pytest.approx(2.0**7, rel=1e-12)
-        w1 = small_particle_sin_phi(SPEC21, 0.02, ch_tm)
-        w2 = small_particle_sin_phi(SPEC21, 0.01, ch_tm)
-        assert w1 / w2 == pytest.approx(2.0**5, rel=1e-12)
+    v1 = small_particle_sin_phi(SPEC21, 0.02, ch_te)
+    v2 = small_particle_sin_phi(SPEC21, 0.01, ch_te)
+    assert v1 / v2 == pytest.approx(2.0**7, rel=1e-12)
+    w1 = small_particle_sin_phi(SPEC21, 0.02, ch_tm)
+    w2 = small_particle_sin_phi(SPEC21, 0.01, ch_tm)
+    assert w1 / w2 == pytest.approx(2.0**5, rel=1e-12)
     # the envelope tracks the true channel scaling
     exact_ratio = (
         phase_shift(SPEC21, 0.02, ch_te).sin_phi
         / phase_shift(SPEC21, 0.01, ch_te).sin_phi
     )
     assert exact_ratio == pytest.approx(2.0**7, rel=1e-3)
+
+
+@pytest.mark.parametrize("q,within", [(1e-3, 1e-6), (1e-2, 9.1e-5)])
+@pytest.mark.parametrize("epsilon", [1.5, 2.1, 12.0])
+def test_small_particle_terms_lead_the_phase_table(epsilon, q, within):
+    spec = SphereSpec(epsilon, 1.0)
+    table = phase_table(spec, q, 4)
+    for row, p in enumerate(("TE", "TM")):
+        for l in (1, 2, 4):
+            lead = small_particle_sin_phi(spec, q, ChannelIndex(p, l))
+            assert abs(table.sin_phi[row, l] / lead - 1.0) <= within, (p, l)
+
+
+def test_small_particle_terms_never_overflow():
+    for p in ("TE", "TM"):
+        for epsilon in (1.5, 12.0):
+            value = small_particle_sin_phi(SphereSpec(epsilon, 1.0), Q_FLOOR, ChannelIndex(p, 511))
+            assert math.isfinite(value) and abs(value) < 1e-300
+
+
+@settings(max_examples=25, deadline=None)
+@given(log_q=st.floats(math.log(Q_FLOOR), math.log(1e-2)), epsilon=st.floats(1.0, 10.0))
+def test_small_particle_terms_match_every_order(log_q, epsilon):
+    # rows equal the leading terms times 1 + O(q^2) wherever either is a
+    # normal float, so neither is 0 where the other is not; the table's own
+    # rounding grows like 1 / (eps - 1) as eps -> 1
+    q = max(Q_FLOOR, math.exp(log_q))
+    spec = SphereSpec(epsilon, 1.0)
+    table = phase_table(spec, q, 511)
+    tol = q * q + 1e-12 / (epsilon - 1.0) if epsilon > 1.0 else 0.0
+    tiny = np.finfo(float).tiny
+    for row, p in enumerate(("TE", "TM")):
+        for l in range(1, 512):
+            lead = small_particle_sin_phi(spec, q, ChannelIndex(p, l))
+            got = table.sin_phi[row, l]
+            if max(abs(lead), abs(got)) >= tiny:
+                assert abs(got - lead) <= tol * abs(lead), (p, l)
 
 
 # --------------------------------------------------------- truncation order

@@ -1,25 +1,28 @@
-"""Closed-form radial overlaps: accuracy against mpmath, the near-diagonal
-Gauss-Legendre band, agreement with the quadrature-only kernels, the kernel
-order range, the scipy-free import and scan paths and a scipy-blocked run
-of every command."""
+"""Radial overlaps from the Bessel series: accuracy and bounds against
+mpmath, the diagonal and a zero of T_l, the large-argument diagonal and the
+argument cap, agreement with the quadrature-only kernels, the kernel order
+range, the scipy-free import and scan paths and a scipy-blocked run of
+every command."""
 
 import json
 import math
 import os
 import subprocess
 import sys
-from unittest import mock
+import time
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import spherical_jn
 
 import qmie
 from qmie import bogoliubov as bg
+from qmie import specfun
 from qmie.cli import main as run
-from qmie.errors import ResourceLimitError
+from qmie.errors import ResourceLimitError, ToleranceError
 from qmie.miecore import SphereSpec
 from kernel_reference import EPSILON, KERNEL_REFERENCE, kernel_pair
 
@@ -27,8 +30,8 @@ SPEC = SphereSpec(EPSILON, 1.0)
 KERNELS = {"V": bg.coupling_v, "B": bg.b_coefficient, "A_offdiag": bg.a_offdiagonal_kernel}
 
 # Below this size an overlap is a product of underflowed Bessel values; the
-# closed form then returns 0 (or a few subnormal ulps) with bound 0, and the
-# band rules hold such orders to this absolute floor.
+# series then returns 0 (or a few subnormal ulps) with bound 0, and the
+# tolerance test holds such orders to this absolute floor.
 UNDERFLOW_FLOOR = 1e-290
 
 
@@ -50,6 +53,17 @@ def reference_overlaps(l_top, a, b, radius):
                 for l in range(l_top + 1)]
 
 
+def envelope_series(l_top, a, b, radius):
+    """S_l of the overlap bound, recomputed from scipy's j values; the
+    tolerance test of _overlaps compares bounds with rtol S_l."""
+    top = l_top + 200
+    ea, eb = (np.maximum(np.abs(spherical_jn(np.arange(top), x)),
+                         np.where(x > np.arange(top) + 0.5, 1.0 / x, 0.0))
+              for x in (a * radius, b * radius))
+    terms = (2.0 * np.arange(top) + 1.0) * ea * eb
+    return [radius / (a * b) * terms[l + 1::2].sum() for l in range(l_top + 1)]
+
+
 log_wavenumber = st.floats(-3.0, math.log10(50.0)).map(lambda e: 10.0**e)
 relative_gap = st.one_of(
     st.just(0.0),
@@ -63,61 +77,79 @@ relative_gap = st.one_of(
        rtol=st.sampled_from([1e-8, 1e-11]))
 def test_overlaps_within_bound_and_rtol_of_mpmath(a, gap, apart, radius, l_top, rtol):
     b = apart if apart is not None else a * (1.0 + gap)
-    values, bounds = bg._overlaps(l_top, a, b, radius)
-    band = bounds > rtol * np.abs(values)
-    if a == b:
-        assert band.all()
-    calls = []
-    rules = bg._band_overlaps
-
-    def recording(ls, *args):
-        calls.append(list(ls))
-        return rules(ls, *args)
-
-    with mock.patch.object(bg, "_band_overlaps", recording):
-        resolved, errs = bg._resolved_overlaps(l_top, a, b, radius, rtol)
-    assert calls == ([list(np.flatnonzero(band))] if band.any() else [])
+    values, bounds = bg._overlaps(l_top, a, b, radius, rtol)
     ref = reference_overlaps(l_top, a, b, radius)
     for l in range(l_top + 1):
-        if not band[l]:
-            assert resolved[l] == values[l] and errs[l] == bounds[l]
-            assert abs(mp.mpf(values[l]) - ref[l]) <= bounds[l] + UNDERFLOW_FLOOR, l
-        assert abs(mp.mpf(resolved[l]) - ref[l]) <= rtol * abs(ref[l]) + UNDERFLOW_FLOOR, l
+        err = abs(mp.mpf(values[l]) - ref[l])
+        assert err <= bounds[l] + UNDERFLOW_FLOOR, l
+        assert err <= rtol * abs(ref[l]) + UNDERFLOW_FLOOR, l
 
 
-def test_band_resolves_an_order_at_a_zero_of_the_overlap():
+def test_overlaps_resolve_an_order_at_a_zero_of_the_overlap():
     # T_0(a, 6) changes sign at this a; V scans at |k| ~ 3 through |k'| = 6
-    # meet it. The closed form sends the order to the band, where only the
-    # rules' rounding is left, far below rtol times the integral of |r^2 j j|.
+    # meet it. The bound is absolute: far above rtol |T_0|, but within
+    # rtol S_0, so nothing raises, and the value is within 1e-16 of mpmath.
     a = 2.9972348651665896
-    values, bounds = bg._overlaps(3, a, 6.0, 1.0)
-    assert bounds[0] > 1e-11 * abs(values[0])
-    resolved, errs = bg._resolved_overlaps(3, a, 6.0, 1.0, 1e-11)
+    values, bounds = bg._overlaps(3, a, 6.0, 1.0, 1e-11)
     ref = reference_overlaps(3, a, 6.0, 1.0)
     assert abs(ref[0]) < 1e-17
-    assert abs(mp.mpf(resolved[0]) - ref[0]) <= 1e-16 and errs[0] <= 1e-16
+    err = abs(mp.mpf(values[0]) - ref[0])
+    assert err <= 1e-16
+    assert err <= bounds[0] <= 1e-11 * envelope_series(3, a, 6.0, 1.0)[0]
+    assert bounds[0] > 1e-11 * abs(values[0])
 
 
-def test_band_keeps_the_closed_form_where_its_bound_is_smaller():
-    # order 5's closed-form bound sits just above rtol |T_5|, so the order
-    # enters the band, whose rules differ by more than that bound; the band
-    # value was 26 times further from mpmath than the closed form
+def test_overlaps_meet_rtol_where_the_lommel_bound_was_loose():
+    # order 5's Lommel bound sat just above rtol |T_5|; the band value that
+    # replaced it was 4.0e-11 relative off. The series holds rtol.
     a, b, radius, rtol = 19.021934212499463, 0.1, 1.7842187965305232, 1e-11
-    values, bounds = bg._overlaps(5, a, b, radius)
-    assert bounds[5] > rtol * abs(values[5])
-    resolved, errs = bg._resolved_overlaps(5, a, b, radius, rtol)
-    assert resolved[5] == values[5] and errs[5] == bounds[5]
+    values, bounds = bg._overlaps(5, a, b, radius, rtol)
     ref = reference_overlaps(5, a, b, radius)
-    assert abs(mp.mpf(resolved[5]) - ref[5]) <= rtol * abs(ref[5])
+    for l in range(6):
+        err = abs(mp.mpf(values[l]) - ref[l])
+        assert err <= bounds[l] and err <= rtol * abs(ref[l]), l
+
+
+@pytest.mark.parametrize("a,b,radius,l_top", [
+    (1.0, 46.1056300146888, 1.3130363431333634, 42),
+    (42.97595296486859, 0.9 * 42.97595296486859, 1.5, 11),
+    (1.0, 20.889955880478507, 1.5, 1),
+])
+def test_overlaps_meet_rtol_at_the_failing_examples(a, b, radius, l_top):
+    # the tuples where the route between Lommel's form and the band missed
+    # rtol |T_l|. The first is ill-conditioned in b: rounding b R to double alone moves
+    # T_42 by 1.6e-11 relative, and the sweep's rounding happens to offset
+    # it (0.12 rtol); the bound is what holds by construction.
+    values, bounds = bg._overlaps(l_top, a, b, radius, 1e-11)
+    ref = reference_overlaps(l_top, a, b, radius)
+    for l in range(l_top + 1):
+        err = abs(mp.mpf(values[l]) - ref[l])
+        assert err <= bounds[l] and err <= 1e-11 * abs(ref[l]), l
 
 
 def test_closed_form_orders_need_no_quadrature_off_the_diagonal():
-    values, bounds = bg._overlaps(30, 3.0, 2.0 * math.sqrt(EPSILON), 1.0)
+    values, bounds = bg._overlaps(30, 3.0, 2.0 * math.sqrt(EPSILON), 1.0, 1e-11)
     assert np.all(bounds <= 1e-11 * np.abs(values))
     # underflowed orders come out as exact zeros with a zero bound
-    values, bounds = bg._overlaps(300, 0.5, 0.75, 1.0)
+    values, bounds = bg._overlaps(300, 0.5, 0.75, 1.0, 1e-11)
     assert values[-1] == 0.0 and bounds[-1] == 0.0
     assert np.all(np.isfinite(values)) and np.all(np.isfinite(bounds))
+
+
+def test_overlaps_on_the_large_diagonal_against_mpmath():
+    # the V kernel at |k| = |k'| = 400 needs orders up to 437
+    values, bounds = bg._overlaps(437, 400.0, 400.0, 1.0, 1e-11)
+    ref = reference_overlaps(437, 400.0, 400.0, 1.0)
+    for l in (0, 100, 300, 422):
+        err = abs(mp.mpf(values[l]) - ref[l])
+        assert err <= bounds[l] and err <= 1e-11 * abs(ref[l]), l
+
+
+def test_overlaps_past_the_capped_sweep_raise():
+    # above x of about 450 the sweep, capped at order 512, cannot cover the
+    # terms past its top; the bound says so instead of understating the error
+    with pytest.raises(ToleranceError, match="radial overlap bound .* stop at order 512"):
+        bg._overlaps(508, 470.0, 470.0, 1.0, 1e-11)
 
 
 # ------------------------------------------------ quadrature-only references
@@ -139,6 +171,55 @@ def test_band_cli_scan_reruns_byte_identical(tmp_path):
     assert run(args + ["-o", str(second)]) == 0
     assert first.read_bytes().replace(str(first).encode(), b"") == \
         second.read_bytes().replace(str(second).encode(), b"")
+
+
+def _diagonal_v(k):
+    return ["bogoliubov", "--epsilon", "2.1", "--kind", "V", "--k", k,
+            "--kp-min", k, "--kp-max", k, "--kp-steps", "1"]
+
+
+def test_cli_large_diagonal_v_exits_0(tmp_path):
+    # the Gauss-Legendre band's rules failed here ("differ by 6.81e-24 at
+    # l=422") from about |k| = |k'| = 400 on
+    out = tmp_path / "v.csv"
+    assert run(_diagonal_v("400") + ["-o", str(out)]) == 0
+    row = list(map(float, out.read_text().splitlines()[-1].split(",")))
+    assert row[0] == 400.0 and all(map(math.isfinite, row))
+    # the self-coupling of one mode has a closed form: (k / 4) ((eps - 1) / eps)
+    # times the sphere's volume over (2 pi)^3
+    assert run(_diagonal_v("400") + ["--kp-theta", "0", "--kp-phi", "0", "--gp", "1",
+                                     "-o", str(out)]) == 0
+    _, re_, im_, abs_err = map(float, out.read_text().splitlines()[-1].split(","))
+    closed = 100.0 * (EPSILON - 1.0) / EPSILON * (4.0 * math.pi / 3.0) / (2.0 * math.pi) ** 3
+    assert abs(complex(re_, im_) - closed) <= abs_err <= 1e-11 * closed
+
+
+def test_cli_diagonal_past_the_capped_sweep_exits_3(tmp_path, capsys):
+    out = tmp_path / "v.csv"
+    start = time.perf_counter()
+    assert run(_diagonal_v("470") + ["-o", str(out)]) == 3
+    assert time.perf_counter() - start < 2.0
+    assert "stop at order 512" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_kernel_past_the_argument_cap_exits_2_before_any_sweep(tmp_path, capsys, monkeypatch):
+    swept = []
+
+    def recording(name):
+        real = getattr(specfun, name)
+
+        def sweep(*args):
+            swept.append(name)
+            return real(*args)
+        return sweep
+
+    for name in ("_j_one", "_miller_j_batch", "_upward_y", "_upward_y_batch"):
+        monkeypatch.setattr(specfun, name, recording(name))
+    out = tmp_path / "v.csv"
+    assert run(_diagonal_v("2e6") + ["--l-max", "5", "-o", str(out)]) == 2
+    assert "argument cap" in capsys.readouterr().err
+    assert swept == [] and not out.exists()
 
 
 # ------------------------------------------------------- kernel order range
@@ -206,9 +287,9 @@ def test_off_band_kernel_scans_load_no_scipy(tmp_path):
 
 
 def test_diagonal_v_scan_loads_scipy_and_holds_rtol():
-    # The name dates from the adaptive-quadrature band. The Gauss-Legendre
-    # band now serves the diagonal, so the scan must load no scipy at all
-    # while holding the reference values to the same rtol.
+    # The name dates from the adaptive-quadrature band. The Bessel series
+    # now serves the diagonal, so the scan must load no scipy at all while
+    # holding the reference values to the same rtol.
     diagonal = [(kp, value) for kind, k, kp, value, _ in KERNEL_REFERENCE
                 if kind == "V" and abs(kp / k - 1.0) < 2e-9]
     assert any(kp == 3.0 for kp, _ in diagonal)
@@ -230,7 +311,7 @@ def test_diagonal_v_scan_loads_scipy_and_holds_rtol():
 
 def test_every_command_runs_with_scipy_blocked(tmp_path):
     # k' steps through k (V) and through k / sqrt(eps) (B), so both scans
-    # reach the near-diagonal band
+    # reach the diagonal of the radial overlaps
     b_pole = 3.0 / math.sqrt(EPSILON)
     commands = [
         ["phase-shifts", "--epsilon", "2.1", "--q", "3.0"],
@@ -248,19 +329,10 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
     proc = _run_child(
         "import sys\n"
         "sys.modules['scipy'] = None\n"
-        "from qmie import bogoliubov\n"
         "from qmie.cli import main\n"
-        "rules, band = bogoliubov._band_overlaps, []\n"
-        "def recording(ls, *args):\n"
-        "    band.append(len(ls))\n"
-        "    return rules(ls, *args)\n"
-        "bogoliubov._band_overlaps = recording\n"
         f"for args, out in zip({commands!r}, {outs!r}):\n"
-        "    band.clear()\n"
-        "    print(args[0], main(args + ['-o', out]), len(band))\n"
+        "    print(args[0], main(args + ['-o', out]))\n"
     )
     lines = [line.split() for line in proc.stdout.splitlines()]
-    assert [(name, rc) for name, rc, _ in lines] == [(c[0], "0") for c in commands]
-    # the diagonal V point and the B point at sqrt(eps) k' = k entered the band
-    assert int(lines[-2][2]) > 0 and int(lines[-1][2]) > 0
+    assert [(name, rc) for name, rc in lines] == [(c[0], "0") for c in commands]
     assert all(os.path.exists(out) for out in outs)
