@@ -20,9 +20,7 @@ from .errors import (
     ConfigError,
     ConsistencyError,
     DegenerateChannelError,
-    DomainError,
     NonFiniteError,
-    PoleExcludedError,
     QmieError,
     ResourceLimitError,
     ToleranceError,
@@ -195,11 +193,21 @@ def _check_rows(command: str, rows: int) -> None:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temporary file and one rename. The file
+    keeps the mode of the one it replaces; a new file gets 0o666 less the
+    umask, as open() would give it (mkstemp creates 0o600)."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qmie-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        try:
+            mode = os.stat(path).st_mode & 0o7777
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -449,9 +457,6 @@ def main(argv=None) -> int:
         _require_finite(command, names, columns)
         text = _render(res["format"], command, res.effective, names, columns, notes)
         _write_atomic(output, text)
-    except (ConfigError, DomainError, PoleExcludedError, ResourceLimitError) as exc:
-        print(f"qmie: config error: {exc}", file=sys.stderr)
-        return 2
     except (ToleranceError, ConsistencyError, DegenerateChannelError, NonFiniteError) as exc:
         print(f"qmie: numerical tolerance failure: {exc}", file=sys.stderr)
         return 3

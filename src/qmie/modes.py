@@ -70,14 +70,16 @@ class PlaneModeIndex:
     kvec: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        if self.g not in (1, 2):
-            raise DomainError(f"polarization g={self.g} must be 1 or 2")
+        g = specfun._as_integer(self.g, "polarization g")
+        if g not in (1, 2):
+            raise DomainError(f"polarization g={g} must be 1 or 2")
         kv = tuple(float(c) for c in self.kvec)
         if len(kv) != 3 or not all(math.isfinite(c) for c in kv):
             raise DomainError("kvec must be a finite 3-vector")
         if sum(c * c for c in kv) < _TINY:
             # |k| and the direction kz/|k| would come from a subnormal or 0
             raise DomainError(f"kvec={kv} must be nonzero, and |kvec|^2 must not underflow")
+        object.__setattr__(self, "g", g)
         object.__setattr__(self, "kvec", kv)
 
     @property
@@ -110,15 +112,6 @@ class PlaneWaveCoefficient:
     m: int
     g: int
     value: complex
-
-
-def _as_point(point) -> np.ndarray:
-    p = np.asarray(point, dtype=float)
-    if p.shape != (3,):
-        raise DomainError(f"point must be a 3-vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise DomainError("point must be finite")
-    return p
 
 
 def _as_points(points) -> tuple[np.ndarray, bool]:
@@ -502,7 +495,10 @@ def dipole_limit_field(spec: SphereSpec, kappa: PlaneModeIndex, point) -> FieldS
     polarizability 3 eps0 V (eps-1)/(eps+2); the radiated part applies the
     free-space Green's tensor, so mu0 w^2 alpha = 3 V k^2 (eps-1)/(eps+2).
     """
-    p = _as_point(point)
+    p, single = _as_points(point)
+    if not single:
+        raise DomainError(f"point must be a 3-vector, got shape {p.shape}")
+    p = p[0]
     r = float(np.linalg.norm(p))
     if r < spec.radius:
         raise DomainError("dipole comparison point must lie outside the sphere")

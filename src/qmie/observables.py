@@ -266,6 +266,8 @@ def g2_map(
         raise DomainError("phi grids must be non-empty 1-D arrays")
     if r_detector is None:
         r_detector = 1e3 / k
+    elif not 0.0 < r_detector < math.inf:
+        raise DomainError(f"r_detector={r_detector} must be finite and > 0")
     elif k * r_detector < 1e3:
         warnings.warn(
             f"detector radius k r = {k * r_detector:.3g} < 1e3; far-field "

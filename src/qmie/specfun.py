@@ -4,16 +4,18 @@ Spherical Bessel functions of the first and second kind, orthonormal spherical
 harmonics in the Condon-Shortley convention, and the tangential/mixed vector
 harmonic triple (X, V, W) expressed on the local spherical basis.
 
-Numerical strategy: j_l is generated by a Miller-type downward recurrence
-seeded well above the requested order and renormalized against a closed-form
-anchor (upward recurrence for j_l is catastrophically unstable for l > x);
-y_l is generated upward from its closed forms, which is the stable direction.
-Both sweeps take one argument or a 1-D array of them. From ``BATCH_MIN``
-(24) arguments on, one recurrence runs over the whole array, each argument
-taking exactly the steps, rescalings and anchors of its scalar sweep, so
-every row equals the scalar sweep bit for bit; smaller arrays loop over the
-scalar sweep. Arguments are capped at ``HARD_CAP_ARGUMENT`` (2^20), which
-bounds the length of every sweep.
+Numerical strategy: both kinds come from one recurrence, f_{l+d} = (2l+1)/x
+f_l - f_{l-d} with d = -1 or +1, run by ``_recur`` for one argument and by
+``_recur_batch`` for many, the running pair rescaled by a power of two before
+it overflows. j_l runs it downward from well above the requested order and is
+renormalized against a closed-form anchor (upward recurrence for j_l is
+catastrophically unstable for l > x); y_l runs it upward from its closed forms
+y_0 and y_1, which is the stable direction. Both sweeps take one argument or a
+1-D array of them. From ``BATCH_MIN`` (24) arguments on, ``_recur_batch``
+serves the whole array, each argument taking exactly the steps, rescalings and
+anchors of its scalar sweep, so every row equals the scalar sweep bit for bit;
+smaller arrays loop over the scalar sweep. Arguments are capped at
+``HARD_CAP_ARGUMENT`` (2^20), which bounds the length of every sweep.
 Angular derivatives of Y_l^m are evaluated through ladder identities that stay
 finite at the poles; nothing is differentiated numerically.
 """
@@ -151,25 +153,91 @@ def _series_j(l: int, x: float) -> tuple[float, int]:
     return math.exp(ln_lead - bits * _LN2) * (1.0 - x * x / (2.0 * (2 * l + 3))), bits
 
 
+def _recur(x: float, ls: range, prev: float, cur: float) -> tuple[list[float], list[int]]:
+    """The Bessel recurrence f_{l+d} = (2l+1)/x f_l - f_{l-d} over the steps l
+    of ls, d = ls.step = -1 (down) or +1 (up), seeded by (f_{l-d}, f_l) =
+    (prev, cur) at the first step. Returns the sweep, the seeds and then the
+    order each step forms, as mantissas and powers of two; the pair is
+    rescaled by 2^-830 before it passes 1e250.
+    """
+    mant, exps, bits = [prev, cur], [0, 0], 0
+    for l in ls:
+        prev, cur = cur, (2 * l + 1) / x * cur - prev
+        if not -1e250 <= cur <= 1e250:
+            prev *= _RESCALE
+            cur *= _RESCALE
+            bits += _RESCALE_BITS
+        mant.append(cur)
+        exps.append(bits)
+    return mant, exps
+
+
+def _recur_batch(x: np.ndarray, ls: range, starts: np.ndarray, prev: np.ndarray,
+                 cur: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
+    """_recur over N arguments at once, as two (keep, N) arrays: column n is
+    the last keep entries of
+    _recur(x[n], range(starts[n], ls.stop, ls.step), prev[n], cur[n]) bit
+    for bit. The starts come in the order of ls from ls.start on, so the
+    arguments under way are a prefix; each joins the ring with its seeds at
+    its start, rescales on its own, and is under way at every kept entry.
+    The rescale test runs at each step that a growth bound cannot clear.
+    Kept orders are formed in their own rows and a rescale happens in the
+    ring, so it never touches a stored order.
+    """
+    d, n_all = ls.step, x.size
+    # live[i]: the arguments under way at step ls[i]
+    live = np.searchsorted(d * starts, d * np.arange(ls.start, ls.stop, d), side="right").tolist()
+    # entry s of a sweep (the seeds are 0 and 1) sits in row s - skip
+    skip = len(ls) + 2 - keep
+    out = np.empty((keep, n_all))
+    scale = np.zeros((keep, n_all), dtype=int)
+    if skip < 2:
+        out[:2 - skip] = (prev, cur)[skip:]
+    # orders l - d, l and l + d of step l sit in rows (l - d) % 3, l % 3 and
+    # (l + d) % 3 of the ring
+    ring = np.empty((3, n_all))
+    # size bounds each pair (an argument still at its seeds too), and one
+    # step multiplies it by at most 1 + (2l+1)/x, l the largest step; the
+    # margin of ten covers the rounding of the steps
+    size = np.maximum(np.abs(prev), np.abs(cur))
+    log_growth = np.log((2 * max(ls.start, ls.stop - d) + 1) / x + 1.0)
+    n, check = 0, 2
+    for s, (l, m) in enumerate(zip(ls, live), 2):
+        if m > n:
+            ring[(l - d) % 3, n:m] = prev[n:m]
+            ring[l % 3, n:m] = cur[n:m]
+            n = m
+            rows, x_n = list(ring[:, :n]), x[:n]
+        if s >= skip:
+            rows[(l + d) % 3] = out[s - skip]
+        cur_l, new = rows[l % 3], rows[(l + d) % 3]
+        np.divide(2 * l + 1, x_n, out=new)
+        new *= cur_l
+        new -= rows[(l - d) % 3]
+        if s == check:
+            over = np.flatnonzero(np.abs(new) > 1e250)
+            if over.size:
+                # the running pair rescales in the ring, never in a kept row
+                ring[l % 3, :n] = cur_l
+                cur_l = rows[l % 3] = ring[l % 3, :n]
+                cur_l[over] *= _RESCALE
+                new[over] *= _RESCALE
+                scale[max(s - skip, 0):, over] += _RESCALE_BITS
+            np.maximum(np.abs(cur_l), np.abs(new), out=size[:n])
+            steps = np.log(1e249 / np.maximum(size, 1e-30)) / log_growth
+            check = s + 1 + max(0, int(steps.min()))
+    return out, scale
+
+
 def _miller_j(l_top: int, x: float) -> tuple[list[float], list[int]]:
     """Unstable-direction-safe j_0..j_{l_top} for x not tiny relative to l_top.
 
     Returns mantissas and powers of two.
     """
     start = int(max(l_top, math.ceil(x))) + 16 + int(2.0 * math.sqrt(max(l_top, x)))
-    out = [0.0] * (l_top + 1)
-    scale = [0] * (l_top + 1)
-    jp, jc, bits = 0.0, 1e-30, 0
-    for l in range(start, 0, -1):
-        jp, jc = jc, (2 * l + 1) / x * jc - jp
-        if not -1e250 <= jc <= 1e250:
-            # rescale by a power of two before overflow; bits keeps the scale
-            jp *= _RESCALE
-            jc *= _RESCALE
-            bits += _RESCALE_BITS
-        if l - 1 <= l_top:
-            out[l - 1] = jc
-            scale[l - 1] = bits
+    mant, exps = _recur(x, range(start, 0, -1), 0.0, 1e-30)
+    # the sweep ends with order 0
+    out, scale = mant[:-l_top - 2:-1], exps[:-l_top - 2:-1]
     # anchor against whichever closed form is well conditioned here: j0 away
     # from the nonzero roots of sin, else j1 (whose naive form only cancels
     # badly for small x, where j0 is fine anyway)
@@ -187,67 +255,28 @@ def _miller_j(l_top: int, x: float) -> tuple[list[float], list[int]]:
     return mant, exps
 
 
-def _unchecked_steps(size: np.ndarray, growth: np.ndarray) -> int:
-    """Recurrence steps in which no running pair can pass 1e250.
-
-    size bounds each argument's pair (at least the 1e-30 seed counts, which
-    covers arguments still at their seed) and one step multiplies it by at
-    most growth; the margin of ten covers the rounding of the steps.
-    """
-    steps = np.log(1e249 / np.maximum(size, 1e-30)) / np.log(growth)
-    return max(0, int(steps.min()))
-
-
 def _miller_j_batch(tops: np.ndarray, x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """_miller_j over N arguments at once, as two (N, width) arrays.
 
     Row n equals the first width <= min(tops) + 1 entries of
-    _miller_j(tops[n], x[n]) bit for bit. One downward recurrence runs from
-    the largest start. The arguments are sorted by start, so the ones under
-    way are always a prefix; each waits at its seed (0, 1e-30) until its own
-    start, takes the scalar steps in the same order, rescales on its own,
-    and is anchored on math.sin and math.cos as the scalar sweep is. The
-    rescale test runs at every step that a growth bound cannot clear. Only
-    the orders kept (and the anchor orders 0 and 1) are stored, so memory
-    does not grow with x.
+    _miller_j(tops[n], x[n]) bit for bit: one _recur_batch over the arguments
+    sorted by start, anchored on math.sin and math.cos as the scalar sweep
+    is. Only the orders kept (and the anchor orders 0 and 1) are stored, so
+    memory does not grow with x.
     """
     starts = (np.maximum(tops, np.ceil(x)).astype(int) + 16
               + (2.0 * np.sqrt(np.maximum(tops, x))).astype(int))
     order = np.argsort(-starts, kind="stable")
     starts, tops, x = starts[order], tops[order], x[order]
-    n_all, first = x.size, int(starts[0])
-    # live[l]: the arguments under way at the step that computes order l - 1
-    live = np.searchsorted(-starts, -np.arange(first + 1), side="right").tolist()
-    # orders l + 1, l and l - 1 sit in rows (l + 1) % 3, l % 3 and (l - 1) % 3,
-    # so an argument that has not started keeps its seed in place
-    ring = np.zeros((3, n_all))
-    ring[starts % 3, np.arange(n_all)] = 1e-30
-    keep = max(width, 2)
-    out = np.empty((keep, n_all))
-    scale = np.zeros((keep, n_all), dtype=int)
-    size = np.zeros(n_all)
-    check = first
-    for l in range(first, 0, -1):
-        n = live[l]
-        cur, new = ring[l % 3, :n], ring[(l - 1) % 3, :n]
-        np.divide(2 * l + 1, x[:n], out=new)
-        new *= cur
-        new -= ring[(l + 1) % 3, :n]
-        if l == check:
-            over = np.flatnonzero(np.abs(new) > 1e250)
-            if over.size:
-                cur[over] *= _RESCALE
-                new[over] *= _RESCALE
-                scale[:min(l, keep), over] += _RESCALE_BITS
-            np.maximum(np.abs(cur), np.abs(new), out=size[:n])
-            check = l - 1 - _unchecked_steps(size, (2 * l - 1) / x + 1.0)
-        if l - 1 < keep:
-            # every argument is under way: each start exceeds its top by 16
-            out[l - 1] = new
-    sin = np.array([math.sin(v) for v in x.tolist()])
+    n_all = x.size
+    out, scale = _recur_batch(x, range(int(starts[0]), 0, -1), starts, np.zeros(n_all),
+                              np.full(n_all, 1e-30), max(width, 2))
+    # the sweeps end with order 0
+    out, scale = out[::-1], scale[::-1]
+    sin = np.fromiter(map(math.sin, x.tolist()), float, n_all)
     j0 = sin / x
     use_j1 = ~((x < 1.0) | (np.abs(sin) > 0.1) | (tops == 0))
-    cos = np.array([math.cos(v) for v in x.tolist()])
+    cos = np.fromiter(map(math.cos, x.tolist()), float, n_all)
     anchor = np.where(use_j1, sin / (x * x) - cos / x, j0)
     cols, a = np.arange(n_all), use_j1.astype(int)
     pivot = out[a, cols]
@@ -262,58 +291,24 @@ def _miller_j_batch(tops: np.ndarray, x: np.ndarray, width: int) -> tuple[np.nda
 
 def _upward_y(l_max: int, x: float) -> tuple[list[float], list[int]]:
     """y_0..y_{l_max} by upward recurrence, as mantissas and powers of two."""
-    yp, yc, bits = 0.0, -math.cos(x) / x, 0
-    mant = [yc]
-    exps = [0] * (l_max + 1)
-    if l_max >= 1:
-        yp, yc = yc, -math.cos(x) / (x * x) - math.sin(x) / x
-        mant.append(yc)
-    for l in range(1, l_max):
-        yp, yc = yc, (2 * l + 1) / x * yc - yp
-        if not -1e250 <= yc <= 1e250:
-            yp *= _RESCALE
-            yc *= _RESCALE
-            bits += _RESCALE_BITS
-        mant.append(yc)
-        exps[l + 1] = bits
-    return mant, exps
+    y0 = -math.cos(x) / x
+    if l_max == 0:
+        return [y0], [0]
+    return _recur(x, range(1, l_max), y0, -math.cos(x) / (x * x) - math.sin(x) / x)
 
 
 def _upward_y_batch(x: np.ndarray, l_max: int) -> tuple[np.ndarray, np.ndarray]:
     """_upward_y over N arguments at once, as two (N, l_max + 1) arrays.
 
-    Row n equals _upward_y(l_max, x[n]) bit for bit: the same steps, the
-    same per-argument rescaling, math.sin and math.cos for the seeds.
+    Row n equals _upward_y(l_max, x[n]) bit for bit: one _recur_batch from
+    the same seeds, formed with math.sin and math.cos.
     """
-    sin = np.array([math.sin(v) for v in x.tolist()])
-    cos = np.array([math.cos(v) for v in x.tolist()])
-    table = np.empty((l_max + 1, x.size))
-    scale = np.zeros((l_max + 1, x.size), dtype=int)
-    table[0] = -cos / x
-    if l_max >= 1:
-        table[1] = -cos / (x * x) - sin / x
-    growth = (2 * l_max - 1) / x + 1.0
-    check = 1
-    # orders l whose row was rescaled as the running yp: the scalar sweep
-    # keeps their unscaled value
-    stored = []
-    for l in range(1, l_max):
-        new = table[l + 1]
-        np.divide(2 * l + 1, x, out=new)
-        new *= table[l]
-        new -= table[l - 1]
-        if l == check:
-            over = np.flatnonzero(np.abs(new) > 1e250)
-            if over.size:
-                stored.append((l, over, table[l, over]))
-                table[l, over] *= _RESCALE
-                new[over] *= _RESCALE
-                scale[l + 1:, over] += _RESCALE_BITS
-            size = np.maximum(np.abs(table[l]), np.abs(new))
-            check = l + 1 + _unchecked_steps(size, growth)
-    for l, over, values in stored:
-        table[l, over] = values
-    return table.T.copy(), scale.T.copy()
+    sin = np.fromiter(map(math.sin, x.tolist()), float, x.size)
+    cos = np.fromiter(map(math.cos, x.tolist()), float, x.size)
+    y0 = -cos / x
+    y1 = -cos / (x * x) - sin / x if l_max else y0
+    mant, exps = _recur_batch(x, range(1, l_max), np.ones(x.size, dtype=int), y0, y1, l_max + 1)
+    return mant.T.copy(), exps.T.copy()
 
 
 def _j_one(l_max: int, x: float) -> tuple[list[float], list[int]]:

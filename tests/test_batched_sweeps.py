@@ -112,6 +112,67 @@ def test_order_validation():
         specfun._y_scaled(3, np.empty(0))
 
 
+# ---------------------------------------------------- the shared recurrence
+
+@st.composite
+def recurrences(draw):
+    """One batched sweep: its steps in either direction, staggered starts in
+    the order of the steps, seeds, and a kept tail that every argument's
+    sweep reaches (with the seeds when every argument starts first)."""
+    d = draw(st.sampled_from([-1, 1]))
+    steps = draw(st.integers(0, 120))
+    first = draw(st.integers(steps, 300)) if d < 0 else draw(st.integers(0, 200))
+    n = draw(st.integers(1, 40))
+    lags = sorted(draw(st.lists(st.integers(0, steps), min_size=n, max_size=n)))
+    lags[0] = 0
+    keep = draw(st.integers(0, steps + 2 if lags[-1] == 0 else steps - lags[-1]))
+    x = draw(st.lists(st.floats(1e-3, 400.0), min_size=n, max_size=n))
+    seeds = st.one_of(st.just(0.0), st.floats(-1e200, 1e200, allow_subnormal=False))
+    prev = draw(st.lists(seeds, min_size=n, max_size=n))
+    cur = draw(st.lists(seeds, min_size=n, max_size=n))
+    return (np.array(x), range(first, first + d * steps, d), first + d * np.array(lags),
+            np.array(prev), np.array(cur), keep)
+
+
+def scalar_recur(x, ls, starts, prev, cur, keep):
+    """The last keep entries of _recur per argument, as (keep, N) arrays."""
+    rows = [specfun._recur(float(x[n]), range(int(starts[n]), ls.stop, ls.step),
+                           float(prev[n]), float(cur[n])) for n in range(x.size)]
+    return (np.array([m[len(m) - keep:] for m, _ in rows], dtype=float).reshape(x.size, keep).T,
+            np.array([e[len(e) - keep:] for _, e in rows], dtype=int).reshape(x.size, keep).T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep=recurrences())
+def test_recur_batch_columns_equal_scalar_recurrences(sweep):
+    assert_rows_equal(specfun._recur_batch(*sweep), scalar_recur(*sweep))
+
+
+@pytest.mark.parametrize("top", [0, 1, 2])
+def test_recur_batch_keeps_the_seeds_of_a_short_sweep(top):
+    # the y sweeps of tops 0, 1 and 2: the seeds and at most one step
+    x = np.linspace(0.5, 3.0, 5)
+    sweep = (x, range(1, top), np.ones(5, dtype=int), -np.cos(x) / x, np.sin(x), top + 1)
+    got = specfun._recur_batch(*sweep)
+    assert got[0].shape == (top + 1, 5)
+    assert_rows_equal(got, scalar_recur(*sweep))
+
+
+@pytest.mark.parametrize("d", [-1, 1])
+def test_recur_batch_rescales_each_argument_at_its_own_steps(d):
+    # each argument rescales at other steps, most of them inside the kept
+    # rows, where rescaling a stored order in place would break the match
+    x = np.geomspace(1e-3, 2.0, BATCH)
+    ls = range(400, 0, -1) if d < 0 else range(1, 400)
+    starts = ls.start + d * np.arange(BATCH)
+    seeds = np.full(BATCH, 1e-30), np.full(BATCH, 1e-29)
+    got = specfun._recur_batch(x, ls, starts, *seeds, 300)
+    assert_rows_equal(got, scalar_recur(x, ls, starts, *seeds, 300))
+    steps_rescaled = [np.flatnonzero(np.diff(column)).tolist() for column in got[1].T]
+    assert all(steps_rescaled[:-1])
+    assert len({tuple(s) for s in steps_rescaled}) > BATCH // 2
+
+
 # ----------------------------------------------------------- argument range
 
 @pytest.mark.parametrize("sweep", [specfun.spherical_bessel_j, specfun.spherical_bessel_y])
@@ -136,7 +197,8 @@ def test_batch_is_checked_whole_before_any_sweep(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a sweep ran before the batch was checked")
 
-    for name in ("_miller_j", "_miller_j_batch", "_upward_y", "_upward_y_batch"):
+    for name in ("_miller_j", "_miller_j_batch", "_upward_y", "_upward_y_batch",
+                 "_recur", "_recur_batch"):
         monkeypatch.setattr(specfun, name, forbidden)
     xs = np.linspace(1.0, 2.0, BATCH + 5)
     xs[7], xs[9] = 1e7, math.nan

@@ -35,6 +35,30 @@ def read_rows(path):
 
 # ------------------------------------------------------------- determinism
 
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_new_dataset_gets_the_mode_open_would_give(tmp_path, umask):
+    out = tmp_path / "ps.csv"
+    old = os.umask(umask)
+    try:
+        assert run(["phase-shifts", "--epsilon", "2.1", "--q", "1", "-o", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o7777 == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("mode", [0o640, 0o600, 0o664], ids=oct)
+def test_overwritten_dataset_keeps_its_mode(tmp_path, mode):
+    out = tmp_path / "ps.csv"
+    out.write_text("old\n")
+    out.chmod(mode)
+    old = os.umask(0o022)
+    try:
+        assert run(["phase-shifts", "--epsilon", "2.1", "--q", "1", "-o", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o7777 == mode
+    assert out.read_text().startswith("#")
+
 def test_repeat_run_is_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["phase-shifts", "--epsilon", "2.1", "--q", "0.5"]
@@ -400,6 +424,15 @@ def test_diff_cross_section_scan(tmp_path):
     rows = read_rows(out)
     assert len(rows) == 7
     assert float(rows[0][0]) == 0.0 and float(rows[-1][0]) == math.pi
+
+
+@pytest.mark.parametrize("radius", ["-1000", "0", "inf", "nan"])
+def test_g2_map_detector_radius_outside_range_exits_2(tmp_path, capsys, radius):
+    out = tmp_path / "g2.csv"
+    assert run(["g2-map", "--q", "1", f"--r-detector={radius}", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "r_detector" in err and "far-field" not in err
+    assert not out.exists()
 
 
 def test_g2_map_zero_line_and_default_epsilon(tmp_path):

@@ -40,6 +40,12 @@ def test_mode_index_validation():
     assert modes.SphericalModeIndex(ch, -2.0, 1.0).m == -2
     with pytest.raises(DomainError):
         modes.PlaneModeIndex(3, (0, 0, 1))
+    # g as m: an integral float is the integer, anything else is no label
+    assert modes.PlaneModeIndex(2.0, (0, 0, 1)) == modes.PlaneModeIndex(2, (0, 0, 1))
+    assert type(modes.PlaneModeIndex(1.0, (0, 0, 1)).g) is int
+    for g in (1.5, math.nan, math.inf, "1"):
+        with pytest.raises(DomainError, match="polarization g"):
+            modes.PlaneModeIndex(g, (0, 0, 1))
     with pytest.raises(DomainError):
         modes.PlaneModeIndex(1, (0, 0, 0))
 
@@ -356,6 +362,11 @@ def test_dipole_field_trivial_cases():
     assert np.array_equal(d.value, g.value)
     with pytest.raises(DomainError):
         modes.dipole_limit_field(SPEC, kap, (0.2, 0.0, 0.0))
+    # one point only: an (N, 3) batch is refused, as are non-finite points
+    with pytest.raises(DomainError, match="3-vector"):
+        modes.dipole_limit_field(SPEC, kap, [pt, pt])
+    with pytest.raises(DomainError, match="finite"):
+        modes.dipole_limit_field(SPEC, kap, (math.inf, 0.0, 0.0))
 
 
 def test_dipole_far_zone_is_transverse():

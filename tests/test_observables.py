@@ -315,11 +315,30 @@ def test_g2_detector_radius_invariance():
     assert np.nanmax(np.abs(base.values - doubled.values)) < 1e-4
 
 
+@pytest.mark.parametrize("g", [1, 2])
+def test_integral_float_polarization_gives_the_same_cross_section(g):
+    n = (0.6, 0.0, 0.8)
+    as_int, as_float = (PlaneModeIndex(label, (0.0, 0.3, 1.0)) for label in (g, float(g)))
+    assert (observables.differential_cross_section(SPEC, as_float, n)
+            == observables.differential_cross_section(SPEC, as_int, n))
+
+
 def test_g2_equal_frequency_enforced():
     kap1 = PlaneModeIndex(1, (0.01, 0.0, 0.0))
     kap2 = PlaneModeIndex(1, (0.0, 0.02, 0.0))
     with pytest.raises(DomainError):
         observables.g2_map(SPEC, kap1, kap2, "z", "z", 1.0, 1.0, [0.0], [0.0])
+
+
+@pytest.mark.parametrize("radius", [-1000.0, 0.0, math.inf, math.nan])
+def test_g2_detector_radius_must_be_finite_and_positive(radius):
+    # at r <= 0 the detector rings would sit mirrored through the origin or on it
+    kap1, kap2, _ = small_particle_setup(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="r_detector"):
+            observables.g2_map(SPEC, kap1, kap2, "z", "z", 1.0, 1.0, [0.0], [0.0],
+                               r_detector=radius)
 
 
 def test_g2_near_field_detector_warns():
