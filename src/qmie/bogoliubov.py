@@ -3,8 +3,9 @@ operators and scattering-eigenmode operators.
 
 All three kernels reduce the sphere-volume integral of a mode product to
 analytic angular sums times one-dimensional radial overlaps
-T_l = integral_0^R r^2 j_l(a r) j_l(b r) dr. The angular part uses the
-multipole coefficient tables of the plane-wave modes. The overlaps of all
+T_l = integral_0^R r^2 j_l(a r) j_l(b r) dr. The angular part sums over m
+through pi_l and tau_l at the angle between the two plane waves, with no
+coefficient table. The overlaps of all
 orders come from one exact series, Lommel's closed form (Watson, Theory of
 Bessel Functions, sec. 5.11) telescoped over the Bessel recurrence, summed
 from one Bessel sweep per argument. It holds near and on the diagonal
@@ -139,25 +140,17 @@ def _overlaps(l_top: int, a: float, b: float, radius: float, rtol: float):
     return values, bounds
 
 
-def _angular_sums(kappa: PlaneModeIndex, kappa_prime: PlaneModeIndex,
-                  l_max: int, conjugate_pair: bool, tables=None):
-    """Per-(p, l) sums over m of the plane-wave coefficient products.
-
-    Normal kinds pair c*(khat) with c(khat'); the counter-rotating kind pairs
-    c*(khat) with c*(khat') at mirrored m, picking up the conjugation parity
-    of the vector harmonics: (-1)^(m+1) for TE, (-1)^m for TM. tables is the
-    (kappa, kappa') pair of coefficient tables at l_max, built here when not
-    given. Returns (2, l_max+1) sums indexed [p, l].
+def _angular_sums(kappa: PlaneModeIndex, kappa_primes, l_max: int, conjugate_pair: bool):
+    """Per-(p, l) sums over m of the plane-wave coefficient products of kappa
+    and each of N kappa', (N, 2, l_max+1) indexed [i, p, l], in one array
+    pass (``specfun._pair_sums``). Normal kinds pair c*(khat) with c(khat'),
+    the counter-rotating kind c*(khat) with c*(khat') at mirrored m. Rows
+    l <= L of a pair depend neither on l_max >= L nor on the other kappa'.
     """
-    if tables is None:
-        tables = _ScanTables(kappa, [kappa_prime], l_max).pair(kappa_prime, l_max)
-    c1, c2 = tables
-    if not conjugate_pair:
-        return np.einsum("plm,plm->pl", np.conj(c1), c2)
-    m = np.arange(-l_max, l_max + 1)
-    parity = np.where(m % 2 == 0, 1.0, -1.0)
-    return np.einsum("pm,plm,plm->pl", np.stack([-parity, parity]), np.conj(c1),
-                     np.conj(np.flip(c2, axis=2)))
+    n, e = modes._directions([kappa, *kappa_primes])
+    g_prime = [kappa_prime.g - 1 for kappa_prime in kappa_primes]
+    return specfun._pair_sums(n[0], n[1:], e[0, kappa.g - 1], e[np.arange(1, len(n)), g_prime],
+                              l_max, conjugate_pair)
 
 
 def _volume_overlap(
@@ -168,24 +161,22 @@ def _volume_overlap(
     rtol: float,
     scattered: bool,
     phase_sign: float,
-    conjugate_pair: bool,
-    tables=None,
+    sums: np.ndarray,
 ):
     """Reduced sphere-volume integral of G*_kappa dotted into the kappa'
     family member: G (scattered=False), F or F* (scattered=True).
 
     Returns (value, abs_err). The reduction is
     (2/pi) sum_{p,l} M^p_l Phi^p_l T^p_l with M the angular coefficient sums
-    (over tables, as in _angular_sums), Phi the interior radial phase factor
-    and T the radial overlaps.
+    (sums, the (2, l_max+1) row of _angular_sums), Phi the interior radial
+    phase factor and T the radial overlaps.
     """
     k = kappa.k
     kp = kappa_prime.k
     b_scale = math.sqrt(spec.epsilon) if scattered else 1.0
-    weight = _angular_sums(kappa, kappa_prime, l_max, conjugate_pair, tables)
     if scattered:
         t = phase_table(spec, kp * spec.radius, l_max)
-        weight = weight * t.gamma * np.exp(phase_sign * 1j * t.phi)
+        sums = sums * t.gamma * np.exp(phase_sign * 1j * t.phi)
     o, o_err = _overlaps(l_max + 1, k, b_scale * kp, spec.radius, rtol)
     # TE takes the overlap of order l, TM those of orders l + 1 and l - 1
     ls = np.arange(1, l_max + 1)
@@ -193,30 +184,9 @@ def _volume_overlap(
     w_dn = (ls + 1.0) / (2.0 * ls + 1.0)
     radial = np.stack([o[1:-1], w_up * o[2:] + w_dn * o[:-2]])
     radial_err = np.stack([o_err[1:-1], w_up * o_err[2:] + w_dn * o_err[:-2]])
-    total = np.sum(weight[:, 1:] * radial)
-    err = np.sum(np.abs(weight[:, 1:]) * radial_err)
+    total = np.sum(sums[:, 1:] * radial)
+    err = np.sum(np.abs(sums[:, 1:]) * radial_err)
     return (2.0 / math.pi) * total, (2.0 / math.pi) * err
-
-
-class _ScanTables:
-    """The coefficient tables of one scan, from one ``modes._coefficient_table``
-    call at the scan's largest cutoff top. Its rows are kappa and each
-    distinct exact (theta, phi, g) among the kappa', so two k' that differ
-    only in |k'| share a row."""
-
-    def __init__(self, kappa: PlaneModeIndex, kappa_primes, top: int):
-        keys = [(*kappa.angles, kappa.g)] + [(*kp.angles, kp.g) for kp in kappa_primes]
-        self.rows = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-        theta, phi, g = zip(*self.rows)
-        self.table = modes._coefficient_table(theta, phi, g, top)
-        self.top = top
-
-    def pair(self, kappa_prime: PlaneModeIndex, l_max: int) -> np.ndarray:
-        """The (kappa, kappa') tables at l_max <= top: rows l <= l_max and
-        columns |m| <= l_max, equal bit for bit to a table built at l_max."""
-        rows = [0, self.rows[(*kappa_prime.angles, kappa_prime.g)]]
-        top = self.top
-        return np.ascontiguousarray(self.table[rows, :, :l_max + 1, top - l_max:top + l_max + 1])
 
 
 def _default_l_max(spec: SphereSpec, kappa, kappa_prime, scattered: bool) -> int:
@@ -226,6 +196,7 @@ def _default_l_max(spec: SphereSpec, kappa, kappa_prime, scattered: bool) -> int
 
 
 def _check_kernel_order(l_max: int) -> int:
+    l_max = specfun._as_integer(l_max, "l_max")
     if l_max > KERNEL_LMAX:
         raise ResourceLimitError(
             f"l_max={l_max} exceeds the kernel cap {KERNEL_LMAX} "
@@ -256,8 +227,8 @@ def _kernel_scan(kind: str, spec: SphereSpec, kappa: PlaneModeIndex, kappa_prime
 
     kappa_primes is any iterable, drawn once. Each kappa' is first checked
     and given its cutoff: l_max when given, or its own default, within the
-    kernel order range. One coefficient table at the largest cutoff then
-    serves every kernel, each reading its slice. A QmieError met while
+    kernel order range. One pass of _angular_sums at the largest cutoff then
+    serves every kernel, each reading its rows. A QmieError met while
     drawing or checking kappa' number i is raised only after the kernels
     before it are evaluated, so a scan fails where a loop over single
     kernels would, with the same error.
@@ -273,7 +244,7 @@ def _kernel_scan(kind: str, spec: SphereSpec, kappa: PlaneModeIndex, kappa_prime
         for kappa_prime in kappa_primes:
             pref = _prefactor(kind, spec, kappa.k, kappa_prime.k)
             if l_max is not None:
-                _check_kernel_order(l_max)
+                l_max = _check_kernel_order(l_max)
             if spec.epsilon == 1.0:
                 cutoff = None
             elif l_max is None:
@@ -283,15 +254,16 @@ def _kernel_scan(kind: str, spec: SphereSpec, kappa: PlaneModeIndex, kappa_prime
             plans.append((kappa_prime, pref, cutoff))
     except QmieError as exc:  # raised below, after the kernels before it
         failure = exc
-    kernels, tables = [], None
+    kernels, sums = [], None
     if plans and spec.epsilon != 1.0:
-        tables = _ScanTables(kappa, [kp for kp, _, _ in plans], max(c for _, _, c in plans))
-    for kappa_prime, pref, cutoff in plans:
+        sums = _angular_sums(kappa, [kp for kp, _, _ in plans], max(c for _, _, c in plans),
+                             conjugate_pair)
+    for i, (kappa_prime, pref, cutoff) in enumerate(plans):
         if cutoff is None:
             kernels.append(CouplingKernel(kappa, kappa_prime, 0.0 + 0.0j, kind, 0.0))
             continue
         val, err = _volume_overlap(spec, kappa, kappa_prime, cutoff, rtol, scattered,
-                                   phase_sign, conjugate_pair, tables.pair(kappa_prime, cutoff))
+                                   phase_sign, sums[i, :, :cutoff + 1])
         kernels.append(CouplingKernel(kappa, kappa_prime, pref * val, kind, abs(pref) * err))
     if failure is not None:
         raise failure
@@ -361,7 +333,7 @@ def a_diagonal_channel_sum(
     q = k * spec.radius
     if l_max is None:
         l_max = truncation_order(q)
-    sums = _angular_sums(kappa, kappa_prime, l_max, conjugate_pair=False)
+    sums = _angular_sums(kappa, [kappa_prime], l_max, conjugate_pair=False)[0]
     t = phase_table(spec, q, l_max)
     # rows l = 0 of the angular sums vanish
     return complex(np.sum(sums * np.exp(sign * 1j * t.phi) * t.cos_phi))

@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -193,21 +192,25 @@ def _check_rows(command: str, rows: int) -> None:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    """Write text to path through a temporary file and one rename. The file
-    keeps the mode of the one it replaces; a new file gets 0o666 less the
-    umask, as open() would give it (mkstemp creates 0o600)."""
+    """Write text to path through a temporary file and one rename. The
+    temporary file is created with mode 0o666, so the kernel applies the
+    umask as open() would, and the umask is never read or changed; a file
+    that is replaced passes its mode on."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qmie-")
+    while True:
+        tmp = os.path.join(directory, ".qmie-" + os.urandom(8).hex())
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         try:
-            mode = os.stat(path).st_mode & 0o7777
+            os.chmod(tmp, os.stat(path).st_mode & 0o7777)
         except FileNotFoundError:
-            umask = os.umask(0)
-            os.umask(umask)
-            mode = 0o666 & ~umask
-        os.chmod(tmp, mode)
+            pass
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -349,7 +352,7 @@ def cmd_bogoliubov(res: Resolver):
     kappa_ps = (PlaneModeIndex(res["gp"], (kp * math.sin(kp_theta) * math.cos(kp_phi),
                                            kp * math.sin(kp_theta) * math.sin(kp_phi),
                                            kp * math.cos(kp_theta))) for kp in kps)
-    # one scan: one coefficient table for every k'; V ignores the direction
+    # one scan: one angular pass for every k'; V ignores the direction
     kerns = bogoliubov._kernel_scan(kind, spec, kappa, kappa_ps, l_max=l_max,
                                     direction=res["direction"])
     return ("bogoliubov", ("k_prime", "value_re", "value_im", "abs_err"),

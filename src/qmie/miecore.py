@@ -32,10 +32,8 @@ __all__ = [
 
 POLARIZATIONS = ("TE", "TM")
 
-# Smallest size parameter q = kR a phase table accepts. Below about 5.7e-56
-# one step (2l + 1)/q of the upward y_l recurrence at l <= 511 can carry a
-# value under the sweep's rescaling threshold (1e250) past the float range,
-# giving inf - inf = NaN; below about 1.5e-162, q * q underflows to 0.
+# Smallest size parameter q = kR a phase table accepts, with a margin above
+# the floor 1e-55 of the y_l sweeps (see specfun._arguments).
 Q_FLOOR = 1e-50
 
 
@@ -177,6 +175,8 @@ def phase_table(spec: SphereSpec, q, l_max: int) -> PhaseTable:
     l_max = specfun._as_integer(l_max, "l_max")
     if l_max < 1:
         raise DomainError(f"l_max={l_max} must be an integer >= 1")
+    # the sweeps' cap on order l_max + 1, before any table is allocated
+    specfun._check_order(l_max + 1)
     n = len(q_list)
     # alpha, beta, gamma, sin_phi, cos_phi, phi, sin_mantissa; column l = 0
     # is neutral

@@ -242,20 +242,13 @@ def curl_spherical_eigenmode(
 
 # ------------------------------------------------------------- plane waves
 
-def polarization_vectors(kappa: PlaneModeIndex) -> np.ndarray:
-    """Cartesian complex unit vectors (e_1, e_2) = (i e_phi, e_theta) at k-hat."""
-    theta, phi = kappa.angles
-    _, e_theta, e_phi = specfun.unit_vectors(theta, phi)
-    return np.stack([1j * e_phi.astype(complex), e_theta.astype(complex)])
-
-
 def plane_wave_mode(kappa: PlaneModeIndex, point) -> FieldSample:
     """Normalized plane-wave mode G_kappa(r) = e^{i k.r} e_g / (2 pi)^{3/2}.
 
     point is a 3-vector or an (N, 3) array; the value has the same shape.
     """
     p, single = _as_points(point)
-    e_g = polarization_vectors(kappa)[kappa.g - 1]
+    e_g = _directions([kappa])[1][0, kappa.g - 1]
     wave = np.exp(1j * (p @ np.asarray(kappa.kvec))) / (2.0 * math.pi) ** 1.5
     value = wave[:, None] * e_g
     return FieldSample(value=value[0] if single else value, point=p[0] if single else p)
@@ -272,9 +265,7 @@ def _coefficient_table(theta_k, phi_k, g, l_max: int) -> np.ndarray:
 
     Shaped (N, 2, l_max+1, 2 l_max+1) and indexed [n, p, l, m + l_max]
     with p = 0 for TE and 1 for TM. Only the two tangential components of X
-    are formed, not the whole X family. Each entry depends on its direction,
-    g, l and m only: the rows l <= L and columns |m| <= L of a table at
-    l_max >= L are the table at L.
+    are formed, not the whole X family.
     """
     if l_max < 1:
         raise DomainError(f"l_max={l_max} must be >= 1")
@@ -289,23 +280,12 @@ def _coefficient_table(theta_k, phi_k, g, l_max: int) -> np.ndarray:
     return out
 
 
-def _coefficient_overlaps(theta, phi, c_ref: np.ndarray, l_max: int) -> np.ndarray:
-    """sum_m conj(c_{lmg}^p(n)) c_ref[p, l, m] for N directions n and both g.
-
-    c_ref is one (TE, TM) pair of coefficient tables, shaped
-    (2, l_max+1, 2 l_max+1). Returns (N, 2, 2, l_max+1) indexed [n, g - 1, p, l].
-    The directions' own tables are never formed: the m sums are taken by
-    ``specfun.spherical_harmonics_contract``, on the m columns c_ref uses,
-    and only X is formed from them.
-    """
-    _, dy, u = specfun.spherical_harmonics_contract(l_max, theta, phi, c_ref)
-    ls = np.arange(l_max + 1)
-    x = specfun._x_family(ls.astype(float), dy, u)
-    return np.stack([
-        np.stack([np.conj(1j**(ls + shift)) * x[:, p, :, comp]
-                  for p, (comp, shift) in enumerate(rule)], axis=1)
-        for rule in _COEFFICIENT_RULE
-    ], axis=1)
+def _directions(kappas) -> tuple[np.ndarray, np.ndarray]:
+    """Directions (N, 3) and Cartesian complex unit polarization vectors
+    (e_1, e_2) = (i e_phi, e_theta) (N, 2, 3) of N plane-wave labels."""
+    theta, phi = np.array([kappa.angles for kappa in kappas]).T
+    n, e_theta, e_phi = specfun.unit_vectors(theta, phi)
+    return n, np.stack([1j * e_phi.astype(complex), e_theta.astype(complex)], axis=1)
 
 
 def plane_wave_coefficients(kappa: PlaneModeIndex, l_max: int) -> list[PlaneWaveCoefficient]:

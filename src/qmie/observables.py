@@ -99,17 +99,19 @@ def p_alpha(spec: SphereSpec, q: float, channel: ChannelIndex) -> float:
 
 
 def _amplitudes(spec: SphereSpec, kappa_in: PlaneModeIndex, theta, phi, l_max: int | None):
-    """f for outgoing directions (theta, phi) and both outgoing g: (N, 2)."""
+    """f for outgoing directions (theta, phi) and both outgoing g: (N, 2),
+    through pi_l and tau_l at the scattering angle (``specfun._pair_sums``)."""
     k = kappa_in.k
     q = k * spec.radius
     if l_max is None:
         l_max = truncation_order(q)
-    ti, pi_ = kappa_in.angles
-    c_in = modes._coefficient_table(ti, pi_, kappa_in.g, l_max)[0]
-    overlaps = modes._coefficient_overlaps(theta, phi, c_in, l_max)
+    n_in, e_in = modes._directions([kappa_in])
+    n_out, e_theta, e_phi = specfun.unit_vectors(theta, phi)
+    sums = specfun._pair_sums(n_out[:, None], n_in[0], np.stack([1j * e_phi, e_theta], axis=1),
+                              e_in[0, kappa_in.g - 1], l_max)
     t = phase_table(spec, q, l_max)
     weights = t.sin_phi * (t.cos_phi - 1j * t.sin_phi)
-    return -4.0 * math.pi / k * np.einsum("ngpl,pl->ng", overlaps, weights)
+    return -4.0 * math.pi / k * np.einsum("ngpl,pl->ng", sums, weights)
 
 
 def scattering_amplitude(
@@ -121,7 +123,7 @@ def scattering_amplitude(
     """f_{kk'} = -(4 pi/|k|) sum c*(out) c(in) sin(phi) e^{-i phi}, truncated."""
     _require_elastic(kappa_out, kappa_in)
     to, po = kappa_out.angles
-    f = _amplitudes(spec, kappa_in, to, po, l_max)[0, kappa_out.g - 1]
+    f = _amplitudes(spec, kappa_in, [to], [po], l_max)[0, kappa_out.g - 1]
     return ScatteringAmplitude(value=complex(f), kappa_out=kappa_out, kappa_in=kappa_in)
 
 

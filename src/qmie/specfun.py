@@ -153,15 +153,26 @@ def _series_j(l: int, x: float) -> tuple[float, int]:
     return math.exp(ln_lead - bits * _LN2) * (1.0 - x * x / (2.0 * (2 * l + 3))), bits
 
 
-def _recur(x: float, ls: range, prev: float, cur: float) -> tuple[list[float], list[int]]:
+def _recur(x: float, ls: range, prev: float, cur: float,
+           keep: int) -> tuple[list[float], list[int]]:
     """The Bessel recurrence f_{l+d} = (2l+1)/x f_l - f_{l-d} over the steps l
     of ls, d = ls.step = -1 (down) or +1 (up), seeded by (f_{l-d}, f_l) =
-    (prev, cur) at the first step. Returns the sweep, the seeds and then the
-    order each step forms, as mantissas and powers of two; the pair is
-    rescaled by 2^-830 before it passes 1e250.
+    (prev, cur) at the first step. The sweep is the seeds and then the order
+    each step forms, as mantissas and powers of two; the pair is rescaled by
+    2^-830 before it passes 1e250. Returns the last keep <= len(ls) + 2
+    entries of the sweep: the steps before them store nothing, so memory
+    grows with keep, not with the length of the sweep.
     """
-    mant, exps, bits = [prev, cur], [0, 0], 0
-    for l in ls:
+    head, bits = max(0, len(ls) - keep), 0
+    for l in ls[:head]:
+        prev, cur = cur, (2 * l + 1) / x * cur - prev
+        if not -1e250 <= cur <= 1e250:
+            prev *= _RESCALE
+            cur *= _RESCALE
+            bits += _RESCALE_BITS
+    skip = len(ls) + 2 - keep
+    mant, exps = [prev, cur][skip:], [0, 0][skip:]
+    for l in ls[head:]:
         prev, cur = cur, (2 * l + 1) / x * cur - prev
         if not -1e250 <= cur <= 1e250:
             prev *= _RESCALE
@@ -175,9 +186,8 @@ def _recur(x: float, ls: range, prev: float, cur: float) -> tuple[list[float], l
 def _recur_batch(x: np.ndarray, ls: range, starts: np.ndarray, prev: np.ndarray,
                  cur: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
     """_recur over N arguments at once, as two (keep, N) arrays: column n is
-    the last keep entries of
-    _recur(x[n], range(starts[n], ls.stop, ls.step), prev[n], cur[n]) bit
-    for bit. The starts come in the order of ls from ls.start on, so the
+    _recur(x[n], range(starts[n], ls.stop, ls.step), prev[n], cur[n], keep)
+    bit for bit. The starts come in the order of ls from ls.start on, so the
     arguments under way are a prefix; each joins the ring with its seeds at
     its start, rescales on its own, and is under way at every kept entry.
     The rescale test runs at each step that a growth bound cannot clear.
@@ -235,9 +245,9 @@ def _miller_j(l_top: int, x: float) -> tuple[list[float], list[int]]:
     Returns mantissas and powers of two.
     """
     start = int(max(l_top, math.ceil(x))) + 16 + int(2.0 * math.sqrt(max(l_top, x)))
-    mant, exps = _recur(x, range(start, 0, -1), 0.0, 1e-30)
+    mant, exps = _recur(x, range(start, 0, -1), 0.0, 1e-30, l_top + 1)
     # the sweep ends with order 0
-    out, scale = mant[:-l_top - 2:-1], exps[:-l_top - 2:-1]
+    out, scale = mant[::-1], exps[::-1]
     # anchor against whichever closed form is well conditioned here: j0 away
     # from the nonzero roots of sin, else j1 (whose naive form only cancels
     # badly for small x, where j0 is fine anyway)
@@ -294,7 +304,7 @@ def _upward_y(l_max: int, x: float) -> tuple[list[float], list[int]]:
     y0 = -math.cos(x) / x
     if l_max == 0:
         return [y0], [0]
-    return _recur(x, range(1, l_max), y0, -math.cos(x) / (x * x) - math.sin(x) / x)
+    return _recur(x, range(1, l_max), y0, -math.cos(x) / (x * x) - math.sin(x) / x, l_max + 1)
 
 
 def _upward_y_batch(x: np.ndarray, l_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -329,11 +339,12 @@ def _j_one(l_max: int, x: float) -> tuple[list[float], list[int]]:
     return mant, exps
 
 
-def _reject(xs: np.ndarray, positive: bool):
+def _reject(xs: np.ndarray, floor: float):
     """Raise for the first argument outside the sweeps' range."""
     flat = xs.reshape(-1)
-    bad = ~np.isfinite(flat) | ((flat <= 0.0) if positive else (flat < 0.0))
-    rule = "positive (y_l diverges at 0)" if positive else "non-negative"
+    bad = ~np.isfinite(flat) | (flat < floor)
+    rule = (f"at least {floor!r} (one upward y_l step overflows below about 5.7e-56)"
+            if floor else "non-negative")
     for mask, error, text in ((bad, DomainError, f"must be finite and {rule}"),
                               (flat > HARD_CAP_ARGUMENT, ResourceLimitError,
                                f"exceeds the argument cap {HARD_CAP_ARGUMENT:.0f}")):
@@ -346,14 +357,17 @@ def _reject(xs: np.ndarray, positive: bool):
 def _arguments(l_max, x, positive: bool):
     """Checked tops and arguments of a sweep, the whole batch before any
     sweep runs. Returns (int, float) for one argument, else two 1-D arrays
-    with one top per argument."""
+    with one top per argument. positive (the y sweeps) asks for x >= 1e-55:
+    below about 5.7e-56 one upward step (2l + 1)/x, l < 512, can carry the
+    rescale threshold 1e250 past the float range (NaN or untyped errors)."""
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1 or xs.size == 0:
         raise DomainError(f"x must be a scalar or a non-empty 1-D array, got shape {xs.shape}")
     low, high = xs.min(), xs.max()
+    floor = 1e-55 if positive else 0.0
     # NaN fails both tests
-    if not ((low > 0.0 if positive else low >= 0.0) and high <= HARD_CAP_ARGUMENT):
-        _reject(xs, positive)
+    if not (low >= floor and high <= HARD_CAP_ARGUMENT):
+        _reject(xs, floor)
     if xs.ndim == 0:
         return _check_order(l_max), float(xs)
     if np.ndim(l_max) == 0:
@@ -409,9 +423,9 @@ def _y_scaled(l_max, x) -> tuple[np.ndarray, np.ndarray]:
     """y_0(x)..y_{l_max}(x) by upward recurrence, as mantissas and powers of
     two; the mantissas stay inside the float range, also where y_l overflows.
 
-    Arguments and tops as for ``_j_scaled``; x must be > 0. From
-    ``BATCH_MIN`` arguments on, one batched upward sweep serves the batch,
-    its rows equal to the scalar sweep's bit for bit.
+    Arguments and tops as for ``_j_scaled``; x must be >= 1e-55 (see
+    ``_arguments``). From ``BATCH_MIN`` arguments on, one batched upward
+    sweep serves the batch, its rows equal to the scalar sweep's bit for bit.
     """
     tops, xs = _arguments(l_max, x, positive=True)
     if not isinstance(xs, np.ndarray):
@@ -429,7 +443,7 @@ def spherical_bessel_j(l_max, x) -> np.ndarray:
 
 
 def spherical_bessel_y(l_max, x) -> np.ndarray:
-    """Spherical Bessel functions y_0(x)..y_{l_max}(x), 0 < x <= HARD_CAP_ARGUMENT;
+    """Spherical Bessel functions y_0(x)..y_{l_max}(x), 1e-55 <= x <= HARD_CAP_ARGUMENT;
     -inf past the float range; a 1-D array of x gives one row per argument."""
     with np.errstate(over="ignore"):
         return np.ldexp(*_y_scaled(l_max, x))
@@ -773,6 +787,59 @@ def spherical_to_cartesian(components: np.ndarray, theta, phi) -> np.ndarray:
     e_r, e_theta, e_phi = unit_vectors(theta, phi)
     a = np.asarray(components)
     return a[..., 0, None] * e_r + a[..., 1, None] * e_theta + a[..., 2, None] * e_phi
+
+
+def _dot(a, b):
+    """Unconjugated a . b over a trailing axis of 3, in an order no batch changes."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _pair_sums(n, n_prime, e, e_prime, l_max: int, conjugate: bool = False) -> np.ndarray:
+    """sum_m conj(c^p_lm(n, e)) c^p_lm(n', e') for pairs of plane waves,
+    indexed [..., p, l] (p = 0 for TE), from pi_l and tau_l at cos(Theta) =
+    n . n' (Bohren & Huffman 1983, sec. 4.4; no Condon-Shortley sign) and
+    the frame e_perp = n' x n / |n' x n|, e_par = e_perp x n, e_par' =
+    e_perp x n': TE (2l + 1) / (4 pi l (l + 1)) (tau_l (e* . e_perp)(e_perp
+    . e') + pi_l (e* . e_par)(e_par' . e')), TM with pi_l and tau_l swapped.
+    conjugate pairs c*(n) with c*(n') at mirrored m: e' conjugated, TE
+    times (-1)^l and TM times -(-1)^l. Unit directions n, n' and
+    polarizations e, e' are (..., 3) arrays that broadcast together; no
+    entry depends on the rest of its batch. The angle and the frame read
+    the chord n' - s n, s = sign(n . n'), exact for nearly (anti)parallel
+    pairs; at n' = +-n it gives cos(Theta) = s exactly, hence the closed
+    forms pi_l = s^(l+1) l (l+1) / 2 and tau_l = s pi_l, and any e_perp
+    orthogonal to n' serves: n' x its least aligned axis.
+    """
+    if l_max < 1:
+        raise DomainError(f"l_max={l_max} must be >= 1")
+    l_max = _check_order(l_max)
+    n, n_prime = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(n_prime, dtype=float))
+    sign = np.where(_dot(n, n_prime) < 0.0, -1.0, 1.0)
+    chord = n_prime - sign[..., None] * n
+    mu = sign * (1.0 - 0.5 * _dot(chord, chord))
+    perp = np.cross(chord, n)
+    # parallel to within 1.5e-154: |n' x n|^2 is 0 or subnormal
+    flat = _dot(perp, perp) < np.finfo(float).tiny
+    if flat.any():
+        perp[flat] = np.cross(n_prime[flat], np.eye(3)[np.argmin(np.abs(n_prime[flat]), axis=-1)])
+    e_perp = perp / np.sqrt(_dot(perp, perp))[..., None]
+    # pi[l + 1] holds pi_l; pi[0] holds pi_{-1} = 0 for tau_0
+    pi = np.zeros((l_max + 2,) + mu.shape)
+    pi[2] = 1.0
+    for l in range(2, l_max + 1):
+        pi[l + 1] = ((2 * l - 1) * mu * pi[l] - l * pi[l - 1]) / (l - 1)
+    ls = np.arange(l_max + 1.0).reshape((-1,) + (1,) * mu.ndim)
+    tau = np.moveaxis(ls * mu * pi[1:] - (ls + 1.0) * pi[:-1], 0, -1)
+    pi = np.moveaxis(pi[1:], 0, -1)
+    e_star, e_prime = np.conj(e), np.conj(e_prime) if conjugate else e_prime
+    a = (_dot(e_star, e_perp) * _dot(e_perp, e_prime))[..., None]
+    b = (_dot(e_star, np.cross(e_perp, n)) * _dot(np.cross(e_perp, n_prime), e_prime))[..., None]
+    ls = np.arange(l_max + 1)
+    # row l = 0 is 0, as pi_0 = tau_0 = 0
+    norm = (2 * ls + 1) / (4.0 * math.pi * np.maximum(ls * (ls + 1), 1))
+    te = np.where(ls % 2 == 0, norm, -norm) if conjugate else norm
+    tm = -te if conjugate else norm
+    return np.stack([te * (tau * a + pi * b), tm * (pi * a + tau * b)], axis=-2)
 
 
 def vector_harmonics_batch(l_max: int, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,0 +1,68 @@
+"""The m-sum route for two plane waves, kept as a test oracle.
+
+Every quantity that pairs two plane-wave labels is a sum over m of
+conj(c^p_lm(n)) c^p_lm(n'). The library forms those sums at the angle
+between the two directions, through pi_l and tau_l. This module forms them
+the long way instead: from whole multipole coefficient tables
+(``qmie.modes._coefficient_table``) and from the scalar harmonic
+contraction, as the library did before, so that the two routes share
+neither the angular functions nor the scattering-plane frame.
+"""
+
+import math
+
+import numpy as np
+
+from qmie import modes, specfun
+from qmie.miecore import phase_table, truncation_order
+
+# c^p_{lmg} = i^(l + shift) conj(X_lm . e_component): (component, shift) of
+# the TE and TM tables, for g = 1 and g = 2; component 1 is e_theta and 2 is
+# e_phi
+COEFFICIENT_RULE = (((2, 1), (1, -1)), ((1, 0), (2, 0)))
+
+
+def coefficient_overlaps(theta, phi, c_ref, l_max):
+    """sum_m conj(c_{lmg}^p(n)) c_ref[p, l, m] for N directions n and both g.
+
+    c_ref is one (TE, TM) pair of coefficient tables, shaped
+    (2, l_max+1, 2 l_max+1). Returns (N, 2, 2, l_max+1) indexed [n, g - 1, p, l].
+    """
+    _, dy, u = specfun.spherical_harmonics_contract(l_max, theta, phi, c_ref)
+    ls = np.arange(l_max + 1)
+    x = specfun._x_family(ls.astype(float), dy, u)
+    return np.stack([
+        np.stack([np.conj(1j**(ls + shift)) * x[:, p, :, comp]
+                  for p, (comp, shift) in enumerate(rule)], axis=1)
+        for rule in COEFFICIENT_RULE
+    ], axis=1)
+
+
+def amplitudes(spec, kappa_in, theta, phi, l_max=None):
+    """f for outgoing directions (theta, phi) and both outgoing g: (N, 2)."""
+    k = kappa_in.k
+    q = k * spec.radius
+    if l_max is None:
+        l_max = truncation_order(q)
+    c_in = modes._coefficient_table(*kappa_in.angles, kappa_in.g, l_max)[0]
+    overlaps = coefficient_overlaps(theta, phi, c_in, l_max)
+    t = phase_table(spec, q, l_max)
+    weights = t.sin_phi * (t.cos_phi - 1j * t.sin_phi)
+    return -4.0 * math.pi / k * np.einsum("ngpl,pl->ng", overlaps, weights)
+
+
+def angular_sums(kappa, kappa_prime, l_max, conjugate_pair):
+    """Per-(p, l) sums over m of the coefficient products, (2, l_max+1).
+
+    Normal kinds pair c*(khat) with c(khat'); the counter-rotating kind pairs
+    c*(khat) with c*(khat') at mirrored m, picking up the conjugation parity
+    of the vector harmonics: (-1)^(m+1) for TE, (-1)^m for TM.
+    """
+    (t1, p1), (t2, p2) = kappa.angles, kappa_prime.angles
+    c1, c2 = modes._coefficient_table([t1, t2], [p1, p2], [kappa.g, kappa_prime.g], l_max)
+    if not conjugate_pair:
+        return np.einsum("plm,plm->pl", np.conj(c1), c2)
+    m = np.arange(-l_max, l_max + 1)
+    parity = np.where(m % 2 == 0, 1.0, -1.0)
+    return np.einsum("pm,plm,plm->pl", np.stack([-parity, parity]), np.conj(c1),
+                     np.conj(np.flip(c2, axis=2)))

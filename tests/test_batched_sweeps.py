@@ -7,6 +7,9 @@ counting the scalar kernels they still call.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -137,9 +140,9 @@ def recurrences(draw):
 def scalar_recur(x, ls, starts, prev, cur, keep):
     """The last keep entries of _recur per argument, as (keep, N) arrays."""
     rows = [specfun._recur(float(x[n]), range(int(starts[n]), ls.stop, ls.step),
-                           float(prev[n]), float(cur[n])) for n in range(x.size)]
-    return (np.array([m[len(m) - keep:] for m, _ in rows], dtype=float).reshape(x.size, keep).T,
-            np.array([e[len(e) - keep:] for _, e in rows], dtype=int).reshape(x.size, keep).T)
+                           float(prev[n]), float(cur[n]), keep) for n in range(x.size)]
+    return (np.array([m for m, _ in rows], dtype=float).reshape(x.size, keep).T,
+            np.array([e for _, e in rows], dtype=int).reshape(x.size, keep).T)
 
 
 @settings(max_examples=150, deadline=None)
@@ -173,6 +176,50 @@ def test_recur_batch_rescales_each_argument_at_its_own_steps(d):
     assert len({tuple(s) for s in steps_rescaled}) > BATCH // 2
 
 
+def whole_sweep(x, ls, prev, cur):
+    """The recurrence storing every entry of its sweep, as _recur did before
+    it kept only the tail its caller reads."""
+    mant, exps, bits = [prev, cur], [0, 0], 0
+    for l in ls:
+        prev, cur = cur, (2 * l + 1) / x * cur - prev
+        if not -1e250 <= cur <= 1e250:
+            prev *= 2.0 ** -830
+            cur *= 2.0 ** -830
+            bits += 830
+        mant.append(cur)
+        exps.append(bits)
+    return mant, exps
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep=recurrences())
+def test_recur_keeps_the_tail_of_the_whole_sweep_bit_for_bit(sweep):
+    x, ls, starts, prev, cur, keep = sweep
+    for n in range(x.size):
+        args = (float(x[n]), range(int(starts[n]), ls.stop, ls.step), float(prev[n]),
+                float(cur[n]))
+        mant, exps = whole_sweep(*args)
+        got_mant, got_exps = specfun._recur(*args, keep)
+        assert np.array_equal(np.array(got_mant, dtype=float).view(np.int64),
+                              np.array(mant[len(mant) - keep:], dtype=float).view(np.int64))
+        assert got_exps == exps[len(exps) - keep:]
+
+
+def test_long_scalar_j_sweep_stores_only_the_orders_it_keeps():
+    # a sweep from x = 2^20 takes about a million steps; stored, its orders
+    # would raise the peak RSS by about 48 MB
+    code = ("import resource; from qmie import specfun; specfun.spherical_bessel_j(3, 1e3); "
+            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+            "specfun.spherical_bessel_j(3, 2.0 ** 20); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # ru_maxrss counts KiB on Linux and bytes on macOS
+    unit = 1 if sys.platform == "darwin" else 1024
+    assert int(proc.stdout) * unit < 5 * 2**20
+
+
 # ----------------------------------------------------------- argument range
 
 @pytest.mark.parametrize("sweep", [specfun.spherical_bessel_j, specfun.spherical_bessel_y])
@@ -180,6 +227,38 @@ def test_recur_batch_rescales_each_argument_at_its_own_steps(d):
 def test_non_finite_argument_is_a_domain_error(sweep, bad):
     with pytest.raises(DomainError, match="finite"):
         sweep(3, bad)
+
+
+@pytest.mark.parametrize("x", [0.0, 5e-324, 1e-200, 1e-160, 5.6e-56, np.nextafter(1e-55, 0.0)])
+@pytest.mark.parametrize("batched", [False, True])
+def test_y_below_its_floor_is_a_domain_error(x, batched):
+    # below about 5.7e-56 one upward step can overflow, and below about
+    # 1.5e-162 x * x underflows: NaN, ZeroDivisionError or OverflowError
+    # before the floor
+    arg = np.full(BATCH + 1, 1.0) if batched else x
+    if batched:
+        arg[3] = x
+    with pytest.raises(DomainError, match=r"at least 1e-55"):
+        specfun.spherical_bessel_y(5, arg)
+    with pytest.raises(DomainError, match=r"at least 1e-55"):
+        specfun.spherical_hankel_h1(5, x)
+
+
+@pytest.mark.parametrize("top", [1, 2, 5, 40, specfun.HARD_CAP_LMAX])
+def test_y_from_its_floor_up_is_finite_at_every_order(top):
+    # every alignment of the rescale steps: many arguments just above the
+    # floor, where one step multiplies by up to 1023 / x
+    xs = np.concatenate([np.geomspace(1e-55, 2e-55, 40), np.geomspace(1e-55, 1e-40, 40)])
+    with np.errstate(all="raise"):
+        mant, exps = specfun._y_scaled(top, xs)
+    assert np.all(np.isfinite(mant)) and np.all(mant < 0.0)
+    # y_l(x) -> -(2l - 1)!! / x^(l + 1) as x -> 0
+    ls = np.arange(top + 1)
+    log2_lead = np.cumsum(np.log2(np.maximum(2 * ls - 1, 1))) - np.outer(np.log2(xs), ls + 1)
+    assert np.max(np.abs(np.log2(-mant) + exps - log2_lead)) < 1e-10
+    for n in (0, 41):
+        assert_rows_equal((mant[n:n + 1], exps[n:n + 1]),
+                          tuple(a[None] for a in specfun._y_scaled(top, float(xs[n]))))
 
 
 @pytest.mark.parametrize("sweep", [specfun.spherical_bessel_j, specfun.spherical_bessel_y])

@@ -88,10 +88,16 @@ def test_radial_overlap_nonconvergence():
 
 # ----------------------------------------------------- reduction vs 3D oracle
 
+def volume_overlap(ka, kb, l_max, scattered, phase_sign, conjugate_pair):
+    """bg._volume_overlap at rtol 1e-12, fed the pair's angular sums."""
+    sums = bg._angular_sums(ka, [kb], l_max, conjugate_pair)[0]
+    return bg._volume_overlap(SPEC, ka, kb, l_max, 1e-12, scattered, phase_sign, sums)
+
+
 def test_volume_overlaps_match_3d_quadrature():
-    red_v, _ = bg._volume_overlap(SPEC, KAP, KAPP, 12, 1e-12, False, 0.0, False)
-    red_a, _ = bg._volume_overlap(SPEC, KAP, KAPP, 12, 1e-12, True, -1.0, False)
-    red_b, _ = bg._volume_overlap(SPEC, KAP, KAPP, 12, 1e-12, True, 1.0, True)
+    red_v, _ = volume_overlap(KAP, KAPP, 12, False, 0.0, False)
+    red_a, _ = volume_overlap(KAP, KAPP, 12, True, -1.0, False)
+    red_b, _ = volume_overlap(KAP, KAPP, 12, True, 1.0, True)
     assert red_v == pytest.approx(VOLUME_3D["v"], rel=1e-12, abs=1e-18)
     assert red_a == pytest.approx(VOLUME_3D["a"], rel=1e-12)
     assert red_b == pytest.approx(VOLUME_3D["b"], rel=1e-12)
@@ -100,7 +106,7 @@ def test_volume_overlaps_match_3d_quadrature():
 def test_mirror_symmetric_pair_is_null():
     # same pair with the second direction rotated back into the xz-plane
     flat = PlaneModeIndex(2, (K2 * math.sin(1.0), 0.0, K2 * math.cos(1.0)))
-    val, _ = bg._volume_overlap(SPEC, KAP, flat, 10, 1e-12, False, 0.0, False)
+    val, _ = volume_overlap(KAP, flat, 10, False, 0.0, False)
     assert val == 0.0
 
 
@@ -213,8 +219,8 @@ def test_a_swap_prefactor_antisymmetry():
         kb = PlaneModeIndex(int(rng.integers(1, 3)), tuple(k2 * d2 / np.linalg.norm(d2)))
         l_ab = bg._default_l_max(SPEC, ka, kb, scattered=True)
         l_ba = bg._default_l_max(SPEC, kb, ka, scattered=True)
-        i_ab, _ = bg._volume_overlap(SPEC, ka, kb, l_ab, 1e-12, True, -1.0, False)
-        i_ba, _ = bg._volume_overlap(SPEC, kb, ka, l_ba, 1e-12, True, -1.0, False)
+        i_ab, _ = volume_overlap(ka, kb, l_ab, True, -1.0, False)
+        i_ba, _ = volume_overlap(kb, ka, l_ba, True, -1.0, False)
         pref = (SPEC.epsilon - 1.0) / 2.0 * math.sqrt(k1 * k2)
         fwd = bg.a_offdiagonal_kernel(SPEC, ka, kb).value
         bwd = bg.a_offdiagonal_kernel(SPEC, kb, ka).value
@@ -229,13 +235,13 @@ def test_angular_sums_conjugate_swap():
         d2 = rng.normal(size=3)
         ka = PlaneModeIndex(int(rng.integers(1, 3)), tuple(d1))
         kb = PlaneModeIndex(int(rng.integers(1, 3)), tuple(d2))
-        f_te, f_tm = bg._angular_sums(ka, kb, 8, conjugate_pair=False)
-        b_te, b_tm = bg._angular_sums(kb, ka, 8, conjugate_pair=False)
+        f_te, f_tm = bg._angular_sums(ka, [kb], 8, conjugate_pair=False)[0]
+        b_te, b_tm = bg._angular_sums(kb, [ka], 8, conjugate_pair=False)[0]
         assert np.allclose(b_te, np.conj(f_te), atol=1e-14)
         assert np.allclose(b_tm, np.conj(f_tm), atol=1e-14)
         # the counter-rotating pairing is symmetric outright
-        c_te, c_tm = bg._angular_sums(ka, kb, 8, conjugate_pair=True)
-        s_te, s_tm = bg._angular_sums(kb, ka, 8, conjugate_pair=True)
+        c_te, c_tm = bg._angular_sums(ka, [kb], 8, conjugate_pair=True)[0]
+        s_te, s_tm = bg._angular_sums(kb, [ka], 8, conjugate_pair=True)[0]
         assert np.allclose(s_te, c_te, atol=1e-14)
         assert np.allclose(s_tm, c_tm, atol=1e-14)
 

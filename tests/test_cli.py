@@ -59,6 +59,38 @@ def test_overwritten_dataset_keeps_its_mode(tmp_path, mode):
     assert out.stat().st_mode & 0o7777 == mode
     assert out.read_text().startswith("#")
 
+
+def test_dataset_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # the umask is process-wide: reading it by setting it would expose other
+    # threads' files for that instant, so the write must not call os.umask
+    def refuse(mask):
+        raise AssertionError("os.umask called")
+
+    out = tmp_path / "ps.csv"
+    old = os.umask(0o027)
+    try:
+        monkeypatch.setattr(os, "umask", refuse)
+        assert run(["phase-shifts", "--epsilon", "2.1", "--q", "1", "-o", str(out)]) == 0
+        assert out.stat().st_mode & 0o7777 == 0o640
+        out.chmod(0o604)
+        assert run(["phase-shifts", "--epsilon", "2.1", "--q", "2", "-o", str(out)]) == 0
+        assert out.stat().st_mode & 0o7777 == 0o604
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ps.csv"]
+
+
+def test_dataset_write_retries_a_taken_temporary_name(tmp_path, monkeypatch):
+    taken = tmp_path / (".qmie-" + "00" * 8)
+    taken.write_text("not ours\n")
+    draws = iter([b"\0" * 8, b"\1" * 8])
+    monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+    out = tmp_path / "ps.csv"
+    assert run(["phase-shifts", "--epsilon", "2.1", "--q", "1", "-o", str(out)]) == 0
+    assert taken.read_text() == "not ours\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "ps.csv"]
+
 def test_repeat_run_is_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["phase-shifts", "--epsilon", "2.1", "--q", "0.5"]
@@ -417,6 +449,27 @@ def test_underflowing_wavevector_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["phase-shifts", "--epsilon", "2.1", "--q", "1"],
+    ["cross-section", "--epsilon", "2.1", "--q", "1"],
+    ["diff-cross-section", "--epsilon", "2.1", "--q", "5"],
+    ["bogoliubov", "--epsilon", "2.1", "--k", "5", "--kind", "V",
+     "--kp-min", "1", "--kp-max", "2", "--kp-steps", "2"],
+])
+def test_huge_cutoff_exits_2_before_anything_is_allocated(tmp_path, argv):
+    # under a 2 GiB address-space cap: a phase table of 10^8 orders would
+    # take 10 GiB and the angular rows of 91 directions 73 GB
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "from qmie import cli; sys.exit(cli.main(sys.argv[1:]))")
+    out = tmp_path / "out.csv"
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "--l-max", "100000000",
+                           "-o", str(out)], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 2, proc.stderr
+    assert "exceeds the" in proc.stderr
+    assert not out.exists()
+
+
 def test_diff_cross_section_scan(tmp_path):
     out = tmp_path / "ds.csv"
     assert run(["diff-cross-section", "--epsilon", "2.1", "--q", "1.0",
@@ -655,17 +708,19 @@ FROZEN_DIGESTS = [
     (["cross-section", "--epsilon", "2.1", "--q", "0.5", "--l-max", "200", "--format", "json",
       "-o", "sigma.json"],
      "a4cdad5bf50a324c218b519d3a42a27f02b3b1607b0ce500cf005518bef8d925"),
+    # re-pinned when amplitudes and kernel angular sums moved from the m sums
+    # to pi_l and tau_l at the scattering angle: every dsigma/dOmega row moved
+    # by at most 6.5e-14 relative, and every kernel value by at most 0.025 of
+    # the sum of the two sides' abs_err
     (["diff-cross-section", "--epsilon", "2.1", "--q", "35.4", "--g", "2", "--detector-phi", "1",
       "-o", "dsigma.csv"],
-     "4f207405c05895e38c96776caa63fb03027519e3808bcb557a1c45e00d941200"),
-    # re-pinned when the radial overlaps became one Bessel series: every row
-    # moved within the sum of the two sides' abs_err
+     "72c27db8995597908ed6476a405dd115f05252c3a67e0f5abd4b172a19d884dd"),
     (["bogoliubov", "--epsilon", "2.1", "--k", "5", "--kind", "B", "--kp-min", "3",
       "--kp-max", "9", "--kp-steps", "7", "-o", "b.csv"],
-     "a463b5d12d349a8b048fbe523bb9468854e41ffe38812c9f75adff7d85c02762"),
+     "b54819dca2cdbc0e5f963f2e47dba3737be3621ed27a1fd743d31519d86d27a6"),
     (["bogoliubov", "--epsilon", "2.1", "--k", "3", "--kind", "V", "--kp-min", "2",
       "--kp-max", "6", "--kp-steps", "7", "--format", "json", "-o", "v.json"],
-     "e14b278cdc67d8df3ed131a683b47fa43b17ea1e89b7c28a6bba3e042c062fac"),
+     "a2a225e1e9b9cd0c964f9fc84e2279b022987f16cc18ba52984c674d352250a1"),
     (["phase-shifts", "--epsilon", "2.1", "--q", "37", "--format", "json", "-o", "table.json"],
      "53798502efe6db6ad04ee44c532bee7c21e41948c9a1a0d6c33a84a7358ee961"),
 ]

@@ -1,5 +1,6 @@
-"""One coefficient table per kernel scan: sliced tables, scan against single
-kernels, error placement and the table count of a bogoliubov run."""
+"""One angular pass per kernel scan: sliced coefficient tables, the scan's
+angular rows, scan against single kernels, error placement and the angular
+passes of a bogoliubov run."""
 
 import hashlib
 import math
@@ -122,15 +123,20 @@ def test_scan_equals_single_kernels_bit_for_bit(name):
 
 
 def test_scan_at_one_direction_shares_rows():
+    # the angular sums of a scan come from one pass at the largest cutoff;
+    # each k' reads rows equal bit for bit to its own pass at its own cutoff,
+    # and k' that share their angles share their rows
     kappa, kappa_primes = PlaneModeIndex(1, (0.0, 0.0, 5.0)), scanned(np.linspace(3.0, 9.0, 7))
-    tables = bg._ScanTables(kappa, kappa_primes, 29)
-    # the angles come from each scaled k' vector and differ in the last bit
-    assert len(tables.rows) - 1 == len({(*kp.angles, kp.g) for kp in kappa_primes}) <= 3
-    for kappa_prime in kappa_primes:
-        pair = tables.pair(kappa_prime, 18)
-        (t1, p1), (t2, p2) = kappa.angles, kappa_prime.angles
-        fresh = modes._coefficient_table([t1, t2], [p1, p2], [kappa.g, kappa_prime.g], 18)
-        assert np.array_equal(bits(pair), bits(fresh))
+    for conjugate_pair in (False, True):
+        sums = bg._angular_sums(kappa, kappa_primes, 29, conjugate_pair)
+        assert sums.shape == (7, 2, 30)
+        rows = {}
+        for kappa_prime, row in zip(kappa_primes, sums):
+            fresh = bg._angular_sums(kappa, [kappa_prime], 18, conjugate_pair)[0]
+            assert np.array_equal(bits(row[:, :19]), bits(fresh))
+            rows.setdefault((*kappa_prime.angles, kappa_prime.g), set()).add(row.tobytes())
+        # the angles come from each scaled k' vector and differ in the last bit
+        assert all(len(r) == 1 for r in rows.values()) and len(rows) <= 3
 
 
 # scans that stop part way, with the error the kernels one at a time raise
@@ -201,17 +207,20 @@ def test_scan_draws_each_k_prime_in_turn(monkeypatch):
 @pytest.mark.parametrize("epsilon", ["2.1", "1"])
 def test_one_coefficient_table_per_bogoliubov_run(tmp_path, monkeypatch, kind, k, kp_range,
                                                   epsilon):
-    calls, real = [], modes._coefficient_table
+    # the run's table of coefficient sums comes from one angular pass over
+    # every k', through pi_l and tau_l: no multipole coefficient table
+    calls, real = [], bg._angular_sums
 
-    def counting(theta, phi, g, l_max):
-        calls.append(l_max)
-        return real(theta, phi, g, l_max)
+    def counting(kappa, kappa_primes, l_max, conjugate_pair):
+        calls.append(len(kappa_primes))
+        return real(kappa, kappa_primes, l_max, conjugate_pair)
 
-    monkeypatch.setattr(modes, "_coefficient_table", counting)
+    monkeypatch.setattr(bg, "_angular_sums", counting)
+    monkeypatch.setattr(modes, "_coefficient_table", None)
     kp_min, kp_max, steps = kp_range
     out = tmp_path / "bg.csv"
     assert cli.main(["bogoliubov", "--epsilon", epsilon, "--kind", kind, "--k", k,
                      "--kp-min", kp_min, "--kp-max", kp_max, "--kp-steps", steps,
                      "-o", str(out)]) == 0
-    # a transparent sphere gives exact zeros without a table
-    assert len(calls) == (1 if epsilon != "1" else 0)
+    # a transparent sphere gives exact zeros without a pass
+    assert calls == ([int(steps)] if epsilon != "1" else [])

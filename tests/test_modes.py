@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy.special import spherical_jn
 
-from qmie import modes, specfun
+from qmie import bogoliubov, modes, observables, specfun
 from qmie.errors import DomainError
 from qmie.miecore import POLARIZATIONS, ChannelIndex, SphereSpec, phase_shift, truncation_order
 from qmie.specfun import unit_vectors
+from msum_reference import amplitudes as msum_amplitudes
+from msum_reference import angular_sums as msum_angular_sums
 from quadrature import solid_angle_grid
 
 SPEC = SphereSpec(epsilon=2.1, radius=1.0)
@@ -269,21 +271,22 @@ def test_coefficient_channel_sum_rule():
         assert acc[l] == pytest.approx((2 * l + 1) / (4 * math.pi), rel=1e-12)
 
 
-def test_coefficient_overlaps_form_only_x(monkeypatch):
-    # the far-field overlaps take the scalar m sums and form X from them,
-    # bit for bit the X of the vector contraction, which is never called
+def test_pair_sums_form_no_coefficient_table(monkeypatch):
+    # amplitudes and kernel angular sums read pi_l and tau_l at the angle
+    # between the two directions: no coefficient table, no harmonic rows
     rng = np.random.default_rng(12)
-    l_max, n = 9, 7
-    theta, phi = rng.uniform(0.0, math.pi, n), rng.uniform(0.0, 2 * math.pi, n)
-    c_ref = modes._coefficient_table([0.4], [1.1], [2], l_max)[0]
-    x, _, _ = specfun.vector_harmonics_contract(l_max, theta, phi, c_ref)
-    monkeypatch.setattr(specfun, "vector_harmonics_contract", None)
-    got = modes._coefficient_overlaps(theta, phi, c_ref, l_max)
-    ls = np.arange(l_max + 1)
-    for g, rule in enumerate(modes._COEFFICIENT_RULE):
-        for p, (comp, shift) in enumerate(rule):
-            ref = np.conj(1j**(ls + shift)) * x[:, p, :, comp]
-            assert got[:, g, p].tobytes() == ref.tobytes()
+    theta, phi = rng.uniform(0.0, math.pi, 7), rng.uniform(0.0, 2 * math.pi, 7)
+    kappa_in = modes.PlaneModeIndex(2, (1.1, -0.7, 2.3))
+    kappa_primes = [modes.PlaneModeIndex(1, tuple(rng.normal(size=3))) for _ in range(3)]
+    ref_f = msum_amplitudes(SPEC, kappa_in, theta, phi, 9)
+    ref_m = [msum_angular_sums(kappa_in, kp, 9, True) for kp in kappa_primes]
+    for module, name in ((modes, "_coefficient_table"), (specfun, "_legendre_rows"),
+                         (specfun, "spherical_harmonics_contract")):
+        monkeypatch.setattr(module, name, None)
+    f = observables._amplitudes(SPEC, kappa_in, theta, phi, 9)
+    assert np.max(np.abs(f - ref_f)) < 1e-12 * np.max(np.abs(ref_f))
+    sums = bogoliubov._angular_sums(kappa_in, kappa_primes, 9, True)
+    assert np.max(np.abs(sums - np.array(ref_m))) < 1e-13
 
 
 def test_coefficients_axial_selection_rule():

@@ -210,21 +210,29 @@ def scan_directions(thetas, phi_d):
                      np.cos(thetas)], axis=-1)
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_differential_batch_matches_single_directions(offset):
-    # q = 20: l_max = 37, and an oblique plane wave weights every
-    # |m| <= l_max, so a chunk holds 106 directions
+@pytest.mark.parametrize("side", [-1, 0, 1])
+def test_differential_batch_matches_single_directions(side):
+    # side -1 and 1: directions exactly backward or forward, parallel to
+    # within 1e-300..1e-160 (where the scattering plane is undefined and the
+    # frame falls back to an axis) and within 1e-12..1e-2; side 0: the
+    # poles and random directions. Every entry of the batch equals its own
+    # single-direction call bit for bit
     q = 20.0
-    l_max = truncation_order(q)
-    n = specfun.chunk_directions(l_max) + offset
     kap = PlaneModeIndex(2, (0.3 * q, -0.2 * q, math.sqrt(0.87) * q))
-    dirs = scan_directions(np.linspace(0.0, math.pi, n + 2)[1:-1], 2.1)
+    n = np.array(kap.kvec) / kap.k
+    rng = np.random.default_rng(8 + side)
+    if side:
+        away = np.cross(n, rng.normal(size=(12, 3)))
+        tilts = np.concatenate([[0.0, 1e-300, 1e-200, 1e-160], 10.0 ** rng.uniform(-12, -2, 8)])
+        dirs = side * n + tilts[:, None] * away / np.linalg.norm(away, axis=1)[:, None]
+    else:
+        dirs = np.concatenate([np.eye(3), -np.eye(3), rng.normal(size=(10, 3))])
     batch = observables.differential_cross_section(SPEC, kap, dirs)
-    assert batch.shape == (n,)
+    assert batch.shape == (len(dirs),)
     for d, got in zip(dirs, batch):
         single = observables.differential_cross_section(SPEC, kap, d)
         assert isinstance(single, float)
-        assert got == pytest.approx(single, rel=1e-13)
+        assert got == single
 
 
 @pytest.mark.parametrize("g", [1, 2])
