@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .miecore import POLARIZATIONS, ChannelIndex, SphereSpec, phase_table, truncation_order
 
 __all__ = [
@@ -261,23 +261,13 @@ _COEFFICIENT_RULE = (((2, 1), (1, -1)), ((1, 0), (2, 0)))
 
 
 def _coefficient_table(theta_k, phi_k, g, l_max: int) -> np.ndarray:
-    """c_{lmg}^p for N propagation directions, each at its own g.
-
-    Shaped (N, 2, l_max+1, 2 l_max+1) and indexed [n, p, l, m + l_max]
-    with p = 0 for TE and 1 for TM. Only the two tangential components of X
-    are formed, not the whole X family.
-    """
-    if l_max < 1:
-        raise DomainError(f"l_max={l_max} must be >= 1")
+    """c_{lmg}^p for one propagation direction, (2, l_max+1, 2 l_max+1) indexed
+    [p, l, m + l_max] with p = 0 for TE and 1 for TM, from X . e_theta and
+    X . e_phi only."""
     _, dy, u = specfun.spherical_harmonics_batch(l_max, theta_k, phi_k)
     ls = np.arange(l_max + 1)[:, None]
-    x_theta, x_phi = specfun._x_components(ls, dy, u)
-    x = {1: x_theta, 2: x_phi}
-    out = np.empty((dy.shape[0], 2) + dy.shape[1:], dtype=complex)
-    for n, g_n in enumerate(np.broadcast_to(g, dy.shape[:1])):
-        for p, (comp, shift) in enumerate(_COEFFICIENT_RULE[g_n - 1]):
-            np.multiply(1j**(ls + shift), np.conj(x[comp][n]), out=out[n, p])
-    return out
+    x = dict(zip((1, 2), specfun._x_components(ls, dy[0], u[0])))
+    return np.stack([1j**(ls + shift) * np.conj(x[comp]) for comp, shift in _COEFFICIENT_RULE[g - 1]])
 
 
 def _directions(kappas) -> tuple[np.ndarray, np.ndarray]:
@@ -293,8 +283,8 @@ def plane_wave_coefficients(kappa: PlaneModeIndex, l_max: int) -> list[PlaneWave
 
     Pure functions of the propagation direction; |kvec| does not enter.
     """
-    theta_k, phi_k = kappa.angles
-    c_te, c_tm = _coefficient_table(theta_k, phi_k, kappa.g, l_max)[0]
+    l_max = specfun._check_vector_order(l_max)
+    c_te, c_tm = _coefficient_table(*kappa.angles, kappa.g, l_max)
     out = []
     for l in range(1, l_max + 1):
         for m in range(-l, l + 1):
@@ -392,33 +382,49 @@ def _mode_sum(
 
     kappas is a tuple of K modes; the wavenumber is that of kappas[0], and
     only the others' directions and g enter. points is (N, 3); the result is
-    (K, N, 3), row i for kappas[i]. All modes share one coefficient table
-    (2K weight rows: TE and TM per mode), one scalar harmonic contraction
-    against it and one radial table, which builds one phase table. X is
-    formed from the TE rows only, V and W from the TM rows only. Row i
-    equals the K = 1 sum of kappas[i] bit for bit.
+    (K, N, 3), row i for kappas[i], equal bit for bit to the K = 1 sum of
+    kappas[i]. No sum over m is taken (vector addition theorem): with mu =
+    n . rhat, s_l = sqrt(l (l + 1)), b = a x n and (a, shift) from
+    _COEFFICIENT_RULE, S = sum_m c^p_lm Y_lm = i^(l + shift + 1) (2l + 1) /
+    (4 pi s_l) pi_l(mu) (rhat . b), whose surface gradient is that factor
+    times pi_l' (n - mu rhat)(rhat . b) + pi_l (b - rhat (rhat . b)). X =
+    -i rhat x grad S / s_l, V and W mix S rhat and grad S; against one
+    radial table (one phase table) this leaves five sums over l per mode
+    and point, O(l_max) each. Nothing is divided by sin(Theta); at the
+    origin (rhat = 0) only the direction-free b term is left.
     """
-    r, theta, phi = _spherical_coords(points)
-    k = kappas[0].k
-    theta_k, phi_k = np.array([kappa.angles for kappa in kappas]).T
-    coeffs = _coefficient_table(theta_k, phi_k, [kappa.g for kappa in kappas], l_max)
-    y, dy, u = specfun.spherical_harmonics_contract(
-        l_max, theta, phi, coeffs.reshape((-1,) + coeffs.shape[2:]))
-    ls = np.arange(l_max + 1, dtype=float)
-    bx = specfun._x_family(ls, dy[:, 0::2], u[:, 0::2])
-    bv, bw = specfun._vw_families(ls, y[:, 1::2], dy[:, 1::2], u[:, 1::2])
-    f_ll, f_up, f_dn = _radial_tables(spec, k, r, l_max, direction, kind)
-    f_te, f_tm_up, f_tm_dn = f_ll[:, 0], f_up[:, 1], f_dn[:, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w_v = np.sqrt(ls / (2.0 * ls + 1.0))
-        w_w = np.sqrt((ls + 1.0) / (2.0 * ls + 1.0))
-    # per-l radial weights against the per-l angular sums: X with the TE
-    # table, V and W with the TM table
-    sph = np.einsum("nl,nklc->knc", f_te, bx)
-    sph += np.einsum("nl,nklc->knc", w_v * f_tm_up, bv)
-    sph -= np.einsum("nl,nklc->knc", w_w * f_tm_dn, bw)
-    norm = k * math.sqrt(2.0 / math.pi)
-    return (norm / k) * specfun.spherical_to_cartesian(sph, theta, phi)
+    l_max = specfun._check_vector_order(l_max)
+    # the radii of _spherical_coords, which place a point at r = R
+    r = np.sqrt(np.einsum("nc,nc->n", points, points))
+    rhat = points / np.where(r == 0.0, 1.0, r)[:, None]
+    angles = np.array([kappa.angles for kappa in kappas]).T
+    n, e_theta, e_phi = (v[:, None] for v in specfun.unit_vectors(*angles))
+    # [i, p, (component, shift)] of each mode's TE and TM coefficients
+    rule = np.array([_COEFFICIENT_RULE[kappa.g - 1] for kappa in kappas])
+    b = np.cross(np.where(rule[..., :1] == 1, e_theta, e_phi), n)
+    mu = specfun._dot(n, rhat)
+    rb_te, rb_tm = (specfun._dot(b[:, p, None], rhat)[..., None] for p in (0, 1))
+    pi = specfun._pi_rows(mu, l_max)[1:]
+    ls = np.arange(l_max + 1)[:, None, None]
+    # pi'_l = pi'_{l-2} + (2l - 1) pi_{l-1}: one running sum per parity of l
+    dpi = np.zeros_like(pi)
+    steps = (2.0 * ls[1:] - 1.0) * pi[:-1]
+    np.cumsum(steps[0::2], axis=0, out=dpi[1::2])
+    np.cumsum(steps[1::2], axis=0, out=dpi[2::2])
+    # i^(l + shift), (l_max + 1, K, 2); row l = 0 meets pi_0 = pi'_0 = 0
+    phase = np.array([1.0, 1j, -1.0, -1j])[(ls + rule[..., 1]) % 4]
+    live = np.maximum(ls, 1)
+    f_te, f_up, f_dn = (f[:, p].T[:, None] for f, p in zip(
+        _radial_tables(spec, kappas[0].k, r, l_max, direction, kind), (0, 1, 1)))
+    te = phase[..., :1] * ((2 * ls + 1) / (4.0 * math.pi * live * (ls + 1))) * f_te
+    tm = 1j * phase[..., 1:] / (4.0 * math.pi)
+    up, dn = f_up / (ls + 1), f_dn / live
+    radial, tangential = tm * -((ls + 2) * up + (ls - 1) * dn), tm * (up - dn)
+    t1, t2, m1, m2, m3 = ((w * rows).sum(axis=0)[..., None] for w, rows in (
+        (te, dpi), (te, pi), (radial, pi), (tangential, dpi), (tangential, pi)))
+    field = (rb_te * t1) * np.cross(rhat, n) + t2 * np.cross(rhat, b[:, None, 0])
+    field += (rb_tm * m1) * rhat + (rb_tm * m2) * (n - mu[..., None] * rhat) + m3 * b[:, None, 1]
+    return math.sqrt(2.0 / math.pi) * field
 
 
 def scattering_eigenmode(
@@ -439,8 +445,10 @@ def scattering_eigenmode(
     making the two forms agree to machine precision at shared truncation.
 
     point is a 3-vector or an (N, 3) array; the value has the same shape.
-    The default cutoff of the direct form grows with k r and is taken at
-    the largest radius of the batch.
+    The default cutoff is truncation_order(q) + ceil(kr + 10 kr^(1/3)),
+    with kr = 0 for the mie form and k r at the largest radius of the batch
+    for the direct form; where its radial functions would pass the hard
+    cap, ResourceLimitError names the order that radius needs.
     """
     if direction not in DIRECTIONS:
         raise DomainError(f"direction {direction!r} not in {DIRECTIONS}")
@@ -449,14 +457,15 @@ def scattering_eigenmode(
     if plane_wave not in ("exact", "truncated"):
         raise DomainError(f"plane_wave {plane_wave!r} not in ('exact', 'truncated')")
     p, single = _as_points(point)
-    r, _, _ = _spherical_coords(p)
-    k = kappa.k
-    q = k * spec.radius
-    if l_max is None:
-        if form == "direct":
-            l_max = min(specfun.HARD_CAP_LMAX, truncation_order(q) + math.ceil(k * r.max()))
-        else:
-            l_max = truncation_order(q)
+    if l_max is not None:
+        l_max = specfun._check_vector_order(l_max)
+    else:
+        kr = kappa.k * float(_spherical_coords(p)[0].max()) if form == "direct" else 0.0
+        l_max = truncation_order(kappa.k * spec.radius) + math.ceil(kr + 10.0 * kr ** (1.0 / 3.0))
+        if l_max + 1 > specfun.HARD_CAP_LMAX:
+            raise ResourceLimitError(
+                f"k r={kr} needs multipole order {l_max}, whose radial functions need Bessel "
+                f"order {l_max + 1}, above the hard cap {specfun.HARD_CAP_LMAX}")
     if form == "direct":
         value = _mode_sum(spec, (kappa,), direction, p, l_max, "full")[0]
     else:

@@ -129,8 +129,7 @@ def scattering_amplitude(
 
 def s_matrix_channels(spec: SphereSpec, q: float, l_max: int | None = None) -> list[SMatrixChannel]:
     """Per-channel S-matrix values e^{-2 i phi_l^p}, l = 1..l_max."""
-    if l_max is None:
-        l_max = truncation_order(q)
+    l_max = truncation_order(q) if l_max is None else specfun._check_vector_order(l_max)
     phi = phase_table(spec, q, l_max).phi
     return [SMatrixChannel(channel=ChannelIndex(p, l),
                            value=complex(math.cos(2.0 * phi[i, l]), -math.sin(2.0 * phi[i, l])))
@@ -151,8 +150,7 @@ def total_cross_section(spec: SphereSpec, q: float, l_max: int | None = None) ->
     (NaN counts as nonzero, and fails the check); past it every term is 0,
     also where sin phi itself is a nonzero value below about 1.5e-162.
     """
-    if l_max is None:
-        l_max = truncation_order(q)
+    l_max = truncation_order(q) if l_max is None else specfun._check_vector_order(l_max)
     k = q / spec.radius
     sin_phi = phase_table(spec, q, l_max).sin_phi
     sin2 = sin_phi ** 2
@@ -277,8 +275,7 @@ def g2_map(
             UserWarning,
             stacklevel=2,
         )
-    if l_max is None:
-        l_max = truncation_order(k * spec.radius)
+    l_max = truncation_order(k * spec.radius) if l_max is None else specfun._check_vector_order(l_max)
 
     def ring(theta: float, phis: np.ndarray) -> np.ndarray:
         st = math.sin(theta)
@@ -287,7 +284,7 @@ def g2_map(
 
     # both detector rings and both photon modes in one batch: the "mie" form
     # F = G + (1/k) sum c S^sc of each mode, whose scattered sums share one
-    # contraction and one radial table
+    # radial table
     pts = np.concatenate([ring(theta1, phi1), ring(theta2, phi2)])
     waves = [modes.plane_wave_mode(kappa, pts).value for kappa in (kappa1, kappa2)]
     scattered = modes._mode_sum(spec, (kappa1, kappa2), "outgoing", pts, l_max, "scattered")

@@ -47,7 +47,6 @@ __all__ = [
     "vector_harmonics_block",
     "vector_harmonics_batch",
     "spherical_harmonics_contract",
-    "vector_harmonics_contract",
     "unit_vectors",
     "spherical_to_cartesian",
 ]
@@ -794,6 +793,17 @@ def _dot(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
+def _pi_rows(mu, l_max: int) -> np.ndarray:
+    """pi_l(mu) = P_l'(mu) (Bohren & Huffman 1983, sec. 4.4) for l = -1..l_max
+    by the three-term recurrence, O(l_max) per entry of mu, in rows l + 1:
+    rows 0 and 1 hold pi_{-1} = pi_0 = 0. No entry depends on the others."""
+    pi = np.zeros((l_max + 2,) + np.shape(mu))
+    pi[2] = 1.0
+    for l in range(2, l_max + 1):
+        pi[l + 1] = ((2 * l - 1) * mu * pi[l] - l * pi[l - 1]) / (l - 1)
+    return pi
+
+
 def _pair_sums(n, n_prime, e, e_prime, l_max: int, conjugate: bool = False) -> np.ndarray:
     """sum_m conj(c^p_lm(n, e)) c^p_lm(n', e') for pairs of plane waves,
     indexed [..., p, l] (p = 0 for TE), from pi_l and tau_l at cos(Theta) =
@@ -823,11 +833,7 @@ def _pair_sums(n, n_prime, e, e_prime, l_max: int, conjugate: bool = False) -> n
     if flat.any():
         perp[flat] = np.cross(n_prime[flat], np.eye(3)[np.argmin(np.abs(n_prime[flat]), axis=-1)])
     e_perp = perp / np.sqrt(_dot(perp, perp))[..., None]
-    # pi[l + 1] holds pi_l; pi[0] holds pi_{-1} = 0 for tau_0
-    pi = np.zeros((l_max + 2,) + mu.shape)
-    pi[2] = 1.0
-    for l in range(2, l_max + 1):
-        pi[l + 1] = ((2 * l - 1) * mu * pi[l] - l * pi[l - 1]) / (l - 1)
+    pi = _pi_rows(mu, l_max)
     ls = np.arange(l_max + 1.0).reshape((-1,) + (1,) * mu.ndim)
     tau = np.moveaxis(ls * mu * pi[1:] - (ls + 1.0) * pi[:-1], 0, -1)
     pi = np.moveaxis(pi[1:], 0, -1)
@@ -908,19 +914,6 @@ def spherical_harmonics_contract(l_max: int, theta, phi, weights) -> tuple[np.nd
                 harm = _complete(ring[l % 3], phases, em, ep, up[l, cols], dn[l, cols])
                 sums[:, chunk, :, l] = np.einsum("km,inm->ink", band_weights[:, l], harm)
     return tuple(sums)
-
-
-def vector_harmonics_contract(l_max: int, theta, phi, weights) -> tuple[np.ndarray, ...]:
-    """Weighted sums over m of the (X, V, W) triples at N directions.
-
-    weights as for ``spherical_harmonics_contract``, of which this is the
-    family view. Returns three complex arrays shaped (N, K, l_max + 1, 3)
-    holding sum_m weights[k, l, m] F[n, l, m, c] for F = X, V, W, equal bit
-    for bit to the sums over the whole ``vector_harmonics_batch``.
-    """
-    l_max = _check_vector_order(l_max)
-    sums = spherical_harmonics_contract(l_max, theta, phi, weights)
-    return _vector_families(np.arange(l_max + 1, dtype=float), *sums)
 
 
 def vector_spherical_harmonics(l: int, m: int, point) -> VectorHarmonicTriple:

@@ -107,7 +107,8 @@ def test_vector_contraction_bits(name):
     l_max, w = contraction_case(name)
     m_top = int(np.abs(np.flatnonzero(np.any(w != 0, axis=(0, 1))) - l_max).max())
     theta, phi = directions(specfun.chunk_directions(m_top) + 1)
-    got = digest(specfun.vector_harmonics_contract(l_max, theta, phi, w))
+    sums = specfun.spherical_harmonics_contract(l_max, theta, phi, w)
+    got = digest(specfun._vector_families(np.arange(l_max + 1.0), *sums))
     assert got == CONTRACTION_DIGESTS[name]
 
 
@@ -127,7 +128,7 @@ def test_block_and_contraction_share_one_row_recurrence(monkeypatch):
     specfun.spherical_harmonics_batch(4, theta, phi)
     specfun.vector_harmonics_batch(4, theta, phi)
     specfun.spherical_harmonics_contract(4, theta, phi, w)
-    specfun.vector_harmonics_contract(4, theta, phi, w)
+    specfun._vector_families(np.arange(5.0), *specfun.spherical_harmonics_contract(4, theta, phi, w))
     assert calls == [(4, 5, 5)] * 2 + [(2, 5, 3)] * 2
 
 

@@ -36,6 +36,12 @@ def block_contract(l_max, theta, phi, weights):
     return specfun._vector_families(np.arange(l_max + 1, dtype=float), *sums)
 
 
+def vector_contract(l_max, theta, phi, weights):
+    """The (X, V, W) families formed from the streamed scalar contraction."""
+    sums = specfun.spherical_harmonics_contract(l_max, theta, phi, weights)
+    return specfun._vector_families(np.arange(l_max + 1, dtype=float), *sums)
+
+
 def assert_same_bits(got, ref):
     for g, r in zip(got, ref):
         assert g.shape == r.shape
@@ -93,7 +99,7 @@ def test_contraction_equals_whole_block_bit_for_bit(case):
         patch.setattr(specfun, "CHUNK_VALUES", chunk_values)
         n = max(2, chunks * specfun.chunk_directions(m_top) + offset)
         theta, phi = directions(n, rng)
-        got = specfun.vector_harmonics_contract(l_max, theta, phi, weights)
+        got = vector_contract(l_max, theta, phi, weights)
     assert all(f.shape == (n, k, l_max + 1, 3) for f in got)
     assert_same_bits(got, block_contract(l_max, theta, phi, weights))
 
@@ -104,7 +110,7 @@ def test_contraction_crosses_default_chunk_boundary(l_max, m_top, offset):
     rng = np.random.default_rng(10 * l_max + m_top + offset)
     weights = support_weights(rng, 2, l_max, m_top, "band")
     theta, phi = directions(specfun.chunk_directions(m_top) + offset, rng)
-    got = specfun.vector_harmonics_contract(l_max, theta, phi, weights)
+    got = vector_contract(l_max, theta, phi, weights)
     assert_same_bits(got, block_contract(l_max, theta, phi, weights))
     got = specfun.spherical_harmonics_contract(l_max, theta, phi, weights)
     assert_same_bits(got, block_sums(l_max, theta, phi, weights))
@@ -130,7 +136,7 @@ def test_nan_weight_poisons_its_row_as_the_whole_block_does(l, m):
     theta, phi = directions(9, rng)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = specfun.vector_harmonics_contract(l_max, theta, phi, weights)
+        got = vector_contract(l_max, theta, phi, weights)
         ref = block_contract(l_max, theta, phi, weights)
     for g, r in zip(got, ref):
         assert np.array_equal(np.isnan(g), np.isnan(r))
@@ -148,7 +154,7 @@ def test_single_high_order_weight_is_one_column():
     for l, m in ((160, 0), (160, -1), (100, 100)):
         weights = np.zeros((1, l + 1, 2 * l + 1))
         weights[0, l, m + l] = 1.0
-        got = specfun.vector_harmonics_contract(l, theta, phi, weights)
+        got = vector_contract(l, theta, phi, weights)
         assert_same_bits(got, block_contract(l, theta, phi, weights))
         ref = [specfun.vector_spherical_harmonics(l, m, (t, p)) for t, p in zip(theta, phi)]
         for f, name in zip(got, "XVW"):

@@ -27,6 +27,11 @@ def bits(a) -> np.ndarray:
 
 # ------------------------------------------------------------ sliced tables
 
+def coefficient_tables(theta, phi, g, l_max):
+    """The one-direction tables of N directions, stacked: (N, 2, l_max+1, 2 l_max+1)."""
+    return np.stack([modes._coefficient_table(*args, l_max) for args in zip(theta, phi, g)])
+
+
 angles = st.tuples(
     st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
     st.floats(0.0, 2.0 * math.pi),
@@ -39,11 +44,11 @@ angles = st.tuples(
 def test_sliced_top_table_equals_fresh_table(rows, top, data):
     l_max = data.draw(st.integers(1, top))
     theta, phi, g = (list(c) for c in zip(*rows))
-    table = modes._coefficient_table(theta, phi, g, top)
+    table = coefficient_tables(theta, phi, g, top)
     pick = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3))
     sliced = np.ascontiguousarray(table[pick, :, :l_max + 1, top - l_max:top + l_max + 1])
-    fresh = modes._coefficient_table([theta[i] for i in pick], [phi[i] for i in pick],
-                                     [g[i] for i in pick], l_max)
+    fresh = coefficient_tables([theta[i] for i in pick], [phi[i] for i in pick],
+                               [g[i] for i in pick], l_max)
     assert sliced.shape == fresh.shape
     assert np.array_equal(bits(sliced), bits(fresh))
 
@@ -65,7 +70,7 @@ TABLE_DIGESTS = [
 
 @pytest.mark.parametrize("args,digest", TABLE_DIGESTS, ids=["one", "poles", "three", "q150"])
 def test_coefficient_table_bytes_are_frozen(args, digest):
-    table = modes._coefficient_table(*args)
+    table = coefficient_tables(*args)
     assert table.shape == (len(args[0]), 2, args[3] + 1, 2 * args[3] + 1)
     assert hashlib.sha256(table.tobytes()).hexdigest() == digest
 

@@ -470,7 +470,8 @@ def assemble_by_vector_contraction(spec, mode, pts, kind, curl):
     l, m, k = mode.channel.l, mode.m, mode.k
     weight = np.zeros((1, l + 1, 2 * l + 1))
     weight[0, l, m + l] = 1.0
-    x, v, w = (f[:, 0, l] for f in specfun.vector_harmonics_contract(l, theta, phi, weight))
+    sums = specfun.spherical_harmonics_contract(l, theta, phi, weight)
+    x, v, w = (f[:, 0, l] for f in specfun._vector_families(np.arange(l + 1.0), *sums))
     f_ll, f_up, f_dn = (f[:, POLARIZATIONS.index(mode.channel.p), l, None] for f in
                         modes._radial_tables(spec, k, r, l, mode.direction, kind))
     norm = k * math.sqrt(2.0 / math.pi)

@@ -430,18 +430,29 @@ def test_g2_map_photon_fields_equal_separate_eigenmodes(eps, k, theta1, theta2, 
         assert grid.values.tobytes() == np.where(den > 0.0, num / den, np.nan).tobytes()
 
 
-def test_g2_map_builds_one_contraction_and_one_radial_table(monkeypatch):
+def test_mode_sums_build_no_coefficient_table(monkeypatch):
+    # the g2-map photons and both forms of the scattering eigenmode sum
+    # through pi_l at n . rhat: no coefficient table, no harmonic
+    # contraction or Legendre rows, no vector families and no spherical
+    # basis; a g2 map builds one radial table, with one phase table
+    for module, name in ((modes, "_coefficient_table"), (specfun, "spherical_harmonics_contract"),
+                         (specfun, "_legendre_rows"), (specfun, "_x_family"),
+                         (specfun, "_vw_families"), (specfun, "spherical_to_cartesian")):
+        monkeypatch.setattr(module, name, None)
     calls = []
-    for module, name in ((specfun, "spherical_harmonics_contract"),
-                         (specfun, "vector_harmonics_contract"), (modes, "_coefficient_table"),
-                         (modes, "_radial_tables"), (modes, "phase_table")):
+    for module, name in ((modes, "_radial_tables"), (modes, "phase_table")):
         real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name, **kw:
-                            calls.append(_name) or _real(*a, **kw))
+        monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name:
+                            calls.append(_name) or _real(*a))
     kap1, kap2, phis = small_particle_setup(64, k=3.0)
-    observables.g2_map(SPEC, kap1, kap2, "z", "z", math.pi / 4, 3 * math.pi / 4, phis, phis)
-    assert sorted(calls) == ["_coefficient_table", "_radial_tables", "phase_table",
-                             "spherical_harmonics_contract"]
+    grid = observables.g2_map(SPEC, kap1, kap2, "z", "z", math.pi / 4, 3 * math.pi / 4, phis, phis)
+    assert np.all(np.isfinite(grid.values))
+    assert calls == ["_radial_tables", "phase_table"]
+    pts = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.5], [2.0, 1.0, -1.5]])
+    for form, plane_wave in (("direct", "exact"), ("mie", "exact"), ("mie", "truncated")):
+        value = modes.scattering_eigenmode(SPEC, kap1, "outgoing", pts, form=form,
+                                           plane_wave=plane_wave).value
+        assert value.shape == (3, 3) and np.all(np.isfinite(value))
 
 
 def test_cross_section_guard_catches_nan(monkeypatch):
@@ -462,7 +473,7 @@ def test_cross_section_guard_catches_nan(monkeypatch):
 @pytest.mark.parametrize("theta", [0.0, math.acos(0.8), 1.9, math.pi])
 def test_tangential_norms_equal_coefficient_table_sums(l_max, theta):
     # sum_m |c^p_lm|^2 of the g = 1 table, TE then TM; phi does not enter
-    table = modes._coefficient_table(theta, 2.3, 1, l_max)[0]
+    table = modes._coefficient_table(theta, 2.3, 1, l_max)
     ref = np.sum(np.abs(table) ** 2, axis=-1)
     got = specfun._tangential_norms(l_max, theta)
     assert got.shape == (2, l_max + 1)

@@ -265,4 +265,14 @@ def test_mie_oracle_does_not_read_the_angular_route():
              if isinstance(node, ast.Attribute)}
     names |= {node.id for node in ast.walk(ast.parse(path.read_text()))
               if isinstance(node, ast.Name)}
-    assert not names & {"_pair_sums", "_angular_sums", "qmie"}
+    assert not names & {"_pair_sums", "_pi_rows", "_angular_sums", "qmie"}
+
+
+def test_msum_oracle_does_not_read_the_angle_routes():
+    # the m-sum oracle reads coefficient tables and harmonic contractions,
+    # never pi_l at the angle between two directions
+    tree = ast.parse((TESTS / "msum_reference.py").read_text())
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "_coefficient_table" in names
+    assert not names & {"_pair_sums", "_pi_rows", "_mode_sum", "_angular_sums", "_amplitudes"}
