@@ -175,28 +175,26 @@ def _assemble(
 ) -> FieldSample:
     """S_alpha of the requested radial kind, or its curl, at one or N points.
 
-    The angular factors come from one scalar harmonic contraction against
-    the mode's single (l, m) weight, which runs the Legendre recurrence on
-    the columns |m'| <= |m| + 1 only: O(l) per point. Only row l of the
-    sums is read, and only the family it needs is formed from it: X for TE
-    (or the curl of TM), V and W otherwise. The radial factors come from one
-    radial table over the distinct radii.
+    The angular factors are the mode's one harmonic Y_l^m and its
+    derivatives (``specfun.spherical_harmonic_at``), whose Legendre
+    recurrence runs on the columns |m'| <= |m| + 1 only: O(l |m|) per point.
+    Only the family it needs is formed from them: X for TE (or the curl of
+    TM), V and W otherwise. The radial factors come from one radial table
+    over the distinct radii.
     """
     p, single = _as_points(point)
     r, theta, phi = _spherical_coords(p)
     l, m, k = mode.channel.l, mode.m, mode.k
-    weight = np.zeros((1, l + 1, 2 * l + 1))
-    weight[0, l, m + l] = 1.0
-    y, dy, u = (f[:, 0, l:] for f in specfun.spherical_harmonics_contract(l, theta, phi, weight))
+    y, dy, u = specfun.spherical_harmonic_at(l, m, theta, phi)
     ls = np.array([float(l)])
     f_ll, f_up, f_dn = (f[:, POLARIZATIONS.index(mode.channel.p), l, None] for f in
                         _radial_tables(spec, k, r, l, mode.direction, kind, branch))
     norm = k * math.sqrt(2.0 / math.pi)
     # the curl swaps the TE and TM angular structures
     if (mode.channel.p == "TE") != curl:
-        sph = norm * f_ll * specfun._x_family(ls, dy, u)[:, 0]
+        sph = norm * f_ll * specfun._x_family(ls, dy, u)
     else:
-        v, w = (f[:, 0] for f in specfun._vw_families(ls, y, dy, u))
+        v, w = specfun._vw_families(ls, y, dy, u)
         w_v = math.sqrt(l / (2.0 * l + 1.0))
         w_w = math.sqrt((l + 1.0) / (2.0 * l + 1.0))
         sph = norm * (w_v * f_up * v - w_w * f_dn * w)

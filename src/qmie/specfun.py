@@ -16,8 +16,12 @@ serves the whole array, each argument taking exactly the steps, rescalings and
 anchors of its scalar sweep, so every row equals the scalar sweep bit for bit;
 smaller arrays loop over the scalar sweep. Arguments are capped at
 ``HARD_CAP_ARGUMENT`` (2^20), which bounds the length of every sweep.
-Angular derivatives of Y_l^m are evaluated through ladder identities that stay
-finite at the poles; nothing is differentiated numerically.
+Every harmonic comes from one Legendre row recurrence, ``_legendre_rows``: the
+whole block of all (l, m) at N directions, or one (l, m) at N directions
+(``spherical_harmonic_at``) on the columns |m'| <= |m| + 1 in a ring of three
+rows, O(|m|) memory per direction. Angular derivatives of Y_l^m are evaluated
+through ladder identities that stay finite at the poles; nothing is
+differentiated numerically.
 """
 
 from __future__ import annotations
@@ -40,13 +44,13 @@ __all__ = [
     "spherical_hankel_h1",
     "legendre_p",
     "spherical_harmonic",
+    "spherical_harmonic_at",
     "HarmonicsBlock",
     "spherical_harmonics_block",
     "spherical_harmonics_batch",
     "vector_spherical_harmonics",
     "vector_harmonics_block",
     "vector_harmonics_batch",
-    "spherical_harmonics_contract",
     "unit_vectors",
     "spherical_to_cartesian",
 ]
@@ -467,20 +471,11 @@ def legendre_p(l: int, x: float) -> float:
     return pc
 
 
-# Values per order l of one chunk of spherical_harmonics_contract: the chunk's
-# directions times the 2 (M + 1) + 1 columns |m| <= M + 1 that its weights
-# need. Large enough to amortize the per-l loop, small enough that a chunk's
-# rows stay well under a megabyte.
+# Values per order l of one chunk of spherical_harmonic_at: the chunk's
+# directions times the 2 band + 1 columns |m'| <= band that it completes.
+# Large enough to amortize the per-l loop, small enough that a chunk's rows
+# stay well under a megabyte.
 CHUNK_VALUES = 2**13
-
-
-def chunk_directions(m_top: int) -> int:
-    """Directions per chunk of ``spherical_harmonics_contract``.
-
-    m_top is the largest |m| with a nonzero weight; each direction of a
-    chunk holds 2 (m_top + 1) + 1 columns of each row l.
-    """
-    return max(1, CHUNK_VALUES // (2 * (m_top + 1) + 1))
 
 
 @dataclass(frozen=True)
@@ -576,8 +571,8 @@ def _legendre_rows(theta: np.ndarray, band: int, l_stop: int, a: np.ndarray,
     m = 0..band, into rows[l % len(rows)] and yield l.
 
     Y_l^m = p e^{i m phi} and u = m p / sin(theta), as in ``_legendre_seeds``.
-    rows holds every row (the whole block) or a ring of three (the streamed
-    contraction). Columns m < l come from the recurrence; at m = l - 1 its
+    rows holds every row (the whole block) or a ring of three (one harmonic,
+    ``spherical_harmonic_at``). Columns m < l come from the recurrence; at m = l - 1 its
     two-back term is 0.0 times 0.0, and it starts at l = 2 (with two rows,
     l = 1 would read the row it writes). Column l is the seed; columns
     m > l keep their zeros, which a ring's row l had as row l - 3.
@@ -621,8 +616,9 @@ def _complete(pu: np.ndarray, phases, em, ep, up, dn) -> np.ndarray:
     column c + m for order m. phases, em and ep (from ``_phases``) broadcast
     against p; up and dn are the ladder coefficients of the result's
     columns. dY/dtheta at the edge columns m = -/+ c lacks the neighbour
-    beyond them: exact where c is l_max, whose missing neighbour vanishes;
-    below that, the caller gives those columns no weight.
+    beyond them: exact where c is at least the row's order l, whose
+    neighbour beyond column l vanishes; below that, the caller does not
+    read those columns.
     """
     c = pu.shape[-1] - 1
     out = np.zeros((3,) + pu.shape[1:-1] + (2 * c + 1,), dtype=complex)
@@ -733,8 +729,8 @@ def spherical_harmonics_batch(l_max: int, theta, phi) -> tuple[np.ndarray, np.nd
     theta and phi are scalars or 1-D arrays of one length N. Returns three
     complex arrays shaped (N, l_max + 1, 2 l_max + 1) indexed
     [n, l, m + l_max]; entries with |m| > l are zero. The whole batch is
-    held at once; ``spherical_harmonics_contract`` is the bounded-memory
-    route for many directions.
+    held at once; ``spherical_harmonic_at`` gives one (l, m) at many
+    directions in bounded memory.
     """
     l_max = _check_order(l_max)
     theta, phi = _as_angle_arrays(theta, phi)
@@ -756,12 +752,40 @@ def spherical_harmonics_block(l_max: int, theta: float, phi: float) -> Harmonics
     return HarmonicsBlock(y.shape[1] - 1, theta, phi, y[0], dy[0], u[0])
 
 
-def spherical_harmonic(l: int, m: int, point) -> complex:
-    """Orthonormal Y_l^m(theta, phi) with the Condon-Shortley phase."""
+def spherical_harmonic_at(l: int, m: int, theta, phi) -> np.ndarray:
+    """Y_l^m, dY_l^m/dtheta and m Y_l^m / sin(theta) at N directions, (3, N).
+
+    theta and phi are scalars or 1-D arrays of one length N. Column n
+    equals the [n, l, m + l] entries of ``spherical_harmonics_batch(l,
+    theta, phi)`` bit for bit (a larger l_max gives equal values, but at
+    |m| = l its dY/dtheta can be a zero of the other sign at the poles).
+    ``_legendre_rows`` runs on the columns |m'| <= |m| + 1 only (the dY
+    ladder reads column |m| + 1), into a ring of three rows, over chunks of
+    CHUNK_VALUES // (2 band + 1) directions, and only row l is completed:
+    memory is O(|m|) per direction whatever N is, and the work is O(l |m|)
+    per direction.
+    """
     l = _check_order(l)
     m = _check_degree(l, m)
-    y, _, _ = spherical_harmonics_batch(l, *_as_angles(point))
-    return complex(y[0, l, m + l])
+    theta, phi = _as_angle_arrays(theta, phi)
+    band = min(abs(m) + 1, l)
+    a, ab, up, dn = _recurrence_tables(l)
+    cols = slice(l - band, l + band + 1)
+    out = np.empty((3, theta.size), dtype=complex)
+    step = max(1, CHUNK_VALUES // (2 * band + 1))
+    for start in range(0, theta.size, step):
+        chunk = slice(start, start + step)
+        phases, em, ep = _phases(phi[chunk], band)
+        ring = np.zeros((3, 2, phases.shape[0], band + 1))
+        for _ in _legendre_rows(theta[chunk], band, l + 1, a, ab, ring):
+            pass
+        out[:, chunk] = _complete(ring[l % 3], phases, em, ep, up[l, cols], dn[l, cols])[..., band + m]
+    return out
+
+
+def spherical_harmonic(l: int, m: int, point) -> complex:
+    """Orthonormal Y_l^m(theta, phi) with the Condon-Shortley phase."""
+    return complex(spherical_harmonic_at(l, m, *_as_angles(point))[0, 0])
 
 
 def unit_vectors(theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -871,51 +895,6 @@ def vector_harmonics_block(l_max: int, theta: float, phi: float) -> tuple[np.nda
     return x[0], v[0], w[0]
 
 
-def spherical_harmonics_contract(l_max: int, theta, phi, weights) -> tuple[np.ndarray, ...]:
-    """Weighted sums over m of Y, dY/dtheta and mY/sin(theta) at N directions.
-
-    weights is shaped (K, l_max + 1, 2 l_max + 1) and indexed like a harmonic
-    block. Returns three complex arrays shaped (N, K, l_max + 1) holding
-    sum_m weights[k, l, m] F[n, l, m] for the three arrays F of
-    ``spherical_harmonics_batch``.
-
-    No harmonic block is formed. With M the largest |m| at which any weight
-    is nonzero (NaN counts), ``_legendre_rows`` runs over l for a chunk of
-    directions on the columns |m| <= M + 1 only (the dY ladder reads column
-    m + 1), into a ring of three rows, and each row l whose weights are not
-    all zero is completed and contracted as soon as it exists. A chunk holds
-    ``chunk_directions(M)`` directions, so memory is O(M) per direction
-    whatever N and l_max are, and the work is O(l_max M) per direction. The
-    sums equal those over the whole block bit for bit.
-    """
-    l_max = _check_order(l_max)
-    theta, phi = _as_angle_arrays(theta, phi)
-    weights = np.asarray(weights, dtype=complex)
-    width = 2 * l_max + 1
-    if weights.ndim != 3 or weights.shape[1:] != (l_max + 1, width):
-        raise DomainError(f"weights must be (K, {l_max + 1}, {width}), got {weights.shape}")
-    live = weights != 0
-    m_top = int(np.abs(np.flatnonzero(np.any(live, axis=(0, 1))) - l_max).max(initial=0))
-    row_live = np.any(live, axis=(0, 2))
-    l_stop = int(np.flatnonzero(row_live).max(initial=-1)) + 1
-    band = min(m_top + 1, l_max)
-    cols = slice(l_max - band, l_max + band + 1)
-    a, ab, up, dn = _recurrence_tables(l_max)
-    band_weights = weights[:, :, cols]
-    n = theta.size
-    sums = np.zeros((3, n, weights.shape[0], l_max + 1), dtype=complex)
-    step = chunk_directions(m_top)
-    for start in range(0, n, step):
-        chunk = slice(start, start + step)
-        phases, em, ep = _phases(phi[chunk], band)
-        ring = np.zeros((3, 2, phases.shape[0], band + 1))
-        for l in _legendre_rows(theta[chunk], band, l_stop, a, ab, ring):
-            if row_live[l]:
-                harm = _complete(ring[l % 3], phases, em, ep, up[l, cols], dn[l, cols])
-                sums[:, chunk, :, l] = np.einsum("km,inm->ink", band_weights[:, l], harm)
-    return tuple(sums)
-
-
 def vector_spherical_harmonics(l: int, m: int, point) -> VectorHarmonicTriple:
     """The orthonormal triple (X, V, W) at one direction, spherical basis.
 
@@ -926,6 +905,5 @@ def vector_spherical_harmonics(l: int, m: int, point) -> VectorHarmonicTriple:
     l = _check_order(l)
     if l < 1:
         raise DomainError("l must be >= 1; the l=0 triple vanishes identically")
-    m = _check_degree(l, m)
-    x, v, w = vector_harmonics_batch(l, *_as_angles(point))
-    return VectorHarmonicTriple(X=x[0, l, m + l], V=v[0, l, m + l], W=w[0, l, m + l])
+    x, v, w = _vector_families(np.array([float(l)]), *spherical_harmonic_at(l, m, *_as_angles(point)))
+    return VectorHarmonicTriple(X=x[0], V=v[0], W=w[0])

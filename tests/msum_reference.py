@@ -5,9 +5,10 @@ conj(c^p_lm(n)) c^p_lm(n'), and every mode sum a sum over m of
 c^p_lm(n) S^p_lm(r). The library forms those sums at the angle between two
 directions (two photons, or a photon and a point), through pi_l and tau_l.
 This module forms them the long way instead: from whole multipole coefficient tables
-(``qmie.modes._coefficient_table``) and from the scalar harmonic
-contraction, as the library did before, so that the two routes share
-neither the angular functions nor the scattering-plane frame.
+(``qmie.modes._coefficient_table``) and from whole harmonic blocks
+(``qmie.specfun.spherical_harmonics_batch``) summed over m explicitly, so
+that the two routes share neither the angular functions nor the
+scattering-plane frame.
 """
 
 import math
@@ -22,6 +23,22 @@ from qmie.miecore import phase_table, truncation_order
 # e_phi
 COEFFICIENT_RULE = (((2, 1), (1, -1)), ((1, 0), (2, 0)))
 
+# directions per whole harmonic block, to bound its memory
+BLOCK_SLICE = 32
+
+
+def harmonic_sums(l_max, theta, phi, weights):
+    """sum_m weights[k, l, m] F[n, l, m] for F = Y, dY/dtheta and
+    mY/sin(theta) of the whole block, each (N, K, l_max+1)."""
+    theta, phi = np.atleast_1d(theta), np.atleast_1d(phi)
+    sums = np.empty((3, theta.size, weights.shape[0], l_max + 1), dtype=complex)
+    for start in range(0, theta.size, BLOCK_SLICE):
+        part = slice(start, start + BLOCK_SLICE)
+        block = specfun.spherical_harmonics_batch(l_max, theta[part], phi[part])
+        for i, arr in enumerate(block):
+            sums[i, part] = np.einsum("klm,nlm->nkl", weights, arr)
+    return sums
+
 
 def coefficient_tables(kappas, l_max):
     """c_{lmg}^p of K plane-wave labels, (K, 2, l_max+1, 2 l_max+1)."""
@@ -34,7 +51,7 @@ def coefficient_overlaps(theta, phi, c_ref, l_max):
     c_ref is one (TE, TM) pair of coefficient tables, shaped
     (2, l_max+1, 2 l_max+1). Returns (N, 2, 2, l_max+1) indexed [n, g - 1, p, l].
     """
-    _, dy, u = specfun.spherical_harmonics_contract(l_max, theta, phi, c_ref)
+    _, dy, u = harmonic_sums(l_max, theta, phi, c_ref)
     ls = np.arange(l_max + 1)
     x = specfun._x_family(ls.astype(float), dy, u)
     return np.stack([
@@ -76,13 +93,12 @@ def angular_sums(kappa, kappa_prime, l_max, conjugate_pair):
 def mode_sum(spec, kappas, direction, points, l_max, kind):
     """(1/k) sum_{plm} c_{lmg}^p S^p_{lm}(r) for K plane-wave modes at N
     points, (K, N, 3): the coefficient tables of all K modes as 2K weight
-    rows of one scalar contraction, X from the TE rows and V and W from the
-    TM rows, on the local spherical basis."""
+    rows of one sum over m, X from the TE rows and V and W from the TM rows,
+    on the local spherical basis."""
     r, theta, phi = modes._spherical_coords(points)
     k = kappas[0].k
     coeffs = coefficient_tables(kappas, l_max)
-    y, dy, u = specfun.spherical_harmonics_contract(
-        l_max, theta, phi, coeffs.reshape((-1,) + coeffs.shape[2:]))
+    y, dy, u = harmonic_sums(l_max, theta, phi, coeffs.reshape((-1,) + coeffs.shape[2:]))
     ls = np.arange(l_max + 1, dtype=float)
     bx = specfun._x_family(ls, dy[:, 0::2], u[:, 0::2])
     bv, bw = specfun._vw_families(ls, y[:, 1::2], dy[:, 1::2], u[:, 1::2])

@@ -1,9 +1,11 @@
-"""The harmonic block and the streamed contraction, pinned byte for byte.
+"""The harmonic block, pinned byte for byte.
 
-Both routes run one Legendre row recurrence, so comparing them with each
-other cannot catch a change in its bits. These sha256 digests were recorded
-from the two separate recurrences the routes ran before they shared one;
-zero signs at the poles and at theta > pi/2 are among the pinned bytes.
+Every route to the harmonics runs one Legendre row recurrence, so comparing
+the routes with each other cannot catch a change in its bits. These sha256
+digests were recorded from the separate recurrences the routes ran before
+they shared one; zero signs at the poles and at theta > pi/2 are among the
+pinned bytes. One (l, m) at many directions (``spherical_harmonic_at``)
+equals the block bit for bit (tests/test_contraction.py).
 """
 
 import hashlib
@@ -27,16 +29,6 @@ def directions(n):
     runs past 2 pi so that its wrap is pinned too."""
     theta = np.linspace(0.0, math.pi, n) if n > 1 else np.array([math.pi])
     return theta, 0.3 + 0.7 * np.arange(n)
-
-
-def weights(k, l_max, m_top):
-    """Dense arithmetic weights cut to |m| <= m_top; the cut leaves -0.0
-    where a weight was negative, which is no live weight either."""
-    shape = (k, l_max + 1, 2 * l_max + 1)
-    idx = np.arange(math.prod(shape), dtype=float).reshape(shape)
-    w = ((idx * 0.6180339887498949) % 1.0 - 0.5) + 1j * ((idx * 0.4142135623730951) % 1.0 - 0.5)
-    keep = np.abs(np.arange(-l_max, l_max + 1)) <= m_top
-    return w * keep
 
 
 # (l_max, N): every l_max with N = 1 and 2, N = 91 up to l_max 55
@@ -72,50 +64,15 @@ BATCH_DIGESTS = {
 }
 
 
-def contraction_case(name):
-    """(l_max, weights) of each pinned contraction."""
-    if name == "M=0":
-        return 5, weights(2, 5, 0)
-    if name == "M=1":
-        w = weights(2, 8, 1)
-        w[:, 4] = 0.0
-        return 8, w
-    if name == "dense":
-        return 12, weights(3, 12, 12)
-    w = weights(2, 8, 1)
-    w[1, 3, -2 + 8] = math.nan
-    return 8, w
-
-
-CONTRACTION_DIGESTS = {
-    "M=0": "57555274923cc127007eea526d24e0dc3c59905831f61038abcd73be7995ee43",
-    "M=1": "22bdebf305d6c4f8daf160887c22f97d9eaf8e1b8e017a867eca084471ce6be5",
-    "dense": "431a3696d103c4a3bc85657e1fb9872b5e90a37d3c66508b71fee5b434c72bd9",
-    "NaN": "1a58171d6231968bb52e1f5919428b1cc8132fca3b000fb3a9ad6a3dd52d21eb",
-}
-
-
 @pytest.mark.parametrize("l_max,n", sorted(BATCH_DIGESTS))
 def test_harmonics_batch_bits(l_max, n):
     got = digest(specfun.spherical_harmonics_batch(l_max, *directions(n)))
     assert got == BATCH_DIGESTS[l_max, n]
 
 
-@pytest.mark.parametrize("name", sorted(CONTRACTION_DIGESTS))
-def test_vector_contraction_bits(name):
-    # one direction past the default chunk: the second chunk holds one
-    l_max, w = contraction_case(name)
-    m_top = int(np.abs(np.flatnonzero(np.any(w != 0, axis=(0, 1))) - l_max).max())
-    theta, phi = directions(specfun.chunk_directions(m_top) + 1)
-    sums = specfun.spherical_harmonics_contract(l_max, theta, phi, w)
-    got = digest(specfun._vector_families(np.arange(l_max + 1.0), *sums))
-    assert got == CONTRACTION_DIGESTS[name]
-
-
-
 def test_block_and_contraction_share_one_row_recurrence(monkeypatch):
     # every route to the harmonics runs _legendre_rows: the block with all
-    # its rows, the contraction with a ring of three on its m band
+    # its rows, one (l, m) with a ring of three on the columns |m'| <= |m| + 1
     calls, rows = [], specfun._legendre_rows
 
     def counting(theta, band, l_stop, a, ab, ring):
@@ -124,12 +81,13 @@ def test_block_and_contraction_share_one_row_recurrence(monkeypatch):
 
     monkeypatch.setattr(specfun, "_legendre_rows", counting)
     theta, phi = directions(3)
-    w = weights(1, 4, 1)
     specfun.spherical_harmonics_batch(4, theta, phi)
     specfun.vector_harmonics_batch(4, theta, phi)
-    specfun.spherical_harmonics_contract(4, theta, phi, w)
-    specfun._vector_families(np.arange(5.0), *specfun.spherical_harmonics_contract(4, theta, phi, w))
-    assert calls == [(4, 5, 5)] * 2 + [(2, 5, 3)] * 2
+    specfun.spherical_harmonic_at(4, -1, theta, phi)
+    specfun.spherical_harmonic(4, 1, (theta[1], phi[1]))
+    specfun.vector_spherical_harmonics(4, -1, (theta[1], phi[1]))
+    specfun.spherical_harmonic_at(4, 4, theta, phi)
+    assert calls == [(4, 5, 5)] * 2 + [(2, 5, 3)] * 3 + [(4, 5, 3)]
 
 
 def test_recurrence_tables_are_cached_read_only():

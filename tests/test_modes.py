@@ -1,5 +1,6 @@
 """Eigenmode evaluation: radial branches, interfaces, plane-wave content."""
 
+import functools
 import math
 
 import numpy as np
@@ -281,7 +282,7 @@ def test_pair_sums_form_no_coefficient_table(monkeypatch):
     ref_f = msum_amplitudes(SPEC, kappa_in, theta, phi, 9)
     ref_m = [msum_angular_sums(kappa_in, kp, 9, True) for kp in kappa_primes]
     for module, name in ((modes, "_coefficient_table"), (specfun, "_legendre_rows"),
-                         (specfun, "spherical_harmonics_contract")):
+                         (specfun, "spherical_harmonic_at")):
         monkeypatch.setattr(module, name, None)
     f = observables._amplitudes(SPEC, kappa_in, theta, phi, 9)
     assert np.max(np.abs(f - ref_f)) < 1e-12 * np.max(np.abs(ref_f))
@@ -435,8 +436,9 @@ def random_points(n, seed):
 def test_intensity_map_batch_matches_pointwise_modes(offset):
     l = 3
     mode = modes.SphericalModeIndex(ChannelIndex("TM", l), 1, 2.3)
-    # the mode's one harmonic weight sits at |m| = 1
-    pts = random_points(specfun.chunk_directions(1) + offset, 500 + offset)
+    # one direction either side of the default chunk of the mode's harmonic
+    # at |m| = 1, whose rows hold the columns |m'| <= 2
+    pts = random_points(specfun.CHUNK_VALUES // 5 + offset, 500 + offset)
     vals = modes.field_intensity_map(SPEC, mode, pts)
     assert vals.shape == (pts.shape[0],)
     for pt, got in zip(pts, vals):
@@ -449,8 +451,8 @@ def test_intensity_map_batch_matches_pointwise_modes(offset):
 def test_mode_sum_batch_matches_pointwise_calls(offset):
     l_max = 8
     kap = modes.PlaneModeIndex(2, (0.9, -0.4, 1.3))
-    # an oblique plane wave weights every |m| <= l_max
-    pts = random_points(specfun.chunk_directions(l_max) + offset, 600 + offset)
+    # an oblique plane wave, at 430 points and one more or fewer
+    pts = random_points(430 + offset, 600 + offset)
     for kind in ("full", "scattered"):
         (batch,) = modes._mode_sum(SPEC, (kap,), "outgoing", pts, l_max, kind)
         assert batch.shape == pts.shape
@@ -463,15 +465,34 @@ def test_mode_sum_batch_matches_pointwise_calls(offset):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def assemble_by_vector_contraction(spec, mode, pts, kind, curl):
-    # S_alpha, or its curl, from every row and family of the vector
-    # contraction, of which _assemble forms only row l and one family
+def assemble_points(l):
+    pts = random_points(150, 700 + l)
+    pts[2:4] = [[0.0, 0.0, 2.5], [0.0, 0.0, -0.5]]
+    return pts
+
+
+def assemble_orders(l):
+    return sorted({0, 1, -l})
+
+
+@functools.lru_cache(maxsize=None)
+def whole_block_entries(l):
+    """{m: (X, V, W)} at the orders m of assemble_orders(l) and the points of
+    assemble_points(l), from the whole vector-harmonic block, formed for a
+    few directions at a time to bound its memory."""
+    _, theta, phi = modes._spherical_coords(assemble_points(l))
+    parts = [specfun.vector_harmonics_batch(l, theta[i:i + 8], phi[i:i + 8])
+             for i in range(0, theta.size, 8)]
+    return {m: [np.concatenate([fams[f][:, l, m + l] for fams in parts]) for f in range(3)]
+            for m in assemble_orders(l)}
+
+
+def assemble_by_whole_block(spec, mode, pts, kind, curl):
+    # S_alpha, or its curl, from every family of the whole block's entry at
+    # (l, m), of which _assemble forms one family of one harmonic
     r, theta, phi = modes._spherical_coords(pts)
     l, m, k = mode.channel.l, mode.m, mode.k
-    weight = np.zeros((1, l + 1, 2 * l + 1))
-    weight[0, l, m + l] = 1.0
-    sums = specfun.spherical_harmonics_contract(l, theta, phi, weight)
-    x, v, w = (f[:, 0, l] for f in specfun._vector_families(np.arange(l + 1.0), *sums))
+    x, v, w = whole_block_entries(l)[m]
     f_ll, f_up, f_dn = (f[:, POLARIZATIONS.index(mode.channel.p), l, None] for f in
                         modes._radial_tables(spec, k, r, l, mode.direction, kind))
     norm = k * math.sqrt(2.0 / math.pi)
@@ -492,13 +513,13 @@ def assemble_by_vector_contraction(spec, mode, pts, kind, curl):
 @pytest.mark.parametrize("l", [1, 2, 7, 160])
 @pytest.mark.parametrize("p", ["TE", "TM"])
 def test_assemble_equals_the_vector_contraction_route(p, l, kind, curl):
+    # the reference is the whole-block route: vector_harmonics_batch at [l, m]
     spec = None if kind == "vacuum" else SPEC
-    pts = random_points(150, 700 + l)
-    pts[2:4] = [[0.0, 0.0, 2.5], [0.0, 0.0, -0.5]]
-    for m in sorted({0, 1, -l}):
+    pts = assemble_points(l)
+    for m in assemble_orders(l):
         mode = modes.SphericalModeIndex(ChannelIndex(p, l), m, 2.3)
         got = modes._assemble(spec, mode, pts, kind, curl=curl).value
-        ref = assemble_by_vector_contraction(spec, mode, pts, kind, curl)
+        ref = assemble_by_whole_block(spec, mode, pts, kind, curl)
         assert got.tobytes() == ref.tobytes()
 
 

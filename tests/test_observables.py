@@ -432,10 +432,10 @@ def test_g2_map_photon_fields_equal_separate_eigenmodes(eps, k, theta1, theta2, 
 
 def test_mode_sums_build_no_coefficient_table(monkeypatch):
     # the g2-map photons and both forms of the scattering eigenmode sum
-    # through pi_l at n . rhat: no coefficient table, no harmonic
-    # contraction or Legendre rows, no vector families and no spherical
-    # basis; a g2 map builds one radial table, with one phase table
-    for module, name in ((modes, "_coefficient_table"), (specfun, "spherical_harmonics_contract"),
+    # through pi_l at n . rhat: no coefficient table, no harmonic or
+    # Legendre rows, no vector families and no spherical basis; a g2 map
+    # builds one radial table, with one phase table
+    for module, name in ((modes, "_coefficient_table"), (specfun, "spherical_harmonic_at"),
                          (specfun, "_legendre_rows"), (specfun, "_x_family"),
                          (specfun, "_vw_families"), (specfun, "spherical_to_cartesian")):
         monkeypatch.setattr(module, name, None)

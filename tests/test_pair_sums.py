@@ -269,10 +269,12 @@ def test_mie_oracle_does_not_read_the_angular_route():
 
 
 def test_msum_oracle_does_not_read_the_angle_routes():
-    # the m-sum oracle reads coefficient tables and harmonic contractions,
-    # never pi_l at the angle between two directions
+    # the m-sum oracle reads coefficient tables and whole harmonic blocks,
+    # never pi_l at the angle between two directions nor the one-harmonic
+    # route of the eigenmodes
     tree = ast.parse((TESTS / "msum_reference.py").read_text())
     names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert "_coefficient_table" in names
-    assert not names & {"_pair_sums", "_pi_rows", "_mode_sum", "_angular_sums", "_amplitudes"}
+    assert {"_coefficient_table", "spherical_harmonics_batch"} <= names
+    assert not names & {"_pair_sums", "_pi_rows", "_mode_sum", "_angular_sums", "_amplitudes",
+                        "spherical_harmonic_at", "_assemble"}

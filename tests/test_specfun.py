@@ -325,7 +325,7 @@ def random_directions(n, seed):
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_batched_block_matches_per_direction(offset):
     l_max = 6
-    n = specfun.chunk_directions(l_max) + offset
+    n = 546 + offset
     theta, phi = random_directions(n, 100 + offset)
     y, dy, u = specfun.spherical_harmonics_batch(l_max, theta, phi)
     assert y.shape == (n, l_max + 1, 2 * l_max + 1)
@@ -341,20 +341,21 @@ def test_batched_block_matches_per_direction(offset):
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_contraction_matches_per_direction_sums(offset):
-    # the m sums cross a chunk boundary of the direction batch; dense
-    # weights reach |m| = l_max
+    # every (l, m) up to l_max, one direction either side of the default
+    # chunk of |m| = l_max - 1, against the vector families of one block
+    # per direction
     l_max = 6
-    n = specfun.chunk_directions(l_max) + offset
+    n = specfun.CHUNK_VALUES // (2 * l_max + 1) + offset
     theta, phi = random_directions(n, 200 + offset)
-    rng = np.random.default_rng(300 + offset)
-    weights = rng.normal(size=(2, l_max + 1, 2 * l_max + 1)) \
-        + 1j * rng.normal(size=(2, l_max + 1, 2 * l_max + 1))
-    sums = specfun._vector_families(np.arange(l_max + 1.0),
-                                    *specfun.spherical_harmonics_contract(l_max, theta, phi, weights))
-    for i in range(n):
-        for got, fam in zip(sums, specfun.vector_harmonics_block(l_max, theta[i], phi[i])):
-            ref = np.einsum("klm,lmc->klc", weights, fam)
-            assert np.max(np.abs(got[i] - ref)) <= 1e-14 * np.max(np.abs(ref))
+    blocks = [np.array(f) for f in zip(*(specfun.vector_harmonics_block(l_max, t, p)
+                                         for t, p in zip(theta, phi)))]
+    scales = [np.max(np.abs(b), axis=(1, 2, 3)) for b in blocks]
+    for l in range(1, l_max + 1):
+        for m in range(-l, l + 1):
+            fams = specfun._vector_families(np.array([float(l)]),
+                                            *specfun.spherical_harmonic_at(l, m, theta, phi))
+            for got, ref, scale in zip(fams, blocks, scales):
+                assert np.all(np.max(np.abs(got - ref[:, l, m + l_max]), axis=1) <= 1e-14 * scale)
 
 
 def test_batch_rejects_bad_directions():
@@ -362,5 +363,10 @@ def test_batch_rejects_bad_directions():
         specfun.spherical_harmonics_batch(3, [0.1, math.pi + 0.1], [0.0, 0.0])
     with pytest.raises(DomainError):
         specfun.vector_harmonics_batch(3, [0.1, 0.2], [0.0])
-    with pytest.raises(DomainError):
-        specfun.spherical_harmonics_contract(3, [0.1], [0.0], np.zeros((1, 3, 7)))
+    for theta, phi in (([0.1, math.pi + 0.1], [0.0, 0.0]), ([0.1, 0.2], [0.0]),
+                       ([0.1, math.nan], [0.0, 0.0]), ([[0.1]], [[0.0]])):
+        with pytest.raises(DomainError):
+            specfun.spherical_harmonic_at(3, 1, theta, phi)
+    for l, m in ((3, 4), (3, 1.5), (-1, 0), (513, 0)):
+        with pytest.raises((DomainError, ResourceLimitError)):
+            specfun.spherical_harmonic_at(l, m, [0.1], [0.0])
