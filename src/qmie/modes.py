@@ -128,10 +128,10 @@ def _as_points(points) -> tuple[np.ndarray, bool]:
 
 
 def _spherical_coords(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(r, theta, phi) arrays of (N, 3) points; the origin maps to (0, 0, 0)."""
+    """(r, theta, phi) arrays of (N, 3) points; the origin maps to (0, 0, 0).
+    theta is atan2(hypot(x, y), z), which keeps its digits near the z axis."""
     r = np.sqrt(np.einsum("nc,nc->n", p, p))
-    safe = np.where(r == 0.0, 1.0, r)
-    theta = np.where(r == 0.0, 0.0, np.arccos(np.clip(p[:, 2] / safe, -1.0, 1.0)))
+    theta = np.where(r == 0.0, 0.0, np.arctan2(np.hypot(p[:, 0], p[:, 1]), p[:, 2]))
     phi = np.where(r == 0.0, 0.0, np.mod(np.arctan2(p[:, 1], p[:, 0]), 2.0 * math.pi))
     return r, theta, phi
 

@@ -29,10 +29,10 @@ def tilted(n, angle, rng):
     return math.cos(angle) * n + math.sin(angle) * np.cross(axis, n)
 
 
-def points_around(n, rng, near=True):
-    """Along +-n and (near) within 1e-12..1e-2 of +-n, inside, on and
-    outside the sphere, then random points at the same radii."""
-    angles = 10.0 ** np.arange(-12.0, -1.0, 2.0) if near else []
+def points_around(n, rng):
+    """Along +-n and within 1e-12..1e-2 of +-n, inside, on and outside the
+    sphere, then random points at the same radii."""
+    angles = 10.0 ** np.arange(-12.0, -1.0, 2.0)
     pts = []
     for r in (0.4, SPEC.radius, 2.5):
         for s in (1.0, -1.0):
@@ -54,9 +54,7 @@ def test_mode_sums_match_the_m_sum_route(count):
             # along z the photon sits at the pole of its own polarization basis
             dirs[0] = (0.0, 0.0, 1.0)
         kappas = tuple(PlaneModeIndex(1 + (trial + i) % 2, tuple(k * d)) for i, d in enumerate(dirs))
-        # the oracle's arccos puts points within about 1e-8 of the z axis on
-        # it, so it is not read near +-z (see the plane-wave test below)
-        pts = np.array([np.zeros(3)] + [p for d in dirs for p in points_around(d, rng, abs(d[2]) < 0.9)])
+        pts = np.array([np.zeros(3)] + [p for d in dirs for p in points_around(d, rng)])
         for kind in ("full", "vacuum", "scattered"):
             spec = None if kind == "vacuum" else SPEC
             for direction in modes.DIRECTIONS:

@@ -190,6 +190,18 @@ def test_mode_at_exact_radius_uses_outside_branch():
     assert np.array_equal(on, out)
 
 
+def test_polar_angle_keeps_its_digits_near_the_z_axis():
+    # acos(z / r) gives 0 at (1e-9, 0, 1), and 1.0000444e-6 at (1e-6, 0, 1)
+    pts = np.array([[x, 0.0, z] for z in (1.0, -1.0) for x in (1e-9, 3e-8, 1e-6)])
+    r, theta, phi = modes._spherical_coords(pts)
+    ref = np.array([math.atan2(x, z) for x, _, z in pts])
+    assert np.all(np.abs(theta - ref) <= np.spacing(ref))
+    assert np.all(phi == 0.0)
+    # the origin maps to (0, 0, 0), also with signed zeros
+    r, theta, phi = modes._spherical_coords(np.array([[0.0, -0.0, -0.0]]))
+    assert np.array_equal(np.concatenate([r, theta, phi]).view(np.int64), np.zeros(3, dtype=np.int64))
+
+
 # --------------------------------------------------- vacuum/scattered parts
 
 def test_scattered_part_vanishes_without_scatterer():
