@@ -172,11 +172,8 @@ def phase_table(spec: SphereSpec, q, l_max: int) -> PhaseTable:
     """
     qs, q_list = _size_parameters(q)
     eps = spec.epsilon
-    l_max = specfun._as_integer(l_max, "l_max")
-    if l_max < 1:
-        raise DomainError(f"l_max={l_max} must be an integer >= 1")
     # the sweeps' cap on order l_max + 1, before any table is allocated
-    specfun._check_order(l_max + 1)
+    l_max = specfun._check_radial_order(l_max)
     n = len(q_list)
     # alpha, beta, gamma, sin_phi, cos_phi, phi, sin_mantissa; column l = 0
     # is neutral

@@ -391,7 +391,7 @@ def _mode_sum(
     and point, O(l_max) each. Nothing is divided by sin(Theta); at the
     origin (rhat = 0) only the direction-free b term is left.
     """
-    l_max = specfun._check_vector_order(l_max)
+    l_max = specfun._check_radial_order(l_max)
     # the radii of _spherical_coords, which place a point at r = R
     r = np.sqrt(np.einsum("nc,nc->n", points, points))
     rhat = points / np.where(r == 0.0, 1.0, r)[:, None]
@@ -456,7 +456,7 @@ def scattering_eigenmode(
         raise DomainError(f"plane_wave {plane_wave!r} not in ('exact', 'truncated')")
     p, single = _as_points(point)
     if l_max is not None:
-        l_max = specfun._check_vector_order(l_max)
+        l_max = specfun._check_radial_order(l_max)
     else:
         kr = kappa.k * float(_spherical_coords(p)[0].max()) if form == "direct" else 0.0
         l_max = truncation_order(kappa.k * spec.radius) + math.ceil(kr + 10.0 * kr ** (1.0 / 3.0))

@@ -129,7 +129,7 @@ def scattering_amplitude(
 
 def s_matrix_channels(spec: SphereSpec, q: float, l_max: int | None = None) -> list[SMatrixChannel]:
     """Per-channel S-matrix values e^{-2 i phi_l^p}, l = 1..l_max."""
-    l_max = truncation_order(q) if l_max is None else specfun._check_vector_order(l_max)
+    l_max = truncation_order(q) if l_max is None else specfun._check_radial_order(l_max)
     phi = phase_table(spec, q, l_max).phi
     return [SMatrixChannel(channel=ChannelIndex(p, l),
                            value=complex(math.cos(2.0 * phi[i, l]), -math.sin(2.0 * phi[i, l])))
@@ -150,7 +150,7 @@ def total_cross_section(spec: SphereSpec, q: float, l_max: int | None = None) ->
     (NaN counts as nonzero, and fails the check); past it every term is 0,
     also where sin phi itself is a nonzero value below about 1.5e-162.
     """
-    l_max = truncation_order(q) if l_max is None else specfun._check_vector_order(l_max)
+    l_max = truncation_order(q) if l_max is None else specfun._check_radial_order(l_max)
     k = q / spec.radius
     sin_phi = phase_table(spec, q, l_max).sin_phi
     sin2 = sin_phi ** 2
@@ -275,7 +275,7 @@ def g2_map(
             UserWarning,
             stacklevel=2,
         )
-    l_max = truncation_order(k * spec.radius) if l_max is None else specfun._check_vector_order(l_max)
+    l_max = truncation_order(k * spec.radius) if l_max is None else specfun._check_radial_order(l_max)
 
     def ring(theta: float, phis: np.ndarray) -> np.ndarray:
         st = math.sin(theta)

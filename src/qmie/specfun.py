@@ -723,6 +723,16 @@ def _check_vector_order(l_max: int) -> int:
     return l_max
 
 
+def _check_radial_order(l_max: int) -> int:
+    """_check_vector_order for a cutoff whose phase shifts and radial
+    functions need Bessel order l_max + 1; past the cap, the error names both."""
+    l_max = _check_vector_order(l_max)
+    if l_max + 1 > HARD_CAP_LMAX:
+        raise ResourceLimitError(f"l_max={l_max} needs Bessel order {l_max + 1}, "
+                                 f"above the hard cap {HARD_CAP_LMAX}")
+    return l_max
+
+
 def spherical_harmonics_batch(l_max: int, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Y, dY/dtheta and mY/sin(theta) for all l <= l_max, |m| <= l, at N directions.
 

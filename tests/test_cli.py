@@ -601,6 +601,13 @@ def test_truncation_beyond_hard_cap_names_needed_order(tmp_path, capsys):
     assert max(int(r[2]) for r in read_rows(good)) == 511
 
 
+def test_explicit_l_max_512_names_the_bessel_order_it_needs(tmp_path, capsys):
+    out = tmp_path / "sigma.csv"
+    assert run(["cross-section", "--epsilon", "2.1", "--q", "2", "--l-max", "512", "-o", str(out)]) == 2
+    assert "l_max=512 needs Bessel order 513" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------- non-finite values
 
 def test_cross_section_far_past_q_is_finite(tmp_path):

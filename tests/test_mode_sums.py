@@ -9,9 +9,9 @@ import pickle
 import numpy as np
 import pytest
 
-from qmie import modes, observables
+from qmie import modes, observables, specfun
 from qmie.errors import DomainError, ResourceLimitError
-from qmie.miecore import SphereSpec, truncation_order
+from qmie.miecore import SphereSpec, phase_table, truncation_order
 from qmie.modes import PlaneModeIndex
 from msum_reference import mode_sum as msum_mode_sum
 
@@ -137,6 +137,28 @@ def test_direct_default_cutoff_meets_the_mie_form(kr):
         direct = modes.scattering_eigenmode(spec, kappa, "outgoing", pts).value
         mie = modes.scattering_eigenmode(spec, kappa, "outgoing", pts, form="mie").value
         assert np.max(np.abs(direct - mie)) <= 1e-9 * np.max(np.abs(mie))
+
+
+CUTOFF_CALLS = dict(WHOLE_FLOAT_CALLS, phase_table=lambda l_max: phase_table(SPEC, 1.3, l_max))
+del CUTOFF_CALLS["plane_wave_coefficients"]
+
+
+@pytest.mark.parametrize("name", sorted(CUTOFF_CALLS))
+def test_cutoff_512_names_the_bessel_order_it_needs(name, monkeypatch):
+    # phase shifts and radial functions of order l need Bessel order l + 1:
+    # the caller's l_max = 512 is refused by name, before any sweep
+    def no_work(*args, **kwargs):
+        raise AssertionError("work before the cutoff check")
+
+    for module, attr in ((modes, "_radial_tables"), (modes, "plane_wave_mode"),
+                         (observables, "phase_table"), (specfun, "_j_scaled"),
+                         (specfun, "_y_scaled"), (specfun, "_pi_rows")):
+        monkeypatch.setattr(module, attr, no_work)
+    call = CUTOFF_CALLS[name]
+    with pytest.raises(ResourceLimitError, match=r"^l_max=512 needs Bessel order 513, above the hard cap 512$"):
+        call(512)
+    with pytest.raises(ResourceLimitError, match=r"^l_max=513 exceeds the hard cap 512$"):
+        call(513)
 
 
 def test_direct_default_cutoff_past_the_cap_names_its_order():
