@@ -566,16 +566,17 @@ def _legendre_seeds(theta: np.ndarray, m_top: int) -> np.ndarray:
 
 
 def _legendre_rows(theta: np.ndarray, band: int, l_stop: int, a: np.ndarray,
-                   ab: np.ndarray, rows: np.ndarray):
+                   ab: np.ndarray, rows: np.ndarray) -> None:
     """Write the Legendre row (p, u) of each order l < l_stop, columns
-    m = 0..band, into rows[l % len(rows)] and yield l.
+    m = 0..band, into rows[l % len(rows)].
 
     Y_l^m = p e^{i m phi} and u = m p / sin(theta), as in ``_legendre_seeds``.
-    rows holds every row (the whole block) or a ring of three (one harmonic,
-    ``spherical_harmonic_at``). Columns m < l come from the recurrence; at m = l - 1 its
-    two-back term is 0.0 times 0.0, and it starts at l = 2 (with two rows,
-    l = 1 would read the row it writes). Column l is the seed; columns
-    m > l keep their zeros, which a ring's row l had as row l - 3.
+    rows holds every row (the whole block) or a ring of three, which ends
+    holding the last three orders (one harmonic, ``spherical_harmonic_at``).
+    Columns m < l come from the recurrence; at m = l - 1 its two-back term
+    is 0.0 times 0.0, and it starts at l = 2 (with two rows, l = 1 would
+    read the row it writes). Column l is the seed; columns m > l keep their
+    zeros, which a ring's row l had as row l - 3.
     """
     x = np.cos(theta)[:, None]
     seeds = _legendre_seeds(theta, band)
@@ -593,7 +594,6 @@ def _legendre_rows(theta: np.ndarray, band: int, l_stop: int, a: np.ndarray,
             out -= ab[l, :c] * rows[(l - 2) % ring, :, :, :c]
         if l <= band:
             row[:, :, l] = seeds[:, :, l]
-        yield l
 
 
 # the factors taking column m to column -m, m = 1..HARD_CAP_LMAX: (-1)^m
@@ -655,8 +655,7 @@ def _tangential_norms(l_max: int, theta: float) -> np.ndarray:
     """
     a, ab, up, dn = _recurrence_tables(l_max)
     rows = np.zeros((l_max + 1, 2, 1, l_max + 2))
-    for _ in _legendre_rows(np.array([float(theta)]), l_max, l_max + 1, a, ab, rows):
-        pass
+    _legendre_rows(np.array([float(theta)]), l_max, l_max + 1, a, ab, rows)
     p, u = rows[:, 0, 0], rows[:, 1, 0, :-1]
     # P_l^{m-1} for m = 0..l_max, with P_l^{-1} = -P_l^1; column l_max + 1
     # of p is the vanishing P_l^{m+1} at m = l_max
@@ -746,8 +745,7 @@ def spherical_harmonics_batch(l_max: int, theta, phi) -> tuple[np.ndarray, np.nd
     theta, phi = _as_angle_arrays(theta, phi)
     a, ab, up, dn = _recurrence_tables(l_max)
     rows = np.zeros((l_max + 1, 2, theta.size, l_max + 1))
-    for _ in _legendre_rows(theta, l_max, l_max + 1, a, ab, rows):
-        pass
+    _legendre_rows(theta, l_max, l_max + 1, a, ab, rows)
     phases, em, ep = (f[:, None] for f in _phases(phi, l_max))
     return tuple(_complete(rows.transpose(1, 2, 0, 3), phases, em, ep, up, dn))
 
@@ -787,8 +785,7 @@ def spherical_harmonic_at(l: int, m: int, theta, phi) -> np.ndarray:
         chunk = slice(start, start + step)
         phases, em, ep = _phases(phi[chunk], band)
         ring = np.zeros((3, 2, phases.shape[0], band + 1))
-        for _ in _legendre_rows(theta[chunk], band, l + 1, a, ab, ring):
-            pass
+        _legendre_rows(theta[chunk], band, l + 1, a, ab, ring)
         out[:, chunk] = _complete(ring[l % 3], phases, em, ep, up[l, cols], dn[l, cols])[..., band + m]
     return out
 
