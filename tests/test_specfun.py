@@ -367,6 +367,8 @@ def test_batch_rejects_bad_directions():
                        ([0.1, math.nan], [0.0, 0.0]), ([[0.1]], [[0.0]])):
         with pytest.raises(DomainError):
             specfun.spherical_harmonic_at(3, 1, theta, phi)
-    for l, m in ((3, 4), (3, 1.5), (-1, 0), (513, 0)):
-        with pytest.raises((DomainError, ResourceLimitError)):
+    for l, m in ((3, 4), (3, 1.5), (-1, 0)):
+        with pytest.raises(DomainError):
             specfun.spherical_harmonic_at(l, m, [0.1], [0.0])
+    with pytest.raises(ResourceLimitError):
+        specfun.spherical_harmonic_at(513, 0, [0.1], [0.0])
