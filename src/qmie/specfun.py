@@ -510,7 +510,9 @@ def _as_angle_arrays(theta, phi) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError("angular point must be finite")
     if np.any((theta < 0.0) | (theta > math.pi)):
         raise DomainError("theta outside [0, pi]")
-    return theta, np.mod(phi, 2.0 * math.pi)
+    # a tiny negative phi rounds up to 2 pi itself, which is 0
+    phi = np.mod(phi, 2.0 * math.pi)
+    return theta, np.where(phi == 2.0 * math.pi, 0.0, phi)
 
 
 @functools.lru_cache(maxsize=8)

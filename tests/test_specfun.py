@@ -358,6 +358,15 @@ def test_contraction_matches_per_direction_sums(offset):
                 assert np.all(np.max(np.abs(got - ref[:, l, m + l_max]), axis=1) <= 1e-14 * scale)
 
 
+def test_tiny_negative_phi_wraps_to_zero():
+    # np.mod(-1e-300, 2 pi) rounds to 2 pi itself, outside [0, 2 pi)
+    for l, m in ((1, 1), (7, 3), (40, -17)):
+        at_zero = specfun.spherical_harmonic_at(l, m, [0.3, 2.0], [0.0, 0.0])
+        for phi in (-1e-300, -5e-324):
+            got = specfun.spherical_harmonic_at(l, m, [0.3, 2.0], [phi, phi])
+            assert got.tobytes() == at_zero.tobytes()
+
+
 def test_batch_rejects_bad_directions():
     with pytest.raises(DomainError):
         specfun.spherical_harmonics_batch(3, [0.1, math.pi + 0.1], [0.0, 0.0])
