@@ -20,7 +20,6 @@ __all__ = [
     "Q_FLOOR",
     "SphereSpec",
     "ChannelIndex",
-    "SizeParams",
     "PhaseShiftRecord",
     "PhaseTable",
     "phase_table",
@@ -69,21 +68,6 @@ class ChannelIndex:
         if l < 1:
             raise DomainError(f"multipole order l={l} must be an integer >= 1")
         object.__setattr__(self, "l", l)
-
-
-@dataclass(frozen=True)
-class SizeParams:
-    """Adimensional size parameters q = kR and q' = sqrt(eps) k R."""
-
-    q: float
-    q_prime: float
-
-    @classmethod
-    def from_q(cls, spec: SphereSpec, q: float) -> "SizeParams":
-        q = float(q)
-        if not math.isfinite(q) or q <= 0.0:
-            raise DomainError(f"q={q} must be finite and positive")
-        return cls(q=q, q_prime=math.sqrt(spec.epsilon) * q)
 
 
 @dataclass(frozen=True)
@@ -296,11 +280,11 @@ def small_particle_sin_phi(spec: SphereSpec, q: float, channel: ChannelIndex) ->
     return -factor * q**power * math.exp(-ln_denominator)
 
 
-def _cutoff(q: float, margin: int = 4) -> int:
-    return math.ceil(q + 4.0 * q ** (1.0 / 3.0) + 2.0) + int(margin)
+def _cutoff(q: float) -> int:
+    return math.ceil(q + 4.0 * q ** (1.0 / 3.0) + 2.0) + 4
 
 
-def truncation_order(q: float, margin: int = 4) -> int:
+def truncation_order(q: float) -> int:
     """Multipole cutoff for series at size parameter q (Wiscombe-style).
 
     Phase shifts at order l need Bessel orders up to l + 1, so a cutoff whose
@@ -310,7 +294,7 @@ def truncation_order(q: float, margin: int = 4) -> int:
     q = float(q)
     if not math.isfinite(q) or q < 0.0:
         raise DomainError(f"q={q} must be finite and non-negative")
-    raw = _cutoff(q, margin)
+    raw = _cutoff(q)
     if raw + 1 > specfun.HARD_CAP_LMAX:
         raise ResourceLimitError(
             f"q={q} needs multipole order {raw}, whose phase shifts need Bessel "

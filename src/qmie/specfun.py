@@ -2,7 +2,13 @@
 
 Spherical Bessel functions of the first and second kind, orthonormal spherical
 harmonics in the Condon-Shortley convention, and the tangential/mixed vector
-harmonic triple (X, V, W) expressed on the local spherical basis.
+harmonic triple (X, V, W) expressed on the local spherical basis. There is one
+public routine per shape: j_l and y_l sweeps (``spherical_bessel_j``,
+``spherical_bessel_y``), one harmonic at N directions
+(``spherical_harmonic_at``), every harmonic at N directions
+(``spherical_harmonics_batch``), and one value at one direction
+(``spherical_harmonic``, ``vector_spherical_harmonics``). Vector families of
+a whole batch are ``_vector_families`` of its scalar arrays.
 
 Numerical strategy: both kinds come from one recurrence, f_{l+d} = (2l+1)/x
 f_l - f_{l-d} with d = -1 or +1, run by ``_recur`` for one argument and by
@@ -37,20 +43,13 @@ from .errors import DomainError, ResourceLimitError
 __all__ = [
     "HARD_CAP_LMAX",
     "HARD_CAP_ARGUMENT",
-    "AngularPoint",
     "VectorHarmonicTriple",
     "spherical_bessel_j",
     "spherical_bessel_y",
-    "spherical_hankel_h1",
-    "legendre_p",
     "spherical_harmonic",
     "spherical_harmonic_at",
-    "HarmonicsBlock",
-    "spherical_harmonics_block",
     "spherical_harmonics_batch",
     "vector_spherical_harmonics",
-    "vector_harmonics_block",
-    "vector_harmonics_batch",
     "unit_vectors",
     "spherical_to_cartesian",
 ]
@@ -81,38 +80,12 @@ _LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
-class AngularPoint:
-    """Direction on the unit sphere, polar angle theta in [0, pi]."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self) -> None:
-        theta = float(self.theta)
-        phi = float(self.phi)
-        if not math.isfinite(theta) or not math.isfinite(phi):
-            raise DomainError("angular point must be finite")
-        if not 0.0 <= theta <= math.pi:
-            raise DomainError(f"theta={theta} outside [0, pi]")
-        phi = phi % (2.0 * math.pi)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
-
-
-@dataclass(frozen=True)
 class VectorHarmonicTriple:
     """X, V, W at one (l, m, theta, phi), components on (e_r, e_theta, e_phi)."""
 
     X: np.ndarray
     V: np.ndarray
     W: np.ndarray
-
-
-def _as_angles(point) -> tuple[float, float]:
-    if not isinstance(point, AngularPoint):
-        theta, phi = point
-        point = AngularPoint(theta, phi)
-    return point.theta, point.phi
 
 
 def _as_integer(value, name: str) -> int:
@@ -452,50 +425,11 @@ def spherical_bessel_y(l_max, x) -> np.ndarray:
         return np.ldexp(*_y_scaled(l_max, x))
 
 
-def spherical_hankel_h1(l_max: int, x: float) -> np.ndarray:
-    """h_l^(1)(x) = j_l(x) + i y_l(x) for l = 0..l_max."""
-    return spherical_bessel_j(l_max, x) + 1j * spherical_bessel_y(l_max, x)
-
-
-def legendre_p(l: int, x: float) -> float:
-    """Legendre polynomial P_l(x) on [-1, 1] via the Bonnet recurrence."""
-    l = _check_order(l)
-    x = float(x)
-    if math.isnan(x) or abs(x) > 1.0:
-        raise DomainError(f"x={x} outside [-1, 1]")
-    if l == 0:
-        return 1.0
-    pm, pc = 1.0, x
-    for n in range(1, l):
-        pm, pc = pc, ((2 * n + 1) * x * pc - n * pm) / (n + 1)
-    return pc
-
-
 # Values per order l of one chunk of spherical_harmonic_at: the chunk's
 # directions times the 2 band + 1 columns |m'| <= band that it completes.
 # Large enough to amortize the per-l loop, small enough that a chunk's rows
 # stay well under a megabyte.
 CHUNK_VALUES = 2**13
-
-
-@dataclass(frozen=True)
-class HarmonicsBlock:
-    """All Y_l^m data up to l_max at one direction.
-
-    Arrays are indexed [l, m + l_max]: ``y`` holds Y_l^m, ``dtheta_y`` holds
-    the theta derivative, ``m_y_over_sin`` holds m Y_l^m / sin(theta) (finite
-    at the poles). Entries with |m| > l are zero.
-    """
-
-    l_max: int
-    theta: float
-    phi: float
-    y: np.ndarray
-    dtheta_y: np.ndarray
-    m_y_over_sin: np.ndarray
-
-    def idx(self, m: int) -> int:
-        return m + self.l_max
 
 
 def _as_angle_arrays(theta, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -752,16 +686,6 @@ def spherical_harmonics_batch(l_max: int, theta, phi) -> tuple[np.ndarray, np.nd
     return tuple(_complete(rows.transpose(1, 2, 0, 3), phases, em, ep, up, dn))
 
 
-def spherical_harmonics_block(l_max: int, theta: float, phi: float) -> HarmonicsBlock:
-    """Compute Y, dY/dtheta and mY/sin(theta) for all l <= l_max, |m| <= l.
-
-    The N = 1 view of ``spherical_harmonics_batch``.
-    """
-    theta, phi = _as_angles((theta, phi))
-    y, dy, u = spherical_harmonics_batch(l_max, theta, phi)
-    return HarmonicsBlock(y.shape[1] - 1, theta, phi, y[0], dy[0], u[0])
-
-
 def spherical_harmonic_at(l: int, m: int, theta, phi) -> np.ndarray:
     """Y_l^m, dY_l^m/dtheta and m Y_l^m / sin(theta) at N directions, (3, N).
 
@@ -793,8 +717,9 @@ def spherical_harmonic_at(l: int, m: int, theta, phi) -> np.ndarray:
 
 
 def spherical_harmonic(l: int, m: int, point) -> complex:
-    """Orthonormal Y_l^m(theta, phi) with the Condon-Shortley phase."""
-    return complex(spherical_harmonic_at(l, m, *_as_angles(point))[0, 0])
+    """Orthonormal Y_l^m(theta, phi) with the Condon-Shortley phase, at the
+    pair point = (theta, phi)."""
+    return complex(spherical_harmonic_at(l, m, *point)[0, 0])
 
 
 def unit_vectors(theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -853,9 +778,7 @@ def _pair_sums(n, n_prime, e, e_prime, l_max: int, conjugate: bool = False) -> n
     forms pi_l = s^(l+1) l (l+1) / 2 and tau_l = s pi_l, and any e_perp
     orthogonal to n' serves: n' x its least aligned axis.
     """
-    if l_max < 1:
-        raise DomainError(f"l_max={l_max} must be >= 1")
-    l_max = _check_order(l_max)
+    l_max = _check_vector_order(l_max)
     n, n_prime = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(n_prime, dtype=float))
     sign = np.where(_dot(n, n_prime) < 0.0, -1.0, 1.0)
     chord = n_prime - sign[..., None] * n
@@ -881,29 +804,6 @@ def _pair_sums(n, n_prime, e, e_prime, l_max: int, conjugate: bool = False) -> n
     return np.stack([te * (tau * a + pi * b), tm * (pi * a + tau * b)], axis=-2)
 
 
-def vector_harmonics_batch(l_max: int, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All (X, V, W) triples for l <= l_max at N directions.
-
-    Returns three complex arrays shaped (N, l_max + 1, 2 l_max + 1, 3)
-    indexed [n, l, m + l_max, spherical component]; rows with l = 0 or
-    |m| > l are zero. The family view of ``spherical_harmonics_batch``.
-    """
-    l_max = _check_vector_order(l_max)
-    y, dy, u = spherical_harmonics_batch(l_max, theta, phi)
-    return _vector_families(np.arange(l_max + 1, dtype=float)[:, None], y, dy, u)
-
-
-def vector_harmonics_block(l_max: int, theta: float, phi: float) -> tuple[np.ndarray, ...]:
-    """All (X, V, W) triples for l <= l_max at one direction, in bulk.
-
-    Returns three complex arrays shaped (l_max + 1, 2 l_max + 1, 3) indexed
-    [l, m + l_max, spherical component]; rows with l = 0 or |m| > l are zero.
-    The N = 1 view of ``vector_harmonics_batch``.
-    """
-    x, v, w = vector_harmonics_batch(l_max, *_as_angles((theta, phi)))
-    return x[0], v[0], w[0]
-
-
 def vector_spherical_harmonics(l: int, m: int, point) -> VectorHarmonicTriple:
     """The orthonormal triple (X, V, W) at one direction, spherical basis.
 
@@ -914,5 +814,5 @@ def vector_spherical_harmonics(l: int, m: int, point) -> VectorHarmonicTriple:
     l = _check_order(l)
     if l < 1:
         raise DomainError("l must be >= 1; the l=0 triple vanishes identically")
-    x, v, w = _vector_families(np.array([float(l)]), *spherical_harmonic_at(l, m, *_as_angles(point)))
+    x, v, w = _vector_families(np.array([float(l)]), *spherical_harmonic_at(l, m, *point))
     return VectorHarmonicTriple(X=x[0], V=v[0], W=w[0])

@@ -237,12 +237,10 @@ def test_criterion_10_property_suites_and_cli_determinism(tmp_path):
             assert w == pytest.approx(1.0 / x**2, rel=1e-11)
     # vector harmonic orthonormality under solid-angle quadrature
     theta, phi, w = solid_angle_grid(24, 32)
-    blocks = [specfun.vector_harmonics_block(6, t, p) for t, p in zip(theta, phi)]
+    families = specfun._vector_families(np.arange(7.0)[:, None],
+                                        *specfun.spherical_harmonics_batch(6, theta, phi))
     gram_sets = []
-    x_all = np.array([b[0] for b in blocks])
-    v_all = np.array([b[1] for b in blocks])
-    w_all = np.array([b[2] for b in blocks])
-    for arr in (x_all, v_all, w_all):
+    for arr in families:
         flat = arr.reshape(arr.shape[0], -1, 3)
         gram = np.einsum("pac,pbc,p->ab", np.conj(flat), flat, w)
         gram_sets.append(gram)

@@ -12,7 +12,6 @@ from qmie.miecore import (
     Q_FLOOR,
     ChannelIndex,
     PhaseShiftRecord,
-    SizeParams,
     SphereSpec,
     mie_boundary_coefficients,
     phase_shift,
@@ -41,13 +40,6 @@ def test_channel_index_validation():
         ChannelIndex("TX", 1)
     with pytest.raises(DomainError):
         ChannelIndex("TE", 0)
-
-
-def test_size_params_consistency():
-    sizes = SizeParams.from_q(SPEC21, 0.7)
-    assert sizes.q_prime == pytest.approx(math.sqrt(2.1) * 0.7, rel=1e-15)
-    with pytest.raises(DomainError):
-        SizeParams.from_q(SPEC21, -1.0)
 
 
 # ---------------------------------------------------- boundary coefficients
@@ -223,4 +215,3 @@ def test_truncation_formula_and_floor():
     assert truncation_order(0.0) >= 4
     with pytest.raises(ResourceLimitError, match="multipole order"):
         truncation_order(1e6)
-    assert truncation_order(5.0, margin=10) == truncation_order(5.0) + 6

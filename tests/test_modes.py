@@ -493,7 +493,8 @@ def whole_block_entries(l):
     assemble_points(l), from the whole vector-harmonic block, formed for a
     few directions at a time to bound its memory."""
     _, theta, phi = modes._spherical_coords(assemble_points(l))
-    parts = [specfun.vector_harmonics_batch(l, theta[i:i + 8], phi[i:i + 8])
+    ls = np.arange(l + 1.0)[:, None]
+    parts = [specfun._vector_families(ls, *specfun.spherical_harmonics_batch(l, theta[i:i + 8], phi[i:i + 8]))
              for i in range(0, theta.size, 8)]
     return {m: [np.concatenate([fams[f][:, l, m + l] for fams in parts]) for f in range(3)]
             for m in assemble_orders(l)}
@@ -525,7 +526,8 @@ def assemble_by_whole_block(spec, mode, pts, kind, curl):
 @pytest.mark.parametrize("l", [1, 2, 7, 160])
 @pytest.mark.parametrize("p", ["TE", "TM"])
 def test_assemble_equals_the_vector_contraction_route(p, l, kind, curl):
-    # the reference is the whole-block route: vector_harmonics_batch at [l, m]
+    # the reference is the whole-block route: the vector families of
+    # spherical_harmonics_batch at [l, m]
     spec = None if kind == "vacuum" else SPEC
     pts = assemble_points(l)
     for m in assemble_orders(l):

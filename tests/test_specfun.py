@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import eval_legendre
 
 from qmie import specfun
 from qmie.errors import DomainError, ResourceLimitError
@@ -110,43 +111,6 @@ def test_wronskian_property(x, l):
     assert w == pytest.approx(1.0 / (x * x), rel=1e-11)
 
 
-# ---------------------------------------------------------------- hankel h1
-
-def test_h1_closed_form_l0():
-    x = 1.7
-    out = specfun.spherical_hankel_h1(0, x)
-    assert out[0] == pytest.approx(-1j * np.exp(1j * x) / x, rel=1e-14)
-
-
-def test_h1_is_exact_composition():
-    x = 3.0
-    h = specfun.spherical_hankel_h1(10, x)
-    j = specfun.spherical_bessel_j(10, x)
-    y = specfun.spherical_bessel_y(10, x)
-    assert np.array_equal(h.real, j)
-    assert np.array_equal(h.imag, y)
-
-
-def test_h1_frozen_oracle_value():
-    out = specfun.spherical_hankel_h1(10, 3.0)
-    assert out[10].real == pytest.approx(3.5260038931752564e-06, rel=1e-12)
-    assert out[10].imag == pytest.approx(-4699.8591888113915, rel=1e-12)
-
-
-# ---------------------------------------------------------------- legendre
-
-def test_legendre_trivial_values():
-    for l in (0, 1, 2, 7, 19):
-        assert specfun.legendre_p(l, 1.0) == pytest.approx(1.0, rel=1e-14)
-    assert specfun.legendre_p(2, 0.0) == pytest.approx(-0.5, rel=1e-15)
-    assert specfun.legendre_p(1, -0.3) == -0.3
-
-
-def test_legendre_domain():
-    with pytest.raises(DomainError):
-        specfun.legendre_p(3, 1.0001)
-
-
 # ---------------------------------------------------------------- harmonics
 
 def test_harmonic_constant_mode():
@@ -165,12 +129,10 @@ def test_harmonic_frozen_oracle_value():
 
 
 def test_harmonic_conjugation_exact():
-    block = specfun.spherical_harmonics_block(8, 0.9, 2.45)
+    y = specfun.spherical_harmonics_batch(8, 0.9, 2.45)[0][0]
     for l in range(9):
         for m in range(l + 1):
-            plus = block.y[l, block.idx(m)]
-            minus = block.y[l, block.idx(-m)]
-            assert minus == (-1) ** m * np.conj(plus)
+            assert y[l, 8 - m] == (-1) ** m * np.conj(y[l, 8 + m])
 
 
 def test_harmonic_domain():
@@ -193,7 +155,6 @@ ORDER_ENTRY_POINTS = {
     "spherical_harmonic-m": lambda n: specfun.spherical_harmonic(2, n, (0.3, 0.2)),
     "spherical_harmonic-l": lambda n: specfun.spherical_harmonic(n, 0, (0.3, 0.2)),
     "spherical_bessel_j": lambda n: specfun.spherical_bessel_j(n, 1.0),
-    "legendre_p": lambda n: specfun.legendre_p(n, 0.5),
     "phase_table": lambda n: phase_table(SphereSpec(2.1, 1.0), 1.0, n),
 }
 
@@ -216,21 +177,21 @@ def test_addition_theorem():
             acc = 0.0j
             for m in range(-l, l + 1):
                 acc += np.conj(specfun.spherical_harmonic(l, m, (t1, p1))) * specfun.spherical_harmonic(l, m, (t2, p2))
-            target = (2 * l + 1) / (4 * math.pi) * specfun.legendre_p(l, cos_gamma)
+            target = (2 * l + 1) / (4 * math.pi) * eval_legendre(l, cos_gamma)
             assert acc.real == pytest.approx(target, rel=1e-12, abs=1e-12)
             assert abs(acc.imag) < 1e-13
 
 
 def test_pole_rows_are_finite():
     for theta in (0.0, math.pi):
-        block = specfun.spherical_harmonics_block(12, theta, 1.3)
-        assert np.all(np.isfinite(block.y))
-        assert np.all(np.isfinite(block.dtheta_y))
-        assert np.all(np.isfinite(block.m_y_over_sin))
+        y, dy, u = (f[0] for f in specfun.spherical_harmonics_batch(12, theta, 1.3))
+        assert np.all(np.isfinite(y))
+        assert np.all(np.isfinite(dy))
+        assert np.all(np.isfinite(u))
         # only m=0 harmonics survive at the poles
         for l in range(13):
             for m in range(-l, l + 1):
-                val = block.y[l, block.idx(m)]
+                val = y[l, m + 12]
                 if m == 0:
                     ref = math.sqrt((2 * l + 1) / (4 * math.pi))
                     if theta == math.pi:
@@ -244,14 +205,21 @@ def test_pole_rows_are_finite():
 
 def test_angular_point_validation():
     with pytest.raises(DomainError):
-        specfun.AngularPoint(-0.1, 0.0)
+        specfun.spherical_harmonic(3, 1, (-0.1, 0.0))
     with pytest.raises(DomainError):
-        specfun.AngularPoint(math.pi + 0.1, 0.0)
-    wrapped = specfun.AngularPoint(1.0, 2 * math.pi + 0.5)
-    assert wrapped.phi == pytest.approx(0.5, rel=1e-12)
+        specfun.spherical_harmonic(3, 1, (math.pi + 0.1, 0.0))
+    wrapped = specfun.spherical_harmonic(3, 1, (1.0, 2 * math.pi + 0.5))
+    assert wrapped == pytest.approx(specfun.spherical_harmonic(3, 1, (1.0, 0.5)), rel=1e-12)
 
 
 # ---------------------------------------------------------- vector harmonics
+
+def vector_batch(l_max, theta, phi):
+    """(X, V, W) for every l <= l_max, |m| <= l at N directions, each
+    (N, l_max + 1, 2 l_max + 1, 3): the families of the scalar batch."""
+    return specfun._vector_families(np.arange(l_max + 1.0)[:, None],
+                                    *specfun.spherical_harmonics_batch(l_max, theta, phi))
+
 
 def test_x10_closed_form():
     # X_1^0 = i sqrt(3/8pi) sin(theta) e_phi
@@ -283,19 +251,15 @@ def test_vsh_orthonormality_gram():
     l_max = 6
     theta, phi, w = solid_angle_grid(24, 32)
     labels = [(fam, l, m) for fam in range(3) for l in range(1, l_max + 1) for m in range(-l, l + 1)]
-    vecs = np.zeros((len(labels), theta.size, 3), dtype=complex)
-    for ipt in range(theta.size):
-        bx, bv, bw = specfun.vector_harmonics_block(l_max, theta[ipt], phi[ipt])
-        fams = (bx, bv, bw)
-        for irow, (fam, l, m) in enumerate(labels):
-            vecs[irow, ipt] = fams[fam][l, m + l_max]
+    fams = vector_batch(l_max, theta, phi)
+    vecs = np.array([fams[fam][:, l, m + l_max] for fam, l, m in labels])
     gram = np.einsum("apc,bpc,p->ab", np.conj(vecs), vecs, w)
     assert np.max(np.abs(gram - np.eye(len(labels)))) < 1e-10
 
 
 def test_block_matches_single_mode_api():
     theta, phi = 0.77, 4.1
-    bx, bv, bw = specfun.vector_harmonics_block(5, theta, phi)
+    bx, bv, bw = (f[0] for f in vector_batch(5, theta, phi))
     for l in (1, 3, 5):
         for m in (-l, 0, l - 1):
             trip = specfun.vector_spherical_harmonics(l, m, (theta, phi))
@@ -329,14 +293,13 @@ def test_batched_block_matches_per_direction(offset):
     theta, phi = random_directions(n, 100 + offset)
     y, dy, u = specfun.spherical_harmonics_batch(l_max, theta, phi)
     assert y.shape == (n, l_max + 1, 2 * l_max + 1)
-    bx, bv, bw = specfun.vector_harmonics_batch(l_max, theta, phi)
+    bx, bv, bw = vector_batch(l_max, theta, phi)
     assert bx.shape == (n, l_max + 1, 2 * l_max + 1, 3)
     for i in range(n):
-        block = specfun.spherical_harmonics_block(l_max, theta[i], phi[i])
-        for got, ref in ((y, block.y), (dy, block.dtheta_y), (u, block.m_y_over_sin)):
-            assert np.max(np.abs(got[i] - ref)) <= 1e-14 * np.max(np.abs(ref))
-        for got, ref in zip((bx, bv, bw), specfun.vector_harmonics_block(l_max, theta[i], phi[i])):
-            assert np.max(np.abs(got[i] - ref)) <= 1e-14 * np.max(np.abs(ref))
+        for got, ref in zip((y, dy, u), specfun.spherical_harmonics_batch(l_max, theta[i], phi[i])):
+            assert np.max(np.abs(got[i] - ref[0])) <= 1e-14 * np.max(np.abs(ref[0]))
+        for got, ref in zip((bx, bv, bw), vector_batch(l_max, theta[i], phi[i])):
+            assert np.max(np.abs(got[i] - ref[0])) <= 1e-14 * np.max(np.abs(ref[0]))
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -347,8 +310,8 @@ def test_contraction_matches_per_direction_sums(offset):
     l_max = 6
     n = specfun.CHUNK_VALUES // (2 * l_max + 1) + offset
     theta, phi = random_directions(n, 200 + offset)
-    blocks = [np.array(f) for f in zip(*(specfun.vector_harmonics_block(l_max, t, p)
-                                         for t, p in zip(theta, phi)))]
+    blocks = [np.concatenate(f) for f in zip(*(vector_batch(l_max, t, p)
+                                               for t, p in zip(theta, phi)))]
     scales = [np.max(np.abs(b), axis=(1, 2, 3)) for b in blocks]
     for l in range(1, l_max + 1):
         for m in range(-l, l + 1):
@@ -371,7 +334,7 @@ def test_batch_rejects_bad_directions():
     with pytest.raises(DomainError):
         specfun.spherical_harmonics_batch(3, [0.1, math.pi + 0.1], [0.0, 0.0])
     with pytest.raises(DomainError):
-        specfun.vector_harmonics_batch(3, [0.1, 0.2], [0.0])
+        specfun.spherical_harmonics_batch(3, [0.1, 0.2], [0.0])
     for theta, phi in (([0.1, math.pi + 0.1], [0.0, 0.0]), ([0.1, 0.2], [0.0]),
                        ([0.1, math.nan], [0.0, 0.0]), ([[0.1]], [[0.0]])):
         with pytest.raises(DomainError):
