@@ -88,10 +88,9 @@ class PlaneModeIndex:
 
     @property
     def angles(self) -> tuple[float, float]:
-        """Propagation direction (theta_k, phi_k)."""
+        """Propagation direction (theta_k, phi_k), by the rule of _spherical_coords."""
         kx, ky, kz = self.kvec
-        k = self.k
-        theta = math.acos(max(-1.0, min(1.0, kz / k)))
+        theta = math.atan2(math.hypot(kx, ky), kz)
         phi = math.atan2(ky, kx) % (2.0 * math.pi)
         return theta, phi
 

@@ -194,9 +194,7 @@ def differential_cross_section(
     norm = np.sqrt(np.einsum("nc,nc->n", rows, rows)) if valid else None
     if not valid or np.any(norm == 0.0):
         raise DomainError("direction must be a finite nonzero 3-vector or an (N, 3) array of them")
-    rows = rows / norm[:, None]
-    theta = np.arccos(np.clip(rows[:, 2], -1.0, 1.0))
-    phi = np.mod(np.arctan2(rows[:, 1], rows[:, 0]), 2.0 * math.pi)
+    _, theta, phi = modes._spherical_coords(rows)
     f = _amplitudes(spec, kappa_in, theta, phi, l_max)
     total = np.sum(np.abs(f) ** 2, axis=1)
     return float(total[0]) if n.shape == (3,) else total

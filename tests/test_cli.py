@@ -723,16 +723,21 @@ FROZEN_DIGESTS = [
     # re-pinned when amplitudes and kernel angular sums moved from the m sums
     # to pi_l and tau_l at the scattering angle: every dsigma/dOmega row moved
     # by at most 6.5e-14 relative, and every kernel value by at most 0.025 of
-    # the sum of the two sides' abs_err
+    # the sum of the two sides' abs_err. All three re-pinned again when the
+    # polar angle of a plane wave and of a detector direction became
+    # atan2(hypot(x, y), z) instead of an arccos: 24 of 182 dsigma/dOmega
+    # cells moved, each by at most 1.3e-14 of the largest value; 5 of 28 B
+    # cells and 3 of 28 V cells moved, each value by at most 0.0012 (B) and
+    # 0.0022 (V) of the sum of the two sides' abs_err
     (["diff-cross-section", "--epsilon", "2.1", "--q", "35.4", "--g", "2", "--detector-phi", "1",
       "-o", "dsigma.csv"],
-     "72c27db8995597908ed6476a405dd115f05252c3a67e0f5abd4b172a19d884dd"),
+     "edcbb94649d9df91ef059502178c58b631e135db10011712f455c0ac5c966f83"),
     (["bogoliubov", "--epsilon", "2.1", "--k", "5", "--kind", "B", "--kp-min", "3",
       "--kp-max", "9", "--kp-steps", "7", "-o", "b.csv"],
-     "b54819dca2cdbc0e5f963f2e47dba3737be3621ed27a1fd743d31519d86d27a6"),
+     "f6438c52c770c58e0c3243a974bee1fd5ab967323a65297d3540aed900dbff47"),
     (["bogoliubov", "--epsilon", "2.1", "--k", "3", "--kind", "V", "--kp-min", "2",
       "--kp-max", "6", "--kp-steps", "7", "--format", "json", "-o", "v.json"],
-     "a2a225e1e9b9cd0c964f9fc84e2279b022987f16cc18ba52984c674d352250a1"),
+     "7eadb28381ae1f8398b6d297ba03331a1096394de8a413de3b5e85ba714ef2b3"),
     (["phase-shifts", "--epsilon", "2.1", "--q", "37", "--format", "json", "-o", "table.json"],
      "53798502efe6db6ad04ee44c532bee7c21e41948c9a1a0d6c33a84a7358ee961"),
 ]

@@ -202,6 +202,17 @@ def test_polar_angle_keeps_its_digits_near_the_z_axis():
     assert np.array_equal(np.concatenate([r, theta, phi]).view(np.int64), np.zeros(3, dtype=np.int64))
 
 
+def test_plane_wave_polar_angle_keeps_its_digits_near_the_z_axis():
+    # acos(kz / k) gives 0 for (1e-9, 0, 1), and 1.0000444e-6 for (1e-6, 0, 1)
+    for scale in (1.0, 7.5):
+        for z in (1.0, -1.0):
+            for x in (1e-9, 3e-8, 1e-6):
+                theta, phi = modes.PlaneModeIndex(1, (scale * x, 0.0, scale * z)).angles
+                ref = math.atan2(x, z)
+                assert abs(theta - ref) <= math.ulp(ref)
+                assert phi == 0.0
+
+
 # --------------------------------------------------- vacuum/scattered parts
 
 def test_scattered_part_vanishes_without_scatterer():

@@ -204,6 +204,21 @@ def test_differential_direction_validation():
         observables.differential_cross_section(SPEC, kap, [(0.0, 0.0, 1.0), (0.0, 0.0, 0.0)])
 
 
+def test_detector_polar_angle_keeps_its_digits_near_the_z_axis(monkeypatch):
+    # arccos of the normalized z gave exactly 0 for the direction (1e-9, 0, 1)
+    seen, amplitudes = [], observables._amplitudes
+
+    def recording(spec, kappa_in, theta, phi, l_max):
+        seen.append(theta)
+        return amplitudes(spec, kappa_in, theta, phi, l_max)
+
+    monkeypatch.setattr(observables, "_amplitudes", recording)
+    dirs = [(x, 0.0, z) for z in (1.0, -1.0) for x in (1e-9, 3e-8, 1e-6)]
+    observables.differential_cross_section(SPEC, PlaneModeIndex(1, (0.0, 0.0, 1.0)), dirs)
+    ref = np.array([math.atan2(x, z) for x, _, z in dirs])
+    assert np.all(np.abs(seen[0] - ref) <= np.spacing(ref))
+
+
 def scan_directions(thetas, phi_d):
     return np.stack([np.sin(thetas) * math.cos(phi_d),
                      np.sin(thetas) * math.sin(phi_d),
