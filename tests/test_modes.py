@@ -191,26 +191,20 @@ def test_mode_at_exact_radius_uses_outside_branch():
 
 
 def test_polar_angle_keeps_its_digits_near_the_z_axis():
-    # acos(z / r) gives 0 at (1e-9, 0, 1), and 1.0000444e-6 at (1e-6, 0, 1)
+    # acos(z / r) gives 0 at (1e-9, 0, 1), and 1.0000444e-6 at (1e-6, 0, 1);
+    # a plane wave's direction kvec takes the same rule
     pts = np.array([[x, 0.0, z] for z in (1.0, -1.0) for x in (1e-9, 3e-8, 1e-6)])
     r, theta, phi = modes._spherical_coords(pts)
     ref = np.array([math.atan2(x, z) for x, _, z in pts])
     assert np.all(np.abs(theta - ref) <= np.spacing(ref))
     assert np.all(phi == 0.0)
+    for kvec in np.concatenate([pts, 7.5 * pts]):
+        angles = np.array(modes.PlaneModeIndex(1, kvec).angles)
+        assert np.all(np.abs(angles - [math.atan2(kvec[0], kvec[2]), 0.0]) <= np.spacing(angles))
     # the origin maps to (0, 0, 0), also with signed zeros
     r, theta, phi = modes._spherical_coords(np.array([[0.0, -0.0, -0.0]]))
     assert np.array_equal(np.concatenate([r, theta, phi]).view(np.int64), np.zeros(3, dtype=np.int64))
 
-
-def test_plane_wave_polar_angle_keeps_its_digits_near_the_z_axis():
-    # acos(kz / k) gives 0 for (1e-9, 0, 1), and 1.0000444e-6 for (1e-6, 0, 1)
-    for scale in (1.0, 7.5):
-        for z in (1.0, -1.0):
-            for x in (1e-9, 3e-8, 1e-6):
-                theta, phi = modes.PlaneModeIndex(1, (scale * x, 0.0, scale * z)).angles
-                ref = math.atan2(x, z)
-                assert abs(theta - ref) <= math.ulp(ref)
-                assert phi == 0.0
 
 
 # --------------------------------------------------- vacuum/scattered parts
