@@ -716,10 +716,18 @@ def spherical_harmonic_at(l: int, m: int, theta, phi) -> np.ndarray:
     return out
 
 
+def _at_point(l: int, m: int, point) -> np.ndarray:
+    """spherical_harmonic_at at the one direction point = (theta, phi), (3, 1)."""
+    out = spherical_harmonic_at(l, m, *point)
+    if out.shape[1] != 1:
+        raise DomainError(f"point must be one (theta, phi) pair, got {out.shape[1]} directions")
+    return out
+
+
 def spherical_harmonic(l: int, m: int, point) -> complex:
     """Orthonormal Y_l^m(theta, phi) with the Condon-Shortley phase, at the
     pair point = (theta, phi)."""
-    return complex(spherical_harmonic_at(l, m, *point)[0, 0])
+    return complex(_at_point(l, m, point)[0, 0])
 
 
 def unit_vectors(theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -814,5 +822,5 @@ def vector_spherical_harmonics(l: int, m: int, point) -> VectorHarmonicTriple:
     l = _check_order(l)
     if l < 1:
         raise DomainError("l must be >= 1; the l=0 triple vanishes identically")
-    x, v, w = _vector_families(np.array([float(l)]), *spherical_harmonic_at(l, m, *point))
+    x, v, w = _vector_families(np.array([float(l)]), *_at_point(l, m, point))
     return VectorHarmonicTriple(X=x[0], V=v[0], W=w[0])

@@ -208,6 +208,9 @@ def test_angular_point_validation():
         specfun.spherical_harmonic(3, 1, (-0.1, 0.0))
     with pytest.raises(DomainError):
         specfun.spherical_harmonic(3, 1, (math.pi + 0.1, 0.0))
+    for evaluate in (specfun.spherical_harmonic, specfun.vector_spherical_harmonics):
+        with pytest.raises(DomainError, match="one"):
+            evaluate(3, 1, ([0.1, 0.2], [0.0, 0.0]))
     wrapped = specfun.spherical_harmonic(3, 1, (1.0, 2 * math.pi + 0.5))
     assert wrapped == pytest.approx(specfun.spherical_harmonic(3, 1, (1.0, 0.5)), rel=1e-12)
 
