@@ -10,7 +10,10 @@ orders come from one exact series, Lommel's closed form (Watson, Theory of
 Bessel Functions, sec. 5.11) telescoped over the Bessel recurrence, summed
 from one Bessel sweep per argument. It holds near and on the diagonal
 a = b alike, and each order comes with a stated bound (see _overlaps); the
-module holds no quadrature.
+module holds no quadrature. A scan of many kappa' is one array pass: one
+angular pass, one phase table over every |k'| R, one overlap pass and the
+radial mixing of all kernels at once, each kernel equal bit for bit to the
+same kernel alone (see _kernel_scan).
 """
 
 import math
@@ -68,16 +71,16 @@ def _check_direction(direction: str) -> float:
     raise DomainError(f"direction must be 'outgoing' or 'incoming', got {direction!r}")
 
 
-def _envelope(j: np.ndarray, x: float) -> np.ndarray:
-    """|j_l(x)|, raised to 1/x past the turning point x = l + 1/2, where
-    j_l oscillates and a sweep's error is absolute rather than relative."""
+def _envelope(j: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """|j_l(x)| per row of j, raised to 1/x past the turning point
+    x = l + 1/2, where j_l oscillates and a sweep's error is absolute rather
+    than relative."""
     env = np.abs(j)
-    past = env[:max(0, math.ceil(x - 0.5))]
-    np.maximum(past, 1.0 / x, out=past)
-    return env
+    turned = np.arange(j.shape[1]) < np.ceil(x - 0.5)[:, None]
+    return np.where(turned, np.maximum(env, (1.0 / x)[:, None]), env)
 
 
-def _overlaps(l_top: int, a: float, b: float, radius: float, rtol: float):
+def _overlaps(l_top, a: float, b, radius: float, rtol: float):
     """Radial overlaps T_l = integral_0^R r^2 j_l(a r) j_l(b r) dr for
     l = 0..l_top and a, b > 0, by the exact series
 
@@ -94,6 +97,12 @@ def _overlaps(l_top: int, a: float, b: float, radius: float, rtol: float):
     turning point x, and past the first term of order l_top, the terms fall
     off over a few x^(1/3) orders.
 
+    b and l_top are one value each, or 1-D arrays of N pairs sharing a:
+    then values and bounds are (N, L + 1) arrays, L the largest l_top, and
+    row n equals the call at (l_top[n], b[n]) bit for bit through l_top[n]
+    and is 0 past it. The pairs share one j call at aR, with one top N per
+    pair, and one at their bR; each tail runs from its own top.
+
     Returns (values, bounds). The bound of order l is 4 eps g_l S_l plus a
     bound on the terms past N, with g_l = 2 + l + aR + bR and S_l the same
     series over the envelopes E (_envelope). The first term charges each j
@@ -106,38 +115,59 @@ def _overlaps(l_top: int, a: float, b: float, radius: float, rtol: float):
     for the rounding of j_N; an argument above N counts |j_n| <= 1 and
     r = 1, and q >= 1 makes the bound infinite. It stays below a few hundred
     eps S_l up to x of about 450, where the capped sweep stops covering the
-    tail. ToleranceError is raised where a bound exceeds max(rtol S_l, 1e-290):
+    tail. ToleranceError is raised where a bound exceeds max(rtol S_l, 1e-290),
+    for the first pair that has such an order:
     S_l is |T_l| where the terms keep their sign and keeps rounding from
     failing an order at a zero of T_l; the floor covers orders that
     underflow, which come out as 0 with bound 0.
     """
-    x_a, x_b = a * radius, b * radius
-    x = max(x_a, x_b)
-    top = min(specfun.HARD_CAP_LMAX,
-              max(l_top + 1, math.ceil(x) + 16) + 8 + int(4.0 * x ** (1.0 / 3.0)))
-    ja = specfun.spherical_bessel_j(top, x_a)
-    jb = ja if a == b else specfun.spherical_bessel_j(top, x_b)
-    terms = np.stack([ja * jb, _envelope(ja, x_a) * _envelope(jb, x_b)])
-    terms *= 2.0 * np.arange(top + 1) + 1.0
+    one = np.ndim(b) == 0
+    bs, l_tops = np.atleast_1d(np.asarray(b, dtype=float)), np.atleast_1d(l_top)
+    x_a, x_b = a * radius, bs * radius
+    x_as = np.full(bs.size, x_a)
+    tops = np.array([min(specfun.HARD_CAP_LMAX,
+                         max(l + 1, math.ceil(x) + 16) + 8 + int(4.0 * x ** (1.0 / 3.0)))
+                     for l, x in zip(l_tops.tolist(), np.maximum(x_a, x_b).tolist())])
+    # one pair sweeps scalars, so that an argument error names x
+    top_arg = int(tops[0]) if one else tops
+    ja = np.atleast_2d(specfun.spherical_bessel_j(top_arg, x_a if one else x_as))
+    jb = ja if np.all(bs == a) else np.atleast_2d(
+        specfun.spherical_bessel_j(top_arg, float(x_b[0]) if one else x_b))
+    orders = np.arange(ja.shape[1])
+    terms = np.stack([ja * jb, _envelope(ja, x_as) * _envelope(jb, x_b)])
+    terms *= 2.0 * orders + 1.0
+    # -0.0 above a pair's top adds nothing, not even a sign: each tail sums
+    # from its own top, as the pair alone would
+    terms[:, orders > tops[:, None]] = -0.0
     tails = np.empty_like(terms)
-    for start in (top, top - 1):
-        tails[:, start::-2] = np.cumsum(terms[:, start::-2], axis=1)
-    scale = radius / (a * b)
-    values, mass = scale * tails[:, 1:l_top + 2]
-    # past the top, |j_{N+k}(y)| <= |j_N(y)| r(y)^k for y <= N, and <= 1 above
-    f_a, r_a = (abs(ja[top]), x_a / (2 * top + 3 - x_a)) if top >= x_a else (1.0, 1.0)
-    f_b, r_b = (abs(jb[top]), x_b / (2 * top + 3 - x_b)) if top >= x_b else (1.0, 1.0)
-    q = r_a * r_b
-    past_top = (2.0 * scale * f_a * f_b * ((2 * top + 1) * q / (1.0 - q) + 2.0 * q / (1.0 - q) ** 2)
-                if q < 1.0 else math.inf)
-    bounds = 4.0 * _EPS * (2.0 + np.arange(l_top + 1) + x_a + x_b) * mass + past_top
-    bad = np.flatnonzero(bounds > np.maximum(rtol * mass, 1e-290))
+    for start in (orders[-1], orders[-1] - 1):
+        tails[..., start::-2] = np.cumsum(terms[..., start::-2], axis=-1)
+    scale = radius / (a * bs)
+    width = int(l_tops.max()) + 1
+    values, mass = scale[:, None] * tails[..., 1:width + 1]
+    # past the top, |j_{N+k}(y)| <= |j_N(y)| r(y)^k for y <= N, and <= 1 above;
+    # in Python floats, where (1 - q)**2 rounds as libm's pow
+    rows = np.arange(bs.size)
+    past_top = []
+    for top, y_b, f_a, f_b, s in zip(tops.tolist(), x_b.tolist(), np.abs(ja[rows, tops]).tolist(),
+                                     np.abs(jb[rows, tops]).tolist(), scale.tolist()):
+        f_a, r_a = (f_a, x_a / (2 * top + 3 - x_a)) if top >= x_a else (1.0, 1.0)
+        f_b, r_b = (f_b, y_b / (2 * top + 3 - y_b)) if top >= y_b else (1.0, 1.0)
+        q = r_a * r_b
+        past_top.append(2.0 * s * f_a * f_b * ((2 * top + 1) * q / (1.0 - q)
+                                               + 2.0 * q / (1.0 - q) ** 2)
+                        if q < 1.0 else math.inf)
+    bounds = (4.0 * _EPS * (2.0 + np.arange(width) + x_a + x_b[:, None]) * mass
+              + np.array(past_top)[:, None])
+    kept = np.arange(width) <= l_tops[:, None]
+    bad = np.argwhere(kept & (bounds > np.maximum(rtol * mass, 1e-290)))
     if bad.size:
-        l = int(bad[0])
-        raise ToleranceError(f"radial overlap bound {bounds[l]:.3g} at l={l} exceeds "
-                             f"rtol S_l = {rtol * mass[l]:.3g}; the Bessel sweeps stop at "
-                             f"order {top}")
-    return values, bounds
+        n, l = bad[0]
+        raise ToleranceError(f"radial overlap bound {bounds[n, l]:.3g} at l={l} exceeds "
+                             f"rtol S_l = {rtol * mass[n, l]:.3g}; the Bessel sweeps stop at "
+                             f"order {tops[n]}")
+    values, bounds = np.where(kept, values, 0.0), np.where(kept, bounds, 0.0)
+    return (values[0], bounds[0]) if one else (values, bounds)
 
 
 def _angular_sums(kappa: PlaneModeIndex, kappa_primes, l_max: int, conjugate_pair: bool):
@@ -153,40 +183,55 @@ def _angular_sums(kappa: PlaneModeIndex, kappa_primes, l_max: int, conjugate_pai
                               l_max, conjugate_pair)
 
 
-def _volume_overlap(
+def _volume_overlaps(
     spec: SphereSpec,
     kappa: PlaneModeIndex,
-    kappa_prime: PlaneModeIndex,
-    l_max: int,
+    kappa_primes,
+    cutoffs,
     rtol: float,
     scattered: bool,
     phase_sign: float,
     sums: np.ndarray,
 ):
-    """Reduced sphere-volume integral of G*_kappa dotted into the kappa'
-    family member: G (scattered=False), F or F* (scattered=True).
+    """Reduced sphere-volume integrals of G*_kappa dotted into the family
+    member of each of N kappa': G (scattered=False), F or F* (scattered=True),
+    kappa' number n to order cutoffs[n].
 
-    Returns (value, abs_err). The reduction is
+    Returns N pairs (value, abs_err). The reduction is
     (2/pi) sum_{p,l} M^p_l Phi^p_l T^p_l with M the angular coefficient sums
-    (sums, the (2, l_max+1) row of _angular_sums), Phi the interior radial
-    phase factor and T the radial overlaps.
+    (sums, the (N, 2, max(cutoffs) + 1) rows of _angular_sums), Phi the
+    interior radial phase factor and T the radial overlaps. One phase table
+    at every k' R, each entry at its own cutoff, and one _overlaps pass
+    serve all N; a failure in either is raised as a loop over single
+    kernels meets it. Only the two final sums run per kernel, over its own
+    (2, cutoff) products, since numpy's pairwise sum order depends on their
+    length.
     """
-    k = kappa.k
-    kp = kappa_prime.k
+    ks, orders = np.array([kappa_prime.k for kappa_prime in kappa_primes]), np.array(cutoffs)
     b_scale = math.sqrt(spec.epsilon) if scattered else 1.0
-    if scattered:
-        t = phase_table(spec, kp * spec.radius, l_max)
-        sums = sums * t.gamma * np.exp(phase_sign * 1j * t.phi)
-    o, o_err = _overlaps(l_max + 1, k, b_scale * kp, spec.radius, rtol)
+    try:
+        if scattered:
+            t = phase_table(spec, ks * spec.radius, orders)
+            sums = sums * t.gamma * np.exp(phase_sign * 1j * t.phi)
+        o, o_err = _overlaps(orders + 1, kappa.k, b_scale * ks, spec.radius, rtol)
+    except (QmieError, OverflowError):
+        # the array calls name no k': the single kernels in turn raise the
+        # loop's error, a kernel's phase table before its overlaps
+        for kp, cutoff in zip(ks.tolist(), cutoffs):
+            if scattered:
+                phase_table(spec, kp * spec.radius, cutoff)
+            _overlaps(cutoff + 1, kappa.k, b_scale * kp, spec.radius, rtol)
+        raise
     # TE takes the overlap of order l, TM those of orders l + 1 and l - 1
-    ls = np.arange(1, l_max + 1)
+    ls = np.arange(1, o.shape[1] - 1)
     w_up = ls / (2.0 * ls + 1.0)
     w_dn = (ls + 1.0) / (2.0 * ls + 1.0)
-    radial = np.stack([o[1:-1], w_up * o[2:] + w_dn * o[:-2]])
-    radial_err = np.stack([o_err[1:-1], w_up * o_err[2:] + w_dn * o_err[:-2]])
-    total = np.sum(sums[:, 1:] * radial)
-    err = np.sum(np.abs(sums[:, 1:]) * radial_err)
-    return (2.0 / math.pi) * total, (2.0 / math.pi) * err
+    radial = np.stack([o[:, 1:-1], w_up * o[:, 2:] + w_dn * o[:, :-2]], axis=1)
+    radial_err = np.stack([o_err[:, 1:-1], w_up * o_err[:, 2:] + w_dn * o_err[:, :-2]], axis=1)
+    sums = sums[..., 1:]
+    return [((2.0 / math.pi) * np.sum(row[:, :c] * r[:, :c]),
+             (2.0 / math.pi) * np.sum(size[:, :c] * r_err[:, :c]))
+            for row, size, r, r_err, c in zip(sums, np.abs(sums), radial, radial_err, cutoffs)]
 
 
 def _default_l_max(spec: SphereSpec, kappa, kappa_prime, scattered: bool) -> int:
@@ -227,11 +272,14 @@ def _kernel_scan(kind: str, spec: SphereSpec, kappa: PlaneModeIndex, kappa_prime
 
     kappa_primes is any iterable, drawn once. Each kappa' is first checked
     and given its cutoff: l_max when given, or its own default, within the
-    kernel order range. One pass of _angular_sums at the largest cutoff then
-    serves every kernel, each reading its rows. A QmieError met while
-    drawing or checking kappa' number i is raised only after the kernels
-    before it are evaluated, so a scan fails where a loop over single
-    kernels would, with the same error.
+    kernel order range. One pass of _angular_sums at the largest cutoff and
+    one _volume_overlaps pass (one phase table, one _overlaps call, the
+    radial mixing as arrays) then serve every kernel, each reading its own
+    rows, so each kernel equals the one-element scan bit for bit. A
+    QmieError met while drawing or checking kappa' number i is raised only
+    after the kernels before it are evaluated, and an error inside the pass
+    comes from the first kernel that meets one alone, so a scan fails where
+    a loop over single kernels would, with the same error.
     """
     # V takes no boundary condition; the conjugated F* of B flips the
     # interior phase factor e^{sign i phi}
@@ -254,17 +302,16 @@ def _kernel_scan(kind: str, spec: SphereSpec, kappa: PlaneModeIndex, kappa_prime
             plans.append((kappa_prime, pref, cutoff))
     except QmieError as exc:  # raised below, after the kernels before it
         failure = exc
-    kernels, sums = [], None
     if plans and spec.epsilon != 1.0:
-        sums = _angular_sums(kappa, [kp for kp, _, _ in plans], max(c for _, _, c in plans),
-                             conjugate_pair)
-    for i, (kappa_prime, pref, cutoff) in enumerate(plans):
-        if cutoff is None:
-            kernels.append(CouplingKernel(kappa, kappa_prime, 0.0 + 0.0j, kind, 0.0))
-            continue
-        val, err = _volume_overlap(spec, kappa, kappa_prime, cutoff, rtol, scattered,
-                                   phase_sign, sums[i, :, :cutoff + 1])
-        kernels.append(CouplingKernel(kappa, kappa_prime, pref * val, kind, abs(pref) * err))
+        kappa_primes, prefs, cutoffs = zip(*plans)
+        sums = _angular_sums(kappa, kappa_primes, max(cutoffs), conjugate_pair)
+        reduced = _volume_overlaps(spec, kappa, kappa_primes, cutoffs, rtol, scattered,
+                                   phase_sign, sums)
+        kernels = [CouplingKernel(kappa, kappa_prime, pref * val, kind, abs(pref) * err)
+                   for kappa_prime, pref, (val, err) in zip(kappa_primes, prefs, reduced)]
+    else:
+        kernels = [CouplingKernel(kappa, kappa_prime, 0.0 + 0.0j, kind, 0.0)
+                   for kappa_prime, _, _ in plans]
     if failure is not None:
         raise failure
     return kernels

@@ -142,9 +142,10 @@ class Resolver:
 
 def _cells(column) -> list:
     """One column as CSV cells. A float array formats each distinct bit
-    pattern once (so -0.0 and 0.0 stay apart); a list is formatted per cell."""
+    pattern once (so -0.0 and 0.0 stay apart); a list is formatted per cell,
+    its str cells passing as they are."""
     if not isinstance(column, np.ndarray):
-        return [_fmt(c) for c in column]
+        return [c if type(c) is str else _fmt(c) for c in column]
     bits, inverse = np.unique(np.ascontiguousarray(column, dtype=float).view(np.int64),
                               return_inverse=True)
     text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)

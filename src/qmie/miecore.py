@@ -127,18 +127,21 @@ def _size_parameters(q) -> tuple[np.ndarray, list[float]]:
     return qs, q_list
 
 
-def phase_table(spec: SphereSpec, q, l_max: int) -> PhaseTable:
+def phase_table(spec: SphereSpec, q, l_max) -> PhaseTable:
     """Phase shifts of all channels l = 1..l_max at q = kR.
 
     q is one size parameter, giving arrays shaped (2, l_max + 1), or a 1-D
-    array of N of them, giving (N, 2, l_max + 1). Every entry must be finite
+    array of N of them, giving (N, 2, L + 1). Every entry must be finite
     and at least ``Q_FLOOR`` (DomainError naming the first bad entry
     otherwise), and a
     2-D or empty q is a DomainError; a degenerate channel raises
-    DegenerateChannelError naming its q. The scalar table is the N = 1 slice
-    of the array form, and slice [n] of an array table equals
-    ``phase_table(spec, q[n], l_max)`` bit for bit. ``qmie palpha-scan``
-    builds one table for its whole q grid.
+    DegenerateChannelError naming its q. For an array q, l_max is one
+    cutoff or an integer array of one per q, and L is the largest. The
+    scalar table is the N = 1 slice of the array form, and slice [n] of an
+    array table equals ``phase_table(spec, q[n], l_max[n])`` bit for bit on
+    its columns up to l_max[n]; past them it is neutral, like column 0.
+    ``qmie palpha-scan`` builds one table for its whole q grid, and a
+    ``bogoliubov`` scan one for all its k', each at its own cutoff.
 
     The table costs three Bessel sweeps: j and y at q and j at the interior
     argument q' = sqrt(eps) q, each one call over all N entries, with the j
@@ -156,9 +159,19 @@ def phase_table(spec: SphereSpec, q, l_max: int) -> PhaseTable:
     """
     qs, q_list = _size_parameters(q)
     eps = spec.epsilon
-    # the sweeps' cap on order l_max + 1, before any table is allocated
-    l_max = specfun._check_radial_order(l_max)
     n = len(q_list)
+    # the sweeps' cap on order l_max + 1, before any table is allocated
+    if np.ndim(l_max) == 0:
+        l_max = specfun._check_radial_order(l_max)
+        cutoffs, past = [l_max] * n, None
+    else:
+        cutoffs = np.asarray(l_max)
+        if cutoffs.shape != qs.shape or cutoffs.dtype.kind not in "iu":
+            raise DomainError(f"l_max must be one integer or one per q, got {l_max!r}")
+        specfun._check_radial_order(int(cutoffs.min()))
+        l_max = specfun._check_radial_order(int(cutoffs.max()))
+        past = np.arange(1, l_max + 1) > cutoffs[:, None]
+        cutoffs = cutoffs.tolist()
     # alpha, beta, gamma, sin_phi, cos_phi, phi, sin_mantissa; column l = 0
     # is neutral
     out = np.empty((7, n, 2, l_max + 1))
@@ -174,14 +187,14 @@ def phase_table(spec: SphereSpec, q, l_max: int) -> PhaseTable:
         # that cutoff starts the recurrence alike and agrees on shared rows;
         # only orders 0..l_max + 1 are kept
         width = l_max + 2
-        tops = np.array([max(l_max + 1, min(_cutoff(v) + 1, specfun.HARD_CAP_LMAX))
-                         for v in q_list])
+        tops = np.array([max(c + 1, min(_cutoff(v) + 1, specfun.HARD_CAP_LMAX))
+                         for v, c in zip(q_list, cutoffs)])
         mant = np.empty((3, n, width))
         exps = np.empty((3, n, width), dtype=int)
-        for row, (m, e) in enumerate((specfun._j_scaled(tops, x),
+        for row, (m, e) in enumerate((specfun._j_scaled(tops, x, width),
                                       specfun._y_scaled(l_max + 1, x),
-                                      specfun._j_scaled(tops, xp))):
-            mant[row], exps[row] = m[:, :width], e[:, :width]
+                                      specfun._j_scaled(tops, xp, width))):
+            mant[row], exps[row] = m, e
         # orders l and l + 1 for l = 1..l_max, both in units of 2^exps[l],
         # with mantissas in [0.5, 1) so that their products stay in range
         frac, bits = np.frexp(mant)
@@ -199,6 +212,10 @@ def phase_table(spec: SphereSpec, q, l_max: int) -> PhaseTable:
         beta[:, 1] = qqp * ij - qq * ji - contact * j0
         # the trigonometry runs on both scaled by the larger of their powers
         e_alpha, e_beta = (ei + ey)[:, None], (ei + ej)[:, None]
+        if past is not None and past.any():
+            # (1, 0) at scale 1 past an entry's own cutoff: the neutral row
+            for a, value in ((alpha, 1.0), (beta, 0.0), (e_alpha, 0), (e_beta, 0)):
+                np.copyto(a, value, where=past[:, None])
         shift = np.maximum(e_alpha, e_beta)
         np.subtract(e_beta, shift, out=sin_exponent[..., 1:])
         a, b = np.ldexp(alpha, e_alpha - shift), np.ldexp(beta, sin_exponent[..., 1:])

@@ -91,7 +91,7 @@ class PlaneModeIndex:
         """Propagation direction (theta_k, phi_k), by the rule of _spherical_coords."""
         kx, ky, kz = self.kvec
         theta = math.atan2(math.hypot(kx, ky), kz)
-        phi = math.atan2(ky, kx) % (2.0 * math.pi)
+        phi = specfun._wrap_phi(math.atan2(ky, kx))
         return theta, phi
 
 
@@ -131,7 +131,7 @@ def _spherical_coords(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     theta is atan2(hypot(x, y), z), which keeps its digits near the z axis."""
     r = np.sqrt(np.einsum("nc,nc->n", p, p))
     theta = np.where(r == 0.0, 0.0, np.arctan2(np.hypot(p[:, 0], p[:, 1]), p[:, 2]))
-    phi = np.where(r == 0.0, 0.0, np.mod(np.arctan2(p[:, 1], p[:, 0]), 2.0 * math.pi))
+    phi = np.where(r == 0.0, 0.0, specfun._wrap_phi(np.arctan2(p[:, 1], p[:, 0])))
     return r, theta, phi
 
 

@@ -163,9 +163,10 @@ def _recur_batch(x: np.ndarray, ls: range, starts: np.ndarray, prev: np.ndarray,
                  cur: np.ndarray, keep: int) -> tuple[np.ndarray, np.ndarray]:
     """_recur over N arguments at once, as two (keep, N) arrays: column n is
     _recur(x[n], range(starts[n], ls.stop, ls.step), prev[n], cur[n], keep)
-    bit for bit. The starts come in the order of ls from ls.start on, so the
-    arguments under way are a prefix; each joins the ring with its seeds at
-    its start, rescales on its own, and is under way at every kept entry.
+    bit for bit, except that a sweep starting inside the kept entries leaves
+    0 in the rows of its seeds and above them. The starts come in the order of
+    ls from ls.start on, so the arguments under way are a prefix; each joins
+    the ring with its seeds at its start and rescales on its own.
     The rescale test runs at each step that a growth bound cannot clear.
     Kept orders are formed in their own rows and a rescale happens in the
     ring, so it never touches a stored order.
@@ -175,7 +176,7 @@ def _recur_batch(x: np.ndarray, ls: range, starts: np.ndarray, prev: np.ndarray,
     live = np.searchsorted(d * starts, d * np.arange(ls.start, ls.stop, d), side="right").tolist()
     # entry s of a sweep (the seeds are 0 and 1) sits in row s - skip
     skip = len(ls) + 2 - keep
-    out = np.empty((keep, n_all))
+    out = np.zeros((keep, n_all))
     scale = np.zeros((keep, n_all), dtype=int)
     if skip < 2:
         out[:2 - skip] = (prev, cur)[skip:]
@@ -190,12 +191,16 @@ def _recur_batch(x: np.ndarray, ls: range, starts: np.ndarray, prev: np.ndarray,
     n, check = 0, 2
     for s, (l, m) in enumerate(zip(ls, live), 2):
         if m > n:
+            if n:
+                # the pair under way may sit in kept rows; it joins the seeds
+                ring[(l - d) % 3, :n] = rows[(l - d) % 3]
+                ring[l % 3, :n] = rows[l % 3]
             ring[(l - d) % 3, n:m] = prev[n:m]
             ring[l % 3, n:m] = cur[n:m]
             n = m
             rows, x_n = list(ring[:, :n]), x[:n]
         if s >= skip:
-            rows[(l + d) % 3] = out[s - skip]
+            rows[(l + d) % 3] = out[s - skip, :n]
         cur_l, new = rows[l % 3], rows[(l + d) % 3]
         np.divide(2 * l + 1, x_n, out=new)
         new *= cur_l
@@ -242,13 +247,14 @@ def _miller_j(l_top: int, x: float) -> tuple[list[float], list[int]]:
 
 
 def _miller_j_batch(tops: np.ndarray, x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """_miller_j over N arguments at once, as two (N, width) arrays.
+    """_miller_j over N arguments at once, as two (N, width) arrays,
+    width <= max(tops) + 1.
 
-    Row n equals the first width <= min(tops) + 1 entries of
-    _miller_j(tops[n], x[n]) bit for bit: one _recur_batch over the arguments
-    sorted by start, anchored on math.sin and math.cos as the scalar sweep
-    is. Only the orders kept (and the anchor orders 0 and 1) are stored, so
-    memory does not grow with x.
+    Row n equals the first width entries of _miller_j(tops[n], x[n]) bit for
+    bit through its top and is 0 past it: one _recur_batch over the
+    arguments sorted by start, anchored on math.sin and math.cos as the
+    scalar sweep is. Only the orders kept (and the anchor orders 0 and 1)
+    are stored, so memory does not grow with x.
     """
     starts = (np.maximum(tops, np.ceil(x)).astype(int) + 16
               + (2.0 * np.sqrt(np.maximum(tops, x))).astype(int))
@@ -270,6 +276,9 @@ def _miller_j_batch(tops: np.ndarray, x: np.ndarray, width: int) -> tuple[np.nda
     mant = out[:width] * ratio
     exps = scale[:width] - scale[a, cols]
     mant[0], exps[0] = j0, 0
+    if tops.min() < width - 1:
+        past = np.arange(width)[:, None] > tops
+        mant[past], exps[past] = 0.0, 0
     back = np.empty_like(order)
     back[order] = cols
     return mant.T[back], exps.T[back]
@@ -357,20 +366,26 @@ def _arguments(l_max, x, positive: bool):
 
 
 def _rows(sweeps, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mantissa and exponent arrays from scalar sweeps, first width orders."""
-    return (np.array([m[:width] for m, _ in sweeps], dtype=float),
-            np.array([e[:width] for _, e in sweeps], dtype=int))
+    """Mantissa and exponent arrays from scalar sweeps, first width orders,
+    each row 0 past its own sweep."""
+    mant, exps = np.zeros((len(sweeps), width)), np.zeros((len(sweeps), width), dtype=int)
+    for row, (m, e) in enumerate(sweeps):
+        m, e = m[:width], e[:width]
+        mant[row, :len(m)], exps[row, :len(e)] = m, e
+    return mant, exps
 
 
-def _j_scaled(l_max, x) -> tuple[np.ndarray, np.ndarray]:
+def _j_scaled(l_max, x, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """j_0(x)..j_{l_max}(x) as mantissas and powers of two.
 
     j_l = ldexp(mantissa_l, exponent_l), with mantissas inside the float
     range, also where j_l itself underflows. One argument x gives two arrays
     of l_max + 1 entries. A 1-D array of N arguments gives two (N, L + 1)
-    arrays: l_max is then one top or one per argument, L is the smallest
-    top, and row n equals the first L + 1 entries of
-    ``_j_scaled(l_max[n], x[n])`` bit for bit. From ``BATCH_MIN`` arguments
+    arrays: l_max is then one top or one per argument, L is the largest
+    top, and row n equals ``_j_scaled(l_max[n], x[n])`` bit for bit through
+    its own top and is exactly 0 past it; width, if given, keeps only the
+    first width <= L + 1 columns, and the sweeps store no others (a phase
+    table reads orders up to its l_max + 1). From ``BATCH_MIN`` arguments
     on, one batched Miller sweep serves every argument without series
     orders; x = 0 and arguments with series orders take the scalar sweep.
     Every x must be finite, >= 0 and at most ``HARD_CAP_ARGUMENT``, checked
@@ -379,19 +394,20 @@ def _j_scaled(l_max, x) -> tuple[np.ndarray, np.ndarray]:
     tops, xs = _arguments(l_max, x, positive=False)
     if not isinstance(xs, np.ndarray):
         return tuple(np.array(a) for a in _j_one(tops, xs))
-    width = int(tops.min()) + 1
+    width = int(tops.max()) + 1 if width is None else width
     if xs.size < BATCH_MIN:
         return _rows([_j_one(t, v) for t, v in zip(tops.tolist(), xs.tolist())], width)
     series = xs < _SERIES_THRESHOLD * (tops + 1)
     if not series.any():
         return _miller_j_batch(tops, xs, width)
-    mant = np.empty((xs.size, width))
-    exps = np.empty((xs.size, width), dtype=int)
+    mant = np.zeros((xs.size, width))
+    exps = np.zeros((xs.size, width), dtype=int)
     mant[series], exps[series] = _rows([_j_one(t, v) for t, v in
                                         zip(tops[series].tolist(), xs[series].tolist())], width)
     if not series.all():
-        rest = ~series
-        mant[rest], exps[rest] = _miller_j_batch(tops[rest], xs[rest], width)
+        rest, top = ~series, int(tops[~series].max())
+        m, e = _miller_j_batch(tops[rest], xs[rest], min(width, top + 1))
+        mant[rest, :m.shape[1]], exps[rest, :m.shape[1]] = m, e
     return mant, exps
 
 
@@ -444,9 +460,14 @@ def _as_angle_arrays(theta, phi) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError("angular point must be finite")
     if np.any((theta < 0.0) | (theta > math.pi)):
         raise DomainError("theta outside [0, pi]")
-    # a tiny negative phi rounds up to 2 pi itself, which is 0
-    phi = np.mod(phi, 2.0 * math.pi)
-    return theta, np.where(phi == 2.0 * math.pi, 0.0, phi)
+    return theta, _wrap_phi(phi)
+
+
+def _wrap_phi(phi):
+    """An azimuth, a float or an array, wrapped into [0, 2 pi). A tiny
+    negative phi rounds up to 2 pi itself, which is 0."""
+    phi = phi % (2.0 * math.pi)
+    return phi * (phi != 2.0 * math.pi)
 
 
 @functools.lru_cache(maxsize=8)
@@ -469,8 +490,8 @@ def _recurrence_tables(l_max: int) -> tuple[np.ndarray, ...]:
     ab = np.where(ms <= ls - 2.0, a * b, 0.0)
     a = np.where(ms <= ls - 1.0, a, 0.0)
     m = np.arange(-l_max, l_max + 1, dtype=float)[None, :]
-    up = np.where((np.abs(m) <= ls) & (m + 1.0 <= ls),
-                  np.sqrt(np.maximum((ls - m) * (ls + m + 1.0), 0.0)), 0.0)
+    # (l - m)(l + m + 1) is +0.0 or negative outside -l <= m <= l - 1
+    up = np.sqrt(np.maximum((ls - m) * (ls + m + 1.0), 0.0))
     for table in (a, ab, up):
         table.setflags(write=False)
     return a, ab, up, up[:, ::-1]

@@ -102,3 +102,16 @@ def test_recurrence_tables_are_cached_read_only():
                    np.sqrt(np.maximum((ls + m) * (ls - m + 1.0), 0.0)), 0.0)
     assert np.array_equal(dn.view(np.int64), ref.view(np.int64))
     assert np.shares_memory(up, dn)
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 2, 5, 43, 178, 512])
+def test_ladder_table_is_positive_zero_outside_its_band(l_max):
+    # the band mask on the ladder coefficients is the unmasked formula's own
+    # zeros: +0.0 wherever m < -l or m >= l
+    specfun._recurrence_tables.cache_clear()
+    up = specfun._recurrence_tables(l_max)[2]
+    ls = np.arange(l_max + 1, dtype=float)[:, None]
+    m = np.arange(-l_max, l_max + 1, dtype=float)[None, :]
+    ref = np.where((np.abs(m) <= ls) & (m + 1.0 <= ls),
+                   np.sqrt(np.maximum((ls - m) * (ls + m + 1.0), 0.0)), 0.0)
+    assert np.array_equal(up.view(np.int64), ref.view(np.int64))

@@ -89,9 +89,9 @@ def test_radial_overlap_nonconvergence():
 # ----------------------------------------------------- reduction vs 3D oracle
 
 def volume_overlap(ka, kb, l_max, scattered, phase_sign, conjugate_pair):
-    """bg._volume_overlap at rtol 1e-12, fed the pair's angular sums."""
-    sums = bg._angular_sums(ka, [kb], l_max, conjugate_pair)[0]
-    return bg._volume_overlap(SPEC, ka, kb, l_max, 1e-12, scattered, phase_sign, sums)
+    """bg._volume_overlaps of the one pair at rtol 1e-12, fed its angular sums."""
+    sums = bg._angular_sums(ka, [kb], l_max, conjugate_pair)
+    return bg._volume_overlaps(SPEC, ka, [kb], [l_max], 1e-12, scattered, phase_sign, sums)[0]
 
 
 def test_volume_overlaps_match_3d_quadrature():

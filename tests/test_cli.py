@@ -796,6 +796,11 @@ def test_csv_cells_format_each_value_of_every_column(case):
     assert [row.split(",") for row in body[1:]] == [list(r) for r in zip(*expected)]
 
 
+def test_list_cells_pass_strings_and_keep_zeros_and_ints_apart():
+    column = ["TM:1", 0.0, -0.0, 1, 1.0, np.float64(-0.0), True, "2.50"]
+    assert cli._cells(column) == ["TM:1", "0.0", "-0.0", "1", "1.0", "-0.0", "True", "2.50"]
+
+
 @pytest.mark.parametrize("target,module,column,bad", [
     ("field_intensity_map", cli, "intensity", math.inf),
     ("differential_cross_section", observables, "dsigma_domega", math.nan),

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmie import bogoliubov as bg
-from qmie import cli, modes
-from qmie.errors import DomainError, PoleExcludedError, ResourceLimitError
+from qmie import cli, modes, specfun
+from qmie.errors import DomainError, PoleExcludedError, ResourceLimitError, ToleranceError
 from qmie.miecore import SphereSpec
 from qmie.modes import PlaneModeIndex
 
@@ -110,6 +110,13 @@ SCANS = {
     "V-vacuum": ("V", VACUUM, 3.0, np.linspace(2.0, 6.0, 3), {}),
     "B-vacuum": ("B", VACUUM, 3.0, np.linspace(2.0, 6.0, 3), {"l_max": 0}),
     "A-vacuum": ("A_offdiag", VACUUM, 3.0, np.linspace(2.0, 6.0, 3), {}),
+    # from BATCH_MIN k' on, the batched sweeps with one top per argument;
+    # the geometric scans' tops span far enough that the short sweeps start
+    # inside the orders the long ones keep
+    "B-long": ("B", SPEC, 5.0, np.linspace(3.0, 9.0, 30), {}),
+    "V-long-diagonal": ("V", SPEC, 3.0, np.linspace(2.0, 4.0, 25), {}),
+    "V-wide": ("V", SPEC, 0.5, np.geomspace(0.01, 60.0, 30), {}),
+    "A-wide": ("A_offdiag", SPEC, 1.0, np.geomspace(0.02, 40.0, 24), {"direction": "incoming"}),
 }
 
 
@@ -125,6 +132,24 @@ def test_scan_equals_single_kernels_bit_for_bit(name):
         [(r.kind, r.kappa, r.kappa_prime) for r in ref]
     if spec.epsilon == 1.0:
         assert all(g.value == 0.0 and g.abs_err == 0.0 for g in got)
+
+
+@pytest.mark.parametrize("name", ["B", "A_offdiag", "V", "B-long", "V-long-diagonal"])
+def test_one_array_pass_per_scan(name, monkeypatch):
+    # one phase table over every k' of a B or A scan, and one j call per
+    # argument set: the table's at q and sqrt(eps) q, the overlaps' at aR
+    # and at the bR's
+    kind, spec, k, kps, kw = SCANS[name]
+    tables, sweeps = [], []
+    real_table, real_sweep = bg.phase_table, specfun._j_scaled
+    monkeypatch.setattr(bg, "phase_table",
+                        lambda *args: tables.append(np.shape(args[1])) or real_table(*args))
+    monkeypatch.setattr(specfun, "_j_scaled",
+                        lambda *args: sweeps.append(np.shape(args[1])) or real_sweep(*args))
+    bg._kernel_scan(kind, spec, PlaneModeIndex(1, (0.0, 0.0, k)), scanned(kps), **kw)
+    n = (len(kps),)
+    assert tables == ([] if kind == "V" else [n])
+    assert sweeps == [n] * (2 if kind == "V" else 4)
 
 
 def test_scan_at_one_direction_shares_rows():
@@ -168,13 +193,13 @@ FAILING = {
 def test_scan_fails_at_the_same_k_prime(name, monkeypatch):
     kind, spec, k, kps, kw, at, error, message = FAILING[name]
     kappa, kappa_primes = PlaneModeIndex(1, (0.0, 0.0, k)), scanned(kps)
-    evaluated, real = [], bg._volume_overlap
+    evaluated, real = [], bg._volume_overlaps
 
-    def spy(spec, kappa, kappa_prime, *args):
-        evaluated.append(kappa_prime)
-        return real(spec, kappa, kappa_prime, *args)
+    def spy(spec, kappa, kappa_primes, *args):
+        evaluated.extend(kappa_primes)
+        return real(spec, kappa, kappa_primes, *args)
 
-    monkeypatch.setattr(bg, "_volume_overlap", spy)
+    monkeypatch.setattr(bg, "_volume_overlaps", spy)
     ref, failure = single_kernels(kind, spec, kappa, kappa_primes, **kw)
     ref_evaluated = evaluated[:]
     evaluated.clear()
@@ -187,6 +212,31 @@ def test_scan_fails_at_the_same_k_prime(name, monkeypatch):
     assert len(evaluated) == (at if spec.epsilon != 1.0 else 0)
 
 
+# scans that fail inside the array pass, with the k' whose error the
+# kernels one at a time raise first, and its type
+PASS_FAILING = {
+    "bound-V": ("V", SPEC, 470.0, [1.0, 470.0, 2.0], {}, 1, ToleranceError),
+    "table-floor-B": ("B", SPEC, 1.0, [1.0, 1e-60, 2.0], {}, 1, DomainError),
+    # the table at k' number 2 fails in the array pass before the overlaps
+    # run, but the loop meets the overlap bound of k' number 1 first
+    "bound-before-a-later-table-B": ("B", SPEC, 460.0, [100.0, 460.0 / math.sqrt(2.1), 1e-60],
+                                     {}, 1, ToleranceError),
+    "argument-cap-V": ("V", SPEC, 1.0, [1.0, 2e6, 3.0], {"l_max": 5}, 1, ResourceLimitError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PASS_FAILING))
+def test_scan_raises_the_loop_error_from_inside_the_pass(name):
+    kind, spec, k, kps, kw, at, error = PASS_FAILING[name]
+    kappa, kappa_primes = PlaneModeIndex(1, (0.0, 0.0, k)), scanned(kps)
+    ref, failure = single_kernels(kind, spec, kappa, kappa_primes, **kw)
+    assert type(failure) is error and len(ref) == at
+    with pytest.raises(error) as info:
+        bg._kernel_scan(kind, spec, kappa, kappa_primes, **kw)
+    # the array calls would name q[1] or x[1]; the loop names q or x
+    assert str(info.value) == str(failure)
+
+
 def test_scan_draws_each_k_prime_in_turn(monkeypatch):
     # a k' that cannot be labelled fails after the kernels before it, as the
     # CLI's loop over single kernels did
@@ -194,9 +244,9 @@ def test_scan_draws_each_k_prime_in_turn(monkeypatch):
         yield from scanned([2.0, 3.0])
         raise DomainError("no label")
 
-    evaluated, real = [], bg._volume_overlap
-    monkeypatch.setattr(bg, "_volume_overlap",
-                        lambda *args: evaluated.append(args[2].k) or real(*args))
+    evaluated, real = [], bg._volume_overlaps
+    monkeypatch.setattr(bg, "_volume_overlaps",
+                        lambda *args: evaluated.extend(kp.k for kp in args[2]) or real(*args))
     with pytest.raises(DomainError, match="no label"):
         bg._kernel_scan("V", SPEC, PlaneModeIndex(1, (0.0, 0.0, 3.0)), draw())
     assert evaluated == pytest.approx([2.0, 3.0])

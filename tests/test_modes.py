@@ -206,6 +206,21 @@ def test_polar_angle_keeps_its_digits_near_the_z_axis():
     assert np.array_equal(np.concatenate([r, theta, phi]).view(np.int64), np.zeros(3, dtype=np.int64))
 
 
+@pytest.mark.parametrize("y", [-1e-300, -5e-324, -1e-17])
+def test_tiny_negative_azimuth_wraps_to_zero(y):
+    # atan2(y, 1) mod 2 pi rounds up to 2 pi itself for these y; the wrap
+    # is the one of the harmonics, which read it as phi = 0
+    _, _, phi = modes._spherical_coords(np.array([[1.0, y, 0.0], [2.5, 2.5 * y, 1.0]]))
+    assert phi.view(np.int64).tolist() == [0, 0]
+    theta_k, phi_k = modes.PlaneModeIndex(1, (1.0, y, 0.0)).angles
+    assert (theta_k, phi_k) == (math.pi / 2, 0.0) and math.copysign(1.0, phi_k) == 1.0
+    assert type(phi_k) is float
+    # one step further below zero keeps its 2 pi - |phi|
+    _, _, phi = modes._spherical_coords(np.array([[1.0, -1e-15, 0.0]]))
+    assert phi[0] == modes.PlaneModeIndex(1, (1.0, -1e-15, 0.0)).angles[1] == \
+        math.atan2(-1e-15, 1.0) % (2.0 * math.pi) < 2.0 * math.pi
+
+
 
 # --------------------------------------------------- vacuum/scattered parts
 

@@ -85,6 +85,30 @@ def test_overlaps_within_bound_and_rtol_of_mpmath(a, gap, apart, radius, l_top, 
         assert err <= rtol * abs(ref[l]) + UNDERFLOW_FLOOR, l
 
 
+@settings(max_examples=30, deadline=None)
+@given(a=log_wavenumber, pairs=st.lists(st.tuples(st.none() | log_wavenumber, st.integers(0, 60)),
+                                        min_size=1, max_size=specfun.BATCH_MIN + 8),
+       radius=st.floats(0.5, 2.0))
+def test_overlap_rows_equal_single_pairs_bit_for_bit(a, pairs, radius):
+    # below and from BATCH_MIN pairs on, with a == b among them
+    bs = np.array([a if b is None else b for b, _ in pairs])
+    l_tops = np.array([l for _, l in pairs])
+    values, bounds = bg._overlaps(l_tops, a, bs, radius, 1e-8)
+    assert values.shape == bounds.shape == (len(pairs), int(l_tops.max()) + 1)
+    for n, (b, l) in enumerate(zip(bs.tolist(), l_tops.tolist())):
+        for got, ref in zip((values[n], bounds[n]), bg._overlaps(l, a, b, radius, 1e-8)):
+            assert np.array_equal(got[:l + 1].view(np.int64), ref.view(np.int64)), n
+            assert not got[l + 1:].any(), n
+
+
+def test_overlap_rows_raise_for_the_first_failing_pair():
+    with pytest.raises(ToleranceError) as single:
+        bg._overlaps(508, 470.0, 460.0, 1.0, 1e-11)
+    with pytest.raises(ToleranceError) as rows:
+        bg._overlaps(np.array([5, 508, 508]), 470.0, np.array([1.0, 460.0, 470.0]), 1.0, 1e-11)
+    assert str(rows.value) == str(single.value)
+
+
 def test_overlaps_resolve_an_order_at_a_zero_of_the_overlap():
     # T_0(a, 6) changes sign at this a; V scans at |k| ~ 3 through |k'| = 6
     # meet it. The bound is absolute: far above rtol |T_0|, but within

@@ -322,10 +322,10 @@ def test_array_degenerate_channel_names_its_q(qs, data, l_max):
     interior = math.sqrt(2.1) * target
     sweep = specfun._j_scaled
 
-    def zeroed(orders, x):
+    def zeroed(orders, x, *width):
         # the sweep takes every q of the table in one call: zero the rows
         # of the interior argument at the chosen q
-        mant, exps = sweep(orders, x)
+        mant, exps = sweep(orders, x, *width)
         return np.where((np.asarray(x) == interior)[..., None], 0.0, mant), exps
 
     with pytest.MonkeyPatch.context() as patch:
@@ -341,3 +341,67 @@ def test_scalar_table_is_a_view_of_the_array_form():
         arr = getattr(t, name)
         assert arr.shape == (2, 10)
         assert arr.base is not None and arr.base.shape[-3] == 1
+
+
+# ------------------------------------------------------ per-entry cutoffs
+
+NEUTRAL = dict(zip(ALL_FIELDS, (1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(entries=st.lists(st.tuples(st.floats(1e-6, 470.0),
+                                  st.one_of(st.integers(1, 40), st.integers(1, 511))),
+                        min_size=1, max_size=specfun.BATCH_MIN + 16),
+       eps=st.one_of(st.just(1.0), st.floats(1.0, 10.0)))
+@example(entries=[(0.3, 1), (150.0, 178), (3.0, 511)] * 9, eps=2.1)
+def test_per_entry_cutoffs_equal_single_tables(entries, eps):
+    # below and from BATCH_MIN entries on: the scalar-loop and batched sweeps
+    spec = SphereSpec(eps, 1.0)
+    qs, l_maxes = (np.array(c) for c in zip(*entries))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = phase_table(spec, qs, l_maxes)
+        rows = [phase_table(spec, float(q), int(l)) for q, l in entries]
+    top = int(l_maxes.max())
+    for name in ALL_FIELDS:
+        arr = getattr(t, name)
+        assert arr.shape == (len(entries), 2, top + 1) and not arr.flags.writeable
+        for n, (row, l) in enumerate(zip(rows, l_maxes.tolist())):
+            assert np.array_equal(arr[n, :, :l + 1].view(np.int64),
+                                  getattr(row, name).view(np.int64)), (name, n)
+            assert np.all(arr[n, :, l + 1:] == NEUTRAL[name]), (name, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(entries=st.lists(st.tuples(st.one_of(st.floats(1e-3, 400.0), st.floats(1e-12, 5e-4),
+                                            st.just(0.0)),
+                                  st.integers(0, specfun.HARD_CAP_LMAX)),
+                        min_size=1, max_size=specfun.BATCH_MIN + 16))
+def test_per_argument_tops_equal_single_sweeps(entries):
+    xs, tops = (np.array(c) for c in zip(*entries))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mant, exps = specfun._j_scaled(tops, xs)
+    assert mant.shape == exps.shape == (len(entries), int(tops.max()) + 1)
+    for n, (x, top) in enumerate(entries):
+        m, e = specfun._j_scaled(top, x)
+        assert np.array_equal(mant[n, :top + 1].view(np.int64), m.view(np.int64)), n
+        assert np.array_equal(exps[n, :top + 1], e), n
+        assert not mant[n, top + 1:].any() and not exps[n, top + 1:].any(), n
+
+
+@pytest.mark.parametrize("q,l_max", [
+    (np.array([1.0, 2.0]), np.array([3])),
+    (np.array([1.0, 2.0]), np.array([3.0, 4.0])),
+    (1.0, np.array([3])),
+])
+def test_per_entry_cutoffs_need_one_integer_per_q(q, l_max):
+    with pytest.raises(DomainError, match="one integer or one per q"):
+        phase_table(SphereSpec(2.1, 1.0), q, l_max)
+
+
+def test_per_entry_cutoffs_are_checked_against_the_cap():
+    with pytest.raises(ResourceLimitError, match="l_max=512 needs Bessel order 513"):
+        phase_table(SphereSpec(2.1, 1.0), np.array([1.0, 2.0]), np.array([4, 512]))
+    with pytest.raises(DomainError, match="l_max must be >= 1"):
+        phase_table(SphereSpec(2.1, 1.0), np.array([1.0, 2.0]), np.array([0, 4]))
