@@ -13,7 +13,7 @@ a = b alike, and each order comes with a stated bound (see _overlaps); the
 module holds no quadrature. A scan of many kappa' is one array pass: one
 angular pass, one phase table over every |k'| R, one overlap pass and the
 radial mixing of all kernels at once, each kernel equal bit for bit to the
-same kernel alone (see _kernel_scan).
+same kernel alone (see kernel_scan).
 """
 
 import math
@@ -34,6 +34,7 @@ from .modes import PlaneModeIndex
 
 __all__ = [
     "CouplingKernel",
+    "kernel_scan",
     "coupling_v",
     "b_coefficient",
     "a_offdiagonal_kernel",
@@ -123,16 +124,18 @@ def _overlaps(l_top, a: float, b, radius: float, rtol: float):
     """
     one = np.ndim(b) == 0
     bs, l_tops = np.atleast_1d(np.asarray(b, dtype=float)), np.atleast_1d(l_top)
-    x_a, x_b = a * radius, bs * radius
+    with np.errstate(over="ignore"):  # the check below refuses an inf
+        x_a, x_b = a * radius, bs * radius
     x_as = np.full(bs.size, x_a)
+    # the sweeps' own check, before math.ceil meets an argument past it; one
+    # pair checks scalars, so that an argument error names x
+    for xs in (x_as, x_b):
+        specfun._arguments(xs[0] if one else xs, positive=False)
     tops = np.array([min(specfun.HARD_CAP_LMAX,
                          max(l + 1, math.ceil(x) + 16) + 8 + int(4.0 * x ** (1.0 / 3.0)))
                      for l, x in zip(l_tops.tolist(), np.maximum(x_a, x_b).tolist())])
-    # one pair sweeps scalars, so that an argument error names x
-    top_arg = int(tops[0]) if one else tops
-    ja = np.atleast_2d(specfun.spherical_bessel_j(top_arg, x_a if one else x_as))
-    jb = ja if np.all(bs == a) else np.atleast_2d(
-        specfun.spherical_bessel_j(top_arg, float(x_b[0]) if one else x_b))
+    ja = np.ldexp(*specfun._j_scaled(tops, x_as))
+    jb = ja if np.all(bs == a) else np.ldexp(*specfun._j_scaled(tops, x_b))
     orders = np.arange(ja.shape[1])
     terms = np.stack([ja * jb, _envelope(ja, x_as) * _envelope(jb, x_b)])
     terms *= 2.0 * orders + 1.0
@@ -214,7 +217,7 @@ def _volume_overlaps(
             t = phase_table(spec, ks * spec.radius, orders)
             sums = sums * t.gamma * np.exp(phase_sign * 1j * t.phi)
         o, o_err = _overlaps(orders + 1, kappa.k, b_scale * ks, spec.radius, rtol)
-    except (QmieError, OverflowError):
+    except QmieError:
         # the array calls name no k': the single kernels in turn raise the
         # loop's error, a kernel's phase table before its overlaps
         for kp, cutoff in zip(ks.tolist(), cutoffs):
@@ -264,9 +267,9 @@ def _prefactor(kind: str, spec: SphereSpec, k: float, kp: float) -> float:
     return (spec.epsilon - 1.0) / 2.0 * math.sqrt(k * kp) / (k - kp)
 
 
-def _kernel_scan(kind: str, spec: SphereSpec, kappa: PlaneModeIndex, kappa_primes,
-                 l_max: int | None = None, rtol: float = 1e-11,
-                 direction: str = "outgoing") -> list[CouplingKernel]:
+def kernel_scan(kind: str, spec: SphereSpec, kappa: PlaneModeIndex, kappa_primes,
+                l_max: int | None = None, rtol: float = 1e-11,
+                direction: str = "outgoing") -> list[CouplingKernel]:
     """The kernels of one kind ("V", "B" or "A_offdiag") between kappa and
     each kappa' in turn, exactly zero for a transparent sphere.
 
@@ -327,7 +330,7 @@ def coupling_v(
     """Sphere-mediated plane-wave coupling V = (sqrt(w w')/4) v with
     v = ((eps-1)/eps) integral_V G* . G'. Hermitian: V(k,k') = conj(V(k',k)).
     """
-    return _kernel_scan("V", spec, kappa, [kappa_prime], l_max, rtol)[0]
+    return kernel_scan("V", spec, kappa, [kappa_prime], l_max, rtol)[0]
 
 
 def b_coefficient(
@@ -341,7 +344,7 @@ def b_coefficient(
     """Counter-rotating coefficient
     B = -((eps-1)/2) (sqrt(k k')/(k + k')) integral_V G* . F'*.
     """
-    return _kernel_scan("B", spec, kappa, [kappa_prime], l_max, rtol, direction)[0]
+    return kernel_scan("B", spec, kappa, [kappa_prime], l_max, rtol, direction)[0]
 
 
 def a_offdiagonal_kernel(
@@ -358,7 +361,7 @@ def a_offdiagonal_kernel(
     The point |k| = |k'| is excluded: its principal-value treatment has no
     stand-alone numeric value outside the full scattering derivation.
     """
-    return _kernel_scan("A_offdiag", spec, kappa, [kappa_prime], l_max, rtol, direction)[0]
+    return kernel_scan("A_offdiag", spec, kappa, [kappa_prime], l_max, rtol, direction)[0]
 
 
 def a_diagonal_channel_sum(

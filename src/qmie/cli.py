@@ -354,8 +354,8 @@ def cmd_bogoliubov(res: Resolver):
                                            kp * math.sin(kp_theta) * math.sin(kp_phi),
                                            kp * math.cos(kp_theta))) for kp in kps)
     # one scan: one angular pass for every k'; V ignores the direction
-    kerns = bogoliubov._kernel_scan(kind, spec, kappa, kappa_ps, l_max=l_max,
-                                    direction=res["direction"])
+    kerns = bogoliubov.kernel_scan(kind, spec, kappa, kappa_ps, l_max=l_max,
+                                   direction=res["direction"])
     return ("bogoliubov", ("k_prime", "value_re", "value_im", "abs_err"),
             [kps, [kern.value.real for kern in kerns], [kern.value.imag for kern in kerns],
              [kern.abs_err for kern in kerns]], ())

@@ -76,9 +76,10 @@ class PlaneModeIndex:
         kv = tuple(float(c) for c in self.kvec)
         if len(kv) != 3 or not all(math.isfinite(c) for c in kv):
             raise DomainError("kvec must be a finite 3-vector")
-        if sum(c * c for c in kv) < _TINY:
-            # |k| and the direction kz/|k| would come from a subnormal or 0
-            raise DomainError(f"kvec={kv} must be nonzero, and |kvec|^2 must not underflow")
+        if not _TINY <= sum(c * c for c in kv) < math.inf:
+            # |k| and the direction kz/|k| would come from a subnormal, 0 or inf
+            raise DomainError(f"kvec={kv} must be nonzero, and |kvec|^2 must neither "
+                              "underflow nor overflow")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "kvec", kv)
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmie import bogoliubov, modes, specfun
+from qmie import bogoliubov, cli, modes, specfun
 from qmie.errors import DomainError, ResourceLimitError
 from qmie.miecore import SphereSpec, phase_table
 
@@ -278,8 +278,7 @@ def test_batch_is_checked_whole_before_any_sweep(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a sweep ran before the batch was checked")
 
-    for name in ("_miller_j", "_miller_j_batch", "_upward_y", "_upward_y_batch",
-                 "_recur", "_recur_batch"):
+    for name in ("_j_one", "_miller_j", "_miller_j_batch", "_recur", "_recur_batch"):
         monkeypatch.setattr(specfun, name, forbidden)
     xs = np.linspace(1.0, 2.0, BATCH + 5)
     xs[7], xs[9] = 1e7, math.nan
@@ -294,17 +293,50 @@ def test_batch_is_checked_whole_before_any_sweep(monkeypatch):
 
 @pytest.fixture
 def scalar_sweeps(monkeypatch):
-    """Counts the calls of the scalar kernels, one per argument swept."""
+    """Counts the per-argument recurrences, one per argument swept: j runs
+    _recur downward, y upward."""
     calls = {"j": 0, "y": 0}
-    for key, name in (("j", "_miller_j"), ("y", "_upward_y")):
-        kernel = getattr(specfun, name)
+    recur = specfun._recur
 
-        def counted(*args, _kernel=kernel, _key=key):
-            calls[_key] += 1
-            return _kernel(*args)
+    def counted(x, ls, *args):
+        calls["j" if ls.step < 0 else "y"] += 1
+        return recur(x, ls, *args)
 
-        monkeypatch.setattr(specfun, name, counted)
+    monkeypatch.setattr(specfun, "_recur", counted)
     return calls
+
+
+# one operation of each CLI command at the sizes of the benchmark's workloads
+BENCHMARK_COMMANDS = [
+    ["phase-shifts", "--epsilon", "2.1", "--q", "200"],
+    ["palpha-scan", "--epsilon", "2.1", "--q-min", "0.5", "--q-max", "12", "--q-steps", "400",
+     "--channels", "TM:1,TM:2,TM:3,TM:4,TM:5,TE:1,TE:2,TE:3,TE:4,TE:5"],
+    ["cross-section", "--epsilon", "2.1", "--q", "150"],
+    ["diff-cross-section", "--epsilon", "2.1", "--q", "20", "--g", "1", "--detector-phi", "1"],
+    ["field-map", "--epsilon", "2.1", "--q", "3.4", "--channel", "TM:1"],
+    ["g2-map", "--epsilon", "2.1", "--k", "3", "--n-phi", "64"],
+    ["bogoliubov", "--epsilon", "2.1", "--kind", "B", "--k", "5", "--kp-min", "3",
+     "--kp-max", "9", "--kp-steps", "7", "--kp-theta", "1", "--kp-phi", "0.7",
+     "--g", "1", "--gp", "2"],
+]
+
+
+def test_public_sweeps_get_one_integer_order_from_every_command(tmp_path, monkeypatch):
+    # the layer tracer of perfbench counts a public sweep's orders as
+    # int(order) + 1, which an array of per-argument tops breaks
+    orders = []
+    for name in ("spherical_bessel_j", "spherical_bessel_y"):
+        sweep = getattr(specfun, name)
+
+        def spy(l_max, x, _sweep=sweep, _name=name):
+            orders.append((_name, l_max))
+            return _sweep(l_max, x)
+
+        monkeypatch.setattr(specfun, name, spy)
+    for n, argv in enumerate(BENCHMARK_COMMANDS):
+        assert cli.main(argv + ["-o", str(tmp_path / f"{n}.csv")]) == 0, argv[0]
+    assert orders
+    assert [(name, l_max) for name, l_max in orders if type(l_max) is not int] == []
 
 
 def test_field_map_radial_tables_sweep_no_radius_alone(scalar_sweeps):

@@ -449,6 +449,24 @@ def test_underflowing_wavevector_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--k", "1", "--kp-min", "1e200", "--kp-max", "2e200"], "nor overflow"),
+    (["--radius", "1e200", "--k", "1e-100", "--kp-min", "1e150", "--kp-max", "2e150"],
+     "x=1e+100 exceeds the argument cap"),
+])
+def test_overflowing_wavevector_exits_2(tmp_path, capsys, argv, message):
+    # |k'|^2 overflows, or k' R does: a typed error before any sweep top is
+    # formed, not an OverflowError from math.ceil
+    out = tmp_path / "out.csv"
+    argv = ["bogoliubov", "--epsilon", "2.1", "--kind", "V", *argv, "--kp-steps", "2",
+            "--l-max", "5", "-o", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["phase-shifts", "--epsilon", "2.1", "--q", "1"],
     ["cross-section", "--epsilon", "2.1", "--q", "1"],

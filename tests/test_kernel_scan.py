@@ -124,7 +124,7 @@ SCANS = {
 def test_scan_equals_single_kernels_bit_for_bit(name):
     kind, spec, k, kps, kw = SCANS[name]
     kappa, kappa_primes = PlaneModeIndex(1, (0.0, 0.0, k)), scanned(kps)
-    got = bg._kernel_scan(kind, spec, kappa, kappa_primes, **kw)
+    got = bg.kernel_scan(kind, spec, kappa, kappa_primes, **kw)
     ref, failure = single_kernels(kind, spec, kappa, kappa_primes, **kw)
     assert failure is None
     assert kernel_bits(got) == kernel_bits(ref)
@@ -146,7 +146,7 @@ def test_one_array_pass_per_scan(name, monkeypatch):
                         lambda *args: tables.append(np.shape(args[1])) or real_table(*args))
     monkeypatch.setattr(specfun, "_j_scaled",
                         lambda *args: sweeps.append(np.shape(args[1])) or real_sweep(*args))
-    bg._kernel_scan(kind, spec, PlaneModeIndex(1, (0.0, 0.0, k)), scanned(kps), **kw)
+    bg.kernel_scan(kind, spec, PlaneModeIndex(1, (0.0, 0.0, k)), scanned(kps), **kw)
     n = (len(kps),)
     assert tables == ([] if kind == "V" else [n])
     assert sweeps == [n] * (2 if kind == "V" else 4)
@@ -206,7 +206,7 @@ def test_scan_fails_at_the_same_k_prime(name, monkeypatch):
     assert type(failure) is error and str(failure).startswith(message)
     assert len(ref) == at
     with pytest.raises(error) as info:
-        bg._kernel_scan(kind, spec, kappa, kappa_primes, **kw)
+        bg.kernel_scan(kind, spec, kappa, kappa_primes, **kw)
     assert str(info.value) == str(failure)
     assert evaluated == ref_evaluated
     assert len(evaluated) == (at if spec.epsilon != 1.0 else 0)
@@ -232,7 +232,7 @@ def test_scan_raises_the_loop_error_from_inside_the_pass(name):
     ref, failure = single_kernels(kind, spec, kappa, kappa_primes, **kw)
     assert type(failure) is error and len(ref) == at
     with pytest.raises(error) as info:
-        bg._kernel_scan(kind, spec, kappa, kappa_primes, **kw)
+        bg.kernel_scan(kind, spec, kappa, kappa_primes, **kw)
     # the array calls would name q[1] or x[1]; the loop names q or x
     assert str(info.value) == str(failure)
 
@@ -248,7 +248,7 @@ def test_scan_draws_each_k_prime_in_turn(monkeypatch):
     monkeypatch.setattr(bg, "_volume_overlaps",
                         lambda *args: evaluated.extend(kp.k for kp in args[2]) or real(*args))
     with pytest.raises(DomainError, match="no label"):
-        bg._kernel_scan("V", SPEC, PlaneModeIndex(1, (0.0, 0.0, 3.0)), draw())
+        bg.kernel_scan("V", SPEC, PlaneModeIndex(1, (0.0, 0.0, 3.0)), draw())
     assert evaluated == pytest.approx([2.0, 3.0])
 
 

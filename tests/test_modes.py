@@ -61,11 +61,19 @@ def test_plane_mode_index_rejects_an_underflowing_norm(kvec):
         modes.PlaneModeIndex(1, kvec)
 
 
+@pytest.mark.parametrize("kvec", [(0.0, 0.0, 1e200), (1e154, 1e154, 0.0)])
+def test_plane_mode_index_rejects_an_overflowing_norm(kvec):
+    with pytest.raises(DomainError, match="overflow"):
+        modes.PlaneModeIndex(1, kvec)
+
+
 def test_plane_mode_index_keeps_its_norm_and_direction_near_the_edge():
     # |k|^2 = 1e-300 is a normal float: accepted, with k = sqrt(sum c^2)
     kap = modes.PlaneModeIndex(1, (0.0, 0.0, 1e-150))
     assert kap.k == math.sqrt(1e-150 * 1e-150)
     assert kap.angles == (0.0, 0.0)
+    # |k|^2 = 1e308 is below the largest float
+    assert modes.PlaneModeIndex(1, (0.0, 0.0, 1e154)).k == math.sqrt(1e154 * 1e154)
 
 
 # --------------------------------------------------------- radial function

@@ -238,7 +238,7 @@ def test_cli_kernel_past_the_argument_cap_exits_2_before_any_sweep(tmp_path, cap
             return real(*args)
         return sweep
 
-    for name in ("_j_one", "_miller_j_batch", "_upward_y", "_upward_y_batch"):
+    for name in ("_j_one", "_miller_j_batch", "_recur", "_recur_batch"):
         monkeypatch.setattr(specfun, name, recording(name))
     out = tmp_path / "v.csv"
     assert run(_diagonal_v("2e6") + ["--l-max", "5", "-o", str(out)]) == 2

@@ -70,6 +70,13 @@ def test_order_cap_enforced():
         specfun.spherical_bessel_j(-1, 1.0)
 
 
+@pytest.mark.parametrize("sweep", [specfun.spherical_bessel_j, specfun.spherical_bessel_y])
+def test_public_sweeps_take_one_order(sweep):
+    # per-argument tops are private to _j_scaled
+    with pytest.raises(DomainError, match="must be an integer"):
+        sweep(np.array([3, 5]), np.array([1.0, 2.0]))
+
+
 # ---------------------------------------------------------------- bessel y
 
 def test_y_closed_form_zero():
