@@ -26,10 +26,9 @@ from .errors import (
     DomainError,
     PoleExcludedError,
     QmieError,
-    ResourceLimitError,
     ToleranceError,
 )
-from .miecore import SphereSpec, phase_table, truncation_order
+from .miecore import SphereSpec, _resolve_cutoff, phase_table
 from .modes import PlaneModeIndex
 
 __all__ = [
@@ -46,7 +45,8 @@ __all__ = [
 _POLE_RTOL = 1e-13
 
 # Largest kernel order: the TM overlaps reach order l_max + 1, whose series
-# starts at j_{l_max + 2}; the sweeps stop at HARD_CAP_LMAX.
+# starts at j_{l_max + 2}, so kernel cutoffs are resolved at reach 2; the
+# sweeps stop at HARD_CAP_LMAX.
 KERNEL_LMAX = specfun.HARD_CAP_LMAX - 2
 
 _EPS = float(np.finfo(float).eps)
@@ -62,14 +62,6 @@ class CouplingKernel:
     value: complex
     kind: str
     abs_err: float
-
-
-def _check_direction(direction: str) -> float:
-    if direction == "outgoing":
-        return -1.0
-    if direction == "incoming":
-        return 1.0
-    raise DomainError(f"direction must be 'outgoing' or 'incoming', got {direction!r}")
 
 
 def _envelope(j: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -214,7 +206,9 @@ def _volume_overlaps(
     b_scale = math.sqrt(spec.epsilon) if scattered else 1.0
     try:
         if scattered:
-            t = phase_table(spec, ks * spec.radius, orders)
+            with np.errstate(over="ignore"):  # the phase table refuses an inf
+                qs = ks * spec.radius
+            t = phase_table(spec, qs, orders)
             sums = sums * t.gamma * np.exp(phase_sign * 1j * t.phi)
         o, o_err = _overlaps(orders + 1, kappa.k, b_scale * ks, spec.radius, rtol)
     except QmieError:
@@ -237,22 +231,6 @@ def _volume_overlaps(
             for row, size, r, r_err, c in zip(sums, np.abs(sums), radial, radial_err, cutoffs)]
 
 
-def _default_l_max(spec: SphereSpec, kappa, kappa_prime, scattered: bool) -> int:
-    scale = math.sqrt(spec.epsilon) if scattered else 1.0
-    q_eff = spec.radius * max(kappa.k, scale * kappa_prime.k)
-    return truncation_order(q_eff)
-
-
-def _check_kernel_order(l_max: int) -> int:
-    l_max = specfun._as_integer(l_max, "l_max")
-    if l_max > KERNEL_LMAX:
-        raise ResourceLimitError(
-            f"l_max={l_max} exceeds the kernel cap {KERNEL_LMAX} "
-            f"(the radial overlaps need Bessel orders up to l_max + 2 <= {specfun.HARD_CAP_LMAX})"
-        )
-    return l_max
-
-
 def _prefactor(kind: str, spec: SphereSpec, k: float, kp: float) -> float:
     """The kernel's prefactor of the reduced volume integral; A_offdiag
     refuses the pole |k| = |k'|."""
@@ -273,36 +251,32 @@ def kernel_scan(kind: str, spec: SphereSpec, kappa: PlaneModeIndex, kappa_primes
     """The kernels of one kind ("V", "B" or "A_offdiag") between kappa and
     each kappa' in turn, exactly zero for a transparent sphere.
 
-    kappa_primes is any iterable, drawn once. Each kappa' is first checked
-    and given its cutoff: l_max when given, or its own default, within the
-    kernel order range. One pass of _angular_sums at the largest cutoff and
-    one _volume_overlaps pass (one phase table, one _overlaps call, the
-    radial mixing as arrays) then serve every kernel, each reading its own
-    rows, so each kernel equals the one-element scan bit for bit. A
-    QmieError met while drawing or checking kappa' number i is raised only
-    after the kernels before it are evaluated, and an error inside the pass
-    comes from the first kernel that meets one alone, so a scan fails where
-    a loop over single kernels would, with the same error.
+    direction is checked for every kind, though V ignores it. kappa_primes
+    is any iterable, drawn once. Each kappa' is first checked and given its
+    cutoff by ``miecore._resolve_cutoff`` at reach 2, also for eps = 1:
+    l_max when given, or its own default at q = R max(|k|, s |k'|), s =
+    sqrt(eps) for B and A_offdiag and 1 for V. One pass of _angular_sums at
+    the largest cutoff and one _volume_overlaps pass (one phase table, one
+    _overlaps call, the radial mixing as arrays) then serve every kernel,
+    each reading its own rows, so each kernel equals the one-element scan
+    bit for bit. A QmieError met while drawing or checking kappa' number i
+    is raised only after the kernels before it are evaluated, and an error
+    inside the pass comes from the first kernel that meets one alone, so a
+    scan fails where a loop over single kernels would, with the same error.
     """
     # V takes no boundary condition; the conjugated F* of B flips the
     # interior phase factor e^{sign i phi}
-    sign = 0.0 if kind == "V" else _check_direction(direction)
+    sign = modes._direction_sign(direction)
     scattered, phase_sign, conjugate_pair = {
         "V": (False, 0.0, False), "B": (True, -sign, True), "A_offdiag": (True, sign, False),
     }[kind]
+    scale = math.sqrt(spec.epsilon) if scattered else 1.0
     plans, failure = [], None
     try:
         for kappa_prime in kappa_primes:
             pref = _prefactor(kind, spec, kappa.k, kappa_prime.k)
-            if l_max is not None:
-                l_max = _check_kernel_order(l_max)
-            if spec.epsilon == 1.0:
-                cutoff = None
-            elif l_max is None:
-                cutoff = _check_kernel_order(_default_l_max(spec, kappa, kappa_prime, scattered))
-            else:
-                cutoff = l_max
-            plans.append((kappa_prime, pref, cutoff))
+            q = spec.radius * max(kappa.k, scale * kappa_prime.k)
+            plans.append((kappa_prime, pref, _resolve_cutoff(q, l_max, reach=2)))
     except QmieError as exc:  # raised below, after the kernels before it
         failure = exc
     if plans and spec.epsilon != 1.0:
@@ -374,15 +348,14 @@ def a_diagonal_channel_sum(
     """Channel sum sum_{p,l,m} c*_{lmg} c_{lmg'} e^{-+ i phi} cos(phi)
     weighting the elastic delta term of the co-rotating coefficient.
     """
-    sign = _check_direction(direction)
+    sign = modes._direction_sign(direction)
     k, kp = kappa.k, kappa_prime.k
     if abs(k - kp) > 1e-12 * max(k, kp):
         raise DomainError(
             f"diagonal term requires |k| = |k'|; got {k!r} and {kp!r}"
         )
     q = k * spec.radius
-    if l_max is None:
-        l_max = truncation_order(q)
+    l_max = _resolve_cutoff(q, l_max)
     sums = _angular_sums(kappa, [kappa_prime], l_max, conjugate_pair=False)[0]
     t = phase_table(spec, q, l_max)
     # rows l = 0 of the angular sums vanish

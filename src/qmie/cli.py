@@ -24,7 +24,7 @@ from .errors import (
     ResourceLimitError,
     ToleranceError,
 )
-from .miecore import POLARIZATIONS, ChannelIndex, SphereSpec, phase_table, truncation_order
+from .miecore import POLARIZATIONS, ChannelIndex, SphereSpec, _resolve_cutoff, phase_table
 from .modes import PlaneModeIndex, SphericalModeIndex, field_intensity_map
 
 _FIG_CHANNELS = "TM:1,TE:1,TM:2,TE:2,TM:3"
@@ -228,9 +228,7 @@ def _write_atomic(path: str, text: str) -> None:
 def cmd_phase_shifts(res: Resolver):
     spec = res.sphere()
     q, _ = res.wavenumber(spec.radius)
-    l_max = res["l_max"]
-    if l_max is None:
-        l_max = res.effective["l_max"] = truncation_order(q)
+    l_max = res.effective["l_max"] = _resolve_cutoff(q, res["l_max"])
     t = phase_table(spec, q, l_max)
     # rows run over l, then over the polarizations: the transposed tables
     ls = [l for l in range(1, l_max + 1) for _ in POLARIZATIONS]

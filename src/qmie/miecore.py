@@ -3,6 +3,11 @@
 Every scattering observable of the package reduces to the per-channel phase
 shift phi_l^p computed here. Channels are (polarization, multipole order)
 pairs; the sphere enters only through its relative permittivity and radius.
+
+The sphere's size enters every series through its multipole cutoff l_max.
+Its default is ``truncation_order(q)``, Wiscombe's rule, and
+``_resolve_cutoff(q, l_max, reach)`` is the one place that applies it and
+checks an explicit cutoff (``specfun._check_cutoff``).
 """
 
 from __future__ import annotations
@@ -162,14 +167,14 @@ def phase_table(spec: SphereSpec, q, l_max) -> PhaseTable:
     n = len(q_list)
     # the sweeps' cap on order l_max + 1, before any table is allocated
     if np.ndim(l_max) == 0:
-        l_max = specfun._check_radial_order(l_max)
+        l_max = specfun._check_cutoff(l_max, 1)
         cutoffs, past = [l_max] * n, None
     else:
         cutoffs = np.asarray(l_max)
         if cutoffs.shape != qs.shape or cutoffs.dtype.kind not in "iu":
             raise DomainError(f"l_max must be one integer or one per q, got {l_max!r}")
-        specfun._check_radial_order(int(cutoffs.min()))
-        l_max = specfun._check_radial_order(int(cutoffs.max()))
+        specfun._check_cutoff(int(cutoffs.min()), 1)
+        l_max = specfun._check_cutoff(int(cutoffs.max()), 1)
         past = np.arange(1, l_max + 1) > cutoffs[:, None]
         cutoffs = cutoffs.tolist()
     # alpha, beta, gamma, sin_phi, cos_phi, phi, sin_mantissa; column l = 0
@@ -318,3 +323,13 @@ def truncation_order(q: float) -> int:
             f"order {raw + 1}, above the hard cap {specfun.HARD_CAP_LMAX}"
         )
     return max(4, raw)
+
+
+def _resolve_cutoff(q: float, l_max=None, reach: int = 1) -> int:
+    """The multipole cutoff of a sum at size parameter q whose terms need
+    Bessel orders up to l_max + reach: l_max, or truncation_order(q) when it
+    is None, checked by ``specfun._check_cutoff``. Public functions that take
+    l_max call it before any angular or Bessel work."""
+    if l_max is None:
+        l_max = truncation_order(q)
+    return specfun._check_cutoff(l_max, reach)

@@ -41,6 +41,14 @@ DIRECTIONS = ("outgoing", "incoming")
 _TINY = float(np.finfo(float).tiny)
 
 
+def _direction_sign(direction: str) -> float:
+    """The sign of the boundary condition: -1 for outgoing, +1 for incoming;
+    any other value is a DomainError."""
+    if direction not in DIRECTIONS:
+        raise DomainError(f"direction {direction!r} not in {DIRECTIONS}")
+    return -1.0 if direction == "outgoing" else 1.0
+
+
 @dataclass(frozen=True)
 class SphericalModeIndex:
     """Multi-index (p, l, m, k) plus the in/out boundary condition."""
@@ -56,8 +64,7 @@ class SphericalModeIndex:
             raise DomainError(f"|m|={abs(m)} exceeds l={self.channel.l}")
         if not (math.isfinite(self.k) and self.k > 0.0):
             raise DomainError(f"wavenumber k={self.k} must be finite and positive")
-        if self.direction not in DIRECTIONS:
-            raise DomainError(f"direction {self.direction!r} not in {DIRECTIONS}")
+        _direction_sign(self.direction)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "k", float(self.k))
 
@@ -281,7 +288,7 @@ def plane_wave_coefficients(kappa: PlaneModeIndex, l_max: int) -> list[PlaneWave
 
     Pure functions of the propagation direction; |kvec| does not enter.
     """
-    l_max = specfun._check_vector_order(l_max)
+    l_max = specfun._check_cutoff(l_max, 0)
     c_te, c_tm = _coefficient_table(*kappa.angles, kappa.g, l_max)
     out = []
     for l in range(1, l_max + 1):
@@ -335,7 +342,7 @@ def _radial_tables(
         fams = [np.repeat(j_vac[..., lp], 2, axis=1).astype(complex) for lp in lps]
     else:
         outside = ~inside
-        sign = -1.0 if direction == "outgoing" else 1.0
+        sign = _direction_sign(direction)
         table = phase_table(spec, k * spec.radius, l_max)
         ph = np.exp(sign * 1j * table.phi)
         fams = [np.empty((radii.size, 2, l_max + 1), dtype=complex) for _ in lps]
@@ -352,7 +359,7 @@ def _radial_tables(
             y_mant, y_exp = (a[:, None] for a in specfun._y_scaled(l_max + 1, k * radii[outside]))
             j_out = j_vac[outside]
             h1 = np.ldexp(j_out, -y_exp) + 1j * y_mant
-            if direction == "incoming":
+            if sign > 0.0:
                 h1 = np.conj(h1)
             outer = 1j * table.sin_mantissa * ph
             for f, lp in zip(fams, lps):
@@ -391,7 +398,7 @@ def _mode_sum(
     and point, O(l_max) each. Nothing is divided by sin(Theta); at the
     origin (rhat = 0) only the direction-free b term is left.
     """
-    l_max = specfun._check_radial_order(l_max)
+    l_max = specfun._check_cutoff(l_max, 1)
     # the radii of _spherical_coords, which place a point at r = R
     r = np.sqrt(np.einsum("nc,nc->n", points, points))
     rhat = points / np.where(r == 0.0, 1.0, r)[:, None]
@@ -448,15 +455,14 @@ def scattering_eigenmode(
     for the direct form; where its radial functions would pass the hard
     cap, ResourceLimitError names the order that radius needs.
     """
-    if direction not in DIRECTIONS:
-        raise DomainError(f"direction {direction!r} not in {DIRECTIONS}")
+    _direction_sign(direction)
     if form not in ("direct", "mie"):
         raise DomainError(f"form {form!r} not in ('direct', 'mie')")
     if plane_wave not in ("exact", "truncated"):
         raise DomainError(f"plane_wave {plane_wave!r} not in ('exact', 'truncated')")
     p, single = _as_points(point)
     if l_max is not None:
-        l_max = specfun._check_radial_order(l_max)
+        l_max = specfun._check_cutoff(l_max, 1)
     else:
         kr = kappa.k * float(_spherical_coords(p)[0].max()) if form == "direct" else 0.0
         l_max = truncation_order(kappa.k * spec.radius) + math.ceil(kr + 10.0 * kr ** (1.0 / 3.0))

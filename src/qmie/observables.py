@@ -15,8 +15,7 @@ import numpy as np
 
 from . import modes, specfun
 from .errors import ConsistencyError, DomainError
-from .miecore import (POLARIZATIONS, ChannelIndex, SphereSpec, phase_shift, phase_table,
-                      truncation_order)
+from .miecore import POLARIZATIONS, ChannelIndex, SphereSpec, _resolve_cutoff, phase_shift, phase_table
 from .modes import PlaneModeIndex
 
 __all__ = [
@@ -103,8 +102,7 @@ def _amplitudes(spec: SphereSpec, kappa_in: PlaneModeIndex, theta, phi, l_max: i
     through pi_l and tau_l at the scattering angle (``specfun._pair_sums``)."""
     k = kappa_in.k
     q = k * spec.radius
-    if l_max is None:
-        l_max = truncation_order(q)
+    l_max = _resolve_cutoff(q, l_max)
     n_in, e_in = modes._directions([kappa_in])
     n_out, e_theta, e_phi = specfun.unit_vectors(theta, phi)
     sums = specfun._pair_sums(n_out[:, None], n_in[0], np.stack([1j * e_phi, e_theta], axis=1),
@@ -129,7 +127,7 @@ def scattering_amplitude(
 
 def s_matrix_channels(spec: SphereSpec, q: float, l_max: int | None = None) -> list[SMatrixChannel]:
     """Per-channel S-matrix values e^{-2 i phi_l^p}, l = 1..l_max."""
-    l_max = truncation_order(q) if l_max is None else specfun._check_radial_order(l_max)
+    l_max = _resolve_cutoff(q, l_max)
     phi = phase_table(spec, q, l_max).phi
     return [SMatrixChannel(channel=ChannelIndex(p, l),
                            value=complex(math.cos(2.0 * phi[i, l]), -math.sin(2.0 * phi[i, l])))
@@ -150,7 +148,7 @@ def total_cross_section(spec: SphereSpec, q: float, l_max: int | None = None) ->
     (NaN counts as nonzero, and fails the check); past it every term is 0,
     also where sin phi itself is a nonzero value below about 1.5e-162.
     """
-    l_max = truncation_order(q) if l_max is None else specfun._check_radial_order(l_max)
+    l_max = _resolve_cutoff(q, l_max)
     k = q / spec.radius
     sin_phi = phase_table(spec, q, l_max).sin_phi
     sin2 = sin_phi ** 2
@@ -273,7 +271,7 @@ def g2_map(
             UserWarning,
             stacklevel=2,
         )
-    l_max = truncation_order(k * spec.radius) if l_max is None else specfun._check_radial_order(l_max)
+    l_max = _resolve_cutoff(k * spec.radius, l_max)
 
     def ring(theta: float, phis: np.ndarray) -> np.ndarray:
         st = math.sin(theta)

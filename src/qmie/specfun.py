@@ -17,7 +17,17 @@ it overflows. j_l runs it downward from well above the requested order and is
 renormalized against a closed-form anchor (upward recurrence for j_l is
 catastrophically unstable for l > x); y_l runs it upward from its closed forms
 y_0 and y_1, which is the stable direction. Arguments are capped at
-``HARD_CAP_ARGUMENT`` (2^20), which bounds the length of every sweep.
+``HARD_CAP_ARGUMENT`` (2^20), which bounds the length of every sweep, and
+orders at ``HARD_CAP_LMAX`` (512).
+
+Sweep orders and harmonic degrees, which may be 0, are checked by
+``_check_order``. A multipole cutoff l_max is checked by one function,
+``_check_cutoff(l_max, reach)``: an integer l_max >= 1 whose sums need
+Bessel orders up to l_max + reach <= HARD_CAP_LMAX, with reach 0 for the
+plane-wave coefficients and pair sums, 1 for phase tables, radial tables and
+mode sums, and 2 for the coupling kernels. ``miecore._resolve_cutoff`` gives
+it its default, and every public function that takes l_max runs one of the
+two before any angular or Bessel work.
 
 The public sweeps ``spherical_bessel_j`` and ``spherical_bessel_y`` take one
 integer order and one argument or a 1-D array of them (an array of orders is
@@ -126,6 +136,19 @@ def _check_order(l_max: int) -> int:
         raise ResourceLimitError(
             f"l_max={l_max} exceeds the hard cap {HARD_CAP_LMAX}"
         )
+    return l_max
+
+
+def _check_cutoff(l_max, reach: int) -> int:
+    """A multipole cutoff l_max for sums that need Bessel orders up to
+    l_max + reach: _check_order, then l_max >= 1 (DomainError), then
+    l_max + reach <= HARD_CAP_LMAX (ResourceLimitError naming both)."""
+    l_max = _check_order(l_max)
+    if l_max < 1:
+        raise DomainError("l_max must be >= 1")
+    if l_max + reach > HARD_CAP_LMAX:
+        raise ResourceLimitError(f"l_max={l_max} needs Bessel order {l_max + reach}, "
+                                 f"above the hard cap {HARD_CAP_LMAX}")
     return l_max
 
 
@@ -662,23 +685,6 @@ def _vector_families(ls: np.ndarray, y, dy, u):
     return (_x_family(ls, dy, u), *_vw_families(ls, y, dy, u))
 
 
-def _check_vector_order(l_max: int) -> int:
-    l_max = _check_order(l_max)
-    if l_max < 1:
-        raise DomainError("l_max must be >= 1")
-    return l_max
-
-
-def _check_radial_order(l_max: int) -> int:
-    """_check_vector_order for a cutoff whose phase shifts and radial
-    functions need Bessel order l_max + 1; past the cap, the error names both."""
-    l_max = _check_vector_order(l_max)
-    if l_max + 1 > HARD_CAP_LMAX:
-        raise ResourceLimitError(f"l_max={l_max} needs Bessel order {l_max + 1}, "
-                                 f"above the hard cap {HARD_CAP_LMAX}")
-    return l_max
-
-
 def spherical_harmonics_batch(l_max: int, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Y, dY/dtheta and mY/sin(theta) for all l <= l_max, |m| <= l, at N directions.
 
@@ -797,7 +803,7 @@ def _pair_sums(n, n_prime, e, e_prime, l_max: int, conjugate: bool = False) -> n
     forms pi_l = s^(l+1) l (l+1) / 2 and tau_l = s pi_l, and any e_perp
     orthogonal to n' serves: n' x its least aligned axis.
     """
-    l_max = _check_vector_order(l_max)
+    l_max = _check_cutoff(l_max, 0)
     n, n_prime = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(n_prime, dtype=float))
     sign = np.where(_dot(n, n_prime) < 0.0, -1.0, 1.0)
     chord = n_prime - sign[..., None] * n

@@ -9,7 +9,7 @@ from scipy.special import spherical_jn
 from qmie import bogoliubov as bg
 from qmie import modes
 from qmie.errors import DomainError, PoleExcludedError, ToleranceError
-from qmie.miecore import ChannelIndex, SphereSpec, phase_shift, truncation_order
+from qmie.miecore import ChannelIndex, SphereSpec, _resolve_cutoff, phase_shift, truncation_order
 from qmie.modes import PlaneModeIndex
 
 SPEC = SphereSpec(epsilon=2.1, radius=1.0)
@@ -177,6 +177,25 @@ def test_b_direction_validation():
         bg.b_coefficient(SPEC, KAP, KAPP, direction="sideways")
 
 
+@pytest.mark.parametrize("call", [
+    lambda d: bg.kernel_scan("V", SPEC, KAP, [KAPP], direction=d),
+    lambda d: bg.kernel_scan("B", VACUUM, KAP, [KAPP], direction=d),
+    lambda d: bg.a_diagonal_channel_sum(SPEC, KAP, KAP, direction=d),
+    lambda d: modes.SphericalModeIndex(ChannelIndex("TE", 1), 0, 1.0, d),
+    lambda d: modes.scattering_eigenmode(SPEC, KAP, d, (0.0, 0.0, 2.0)),
+], ids=["kernel_scan-V", "kernel_scan-vacuum", "a_diagonal_channel_sum",
+        "SphericalModeIndex", "scattering_eigenmode"])
+def test_one_direction_check(call):
+    with pytest.raises(DomainError, match=r"^direction 'sideways' not in \('outgoing', 'incoming'\)$"):
+        call("sideways")
+
+
+def test_direction_sign_and_v_ignores_it():
+    assert [modes._direction_sign(d) for d in modes.DIRECTIONS] == [-1.0, 1.0]
+    v = [bg.kernel_scan("V", SPEC, KAP, [KAPP], direction=d)[0].value for d in modes.DIRECTIONS]
+    assert v[0] == v[1]
+
+
 # ------------------------------------------------------------------ A kernel
 
 def test_a_transparent():
@@ -217,8 +236,9 @@ def test_a_swap_prefactor_antisymmetry():
         k1, k2 = rng.uniform(0.3, 2.0, size=2)
         ka = PlaneModeIndex(int(rng.integers(1, 3)), tuple(k1 * d1 / np.linalg.norm(d1)))
         kb = PlaneModeIndex(int(rng.integers(1, 3)), tuple(k2 * d2 / np.linalg.norm(d2)))
-        l_ab = bg._default_l_max(SPEC, ka, kb, scattered=True)
-        l_ba = bg._default_l_max(SPEC, kb, ka, scattered=True)
+        s = math.sqrt(SPEC.epsilon)
+        l_ab = _resolve_cutoff(SPEC.radius * max(ka.k, s * kb.k), reach=2)
+        l_ba = _resolve_cutoff(SPEC.radius * max(kb.k, s * ka.k), reach=2)
         i_ab, _ = volume_overlap(ka, kb, l_ab, True, -1.0, False)
         i_ba, _ = volume_overlap(kb, ka, l_ba, True, -1.0, False)
         pref = (SPEC.epsilon - 1.0) / 2.0 * math.sqrt(k1 * k2)

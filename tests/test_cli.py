@@ -449,16 +449,21 @@ def test_underflowing_wavevector_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+_HUGE_RADIUS = ["--radius", "1e200", "--k", "1e-100", "--kp-min", "1e150", "--kp-max", "2e150"]
+
+
 @pytest.mark.parametrize("argv,message", [
-    (["--k", "1", "--kp-min", "1e200", "--kp-max", "2e200"], "nor overflow"),
-    (["--radius", "1e200", "--k", "1e-100", "--kp-min", "1e150", "--kp-max", "2e150"],
-     "x=1e+100 exceeds the argument cap"),
+    (["--kind", "V", "--k", "1", "--kp-min", "1e200", "--kp-max", "2e200"], "nor overflow"),
+    (["--kind", "V", *_HUGE_RADIUS], "x=1e+100 exceeds the argument cap"),
+    # the phase table at every k' R refuses the inf
+    (["--kind", "B", *_HUGE_RADIUS], "q=inf must be finite"),
+    (["--kind", "A_offdiag", *_HUGE_RADIUS], "q=inf must be finite"),
 ])
 def test_overflowing_wavevector_exits_2(tmp_path, capsys, argv, message):
     # |k'|^2 overflows, or k' R does: a typed error before any sweep top is
-    # formed, not an OverflowError from math.ceil
+    # formed, not an OverflowError from math.ceil, and no overflow warning
     out = tmp_path / "out.csv"
-    argv = ["bogoliubov", "--epsilon", "2.1", "--kind", "V", *argv, "--kp-steps", "2",
+    argv = ["bogoliubov", "--epsilon", "2.1", *argv, "--kp-steps", "2",
             "--l-max", "5", "-o", str(out)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -108,7 +108,7 @@ SCANS = {
     "A-incoming": ("A_offdiag", SPEC, 1.2, np.linspace(0.2, 3.0, 4), {"direction": "incoming"}),
     "V-diagonal": ("V", SPEC, 3.0, np.linspace(2.97, 3.03, 5), {}),
     "V-vacuum": ("V", VACUUM, 3.0, np.linspace(2.0, 6.0, 3), {}),
-    "B-vacuum": ("B", VACUUM, 3.0, np.linspace(2.0, 6.0, 3), {"l_max": 0}),
+    "B-vacuum": ("B", VACUUM, 3.0, np.linspace(2.0, 6.0, 3), {"l_max": 12}),
     "A-vacuum": ("A_offdiag", VACUUM, 3.0, np.linspace(2.0, 6.0, 3), {}),
     # from BATCH_MIN k' on, the batched sweeps with one top per argument;
     # the geometric scans' tops span far enough that the short sweeps start
@@ -176,16 +176,14 @@ FAILING = {
     "pole-vacuum": ("A_offdiag", VACUUM, 0.5, [0.3, 0.5, 0.7], {}, 1, PoleExcludedError,
                     "|k| = 0.5 and |k'| = 0.5 sit on the 1/(|k|-|k'|) pole"),
     "cutoff-above-cap-V": ("V", SPEC, 1.0, [1.0, 2.0, 473.5], {}, 2, ResourceLimitError,
-                           "l_max=511 exceeds the kernel cap 510 (the radial overlaps need "
-                           "Bessel orders up to l_max + 2 <= 512)"),
+                           "l_max=511 needs Bessel order 513, above the hard cap 512"),
     "cutoff-above-cap-B": ("B", SPEC, 1.0, [1.0, 2.0, 473.5 / math.sqrt(2.1), 3.0], {}, 2,
                            ResourceLimitError,
-                           "l_max=511 exceeds the kernel cap 510 (the radial overlaps need "
-                           "Bessel orders up to l_max + 2 <= 512)"),
+                           "l_max=511 needs Bessel order 513, above the hard cap 512"),
     "q-above-cap": ("B", SPEC, 1.0, [1.0, 133.0, 400.0, 2.0], {}, 2, ResourceLimitError,
                     "q=579.6550698475777 needs multipole order 620"),
     "lmax-above-cap": ("V", SPEC, 1.0, [1.0, 2.0], {"l_max": 600}, 0, ResourceLimitError,
-                       "l_max=600 exceeds the kernel cap 510"),
+                       "l_max=600 exceeds the hard cap 512"),
 }
 
 

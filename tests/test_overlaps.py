@@ -257,7 +257,8 @@ def test_kernel_order_range(kind):
     assert np.isfinite(kern.value) and np.isfinite(kern.abs_err)
     assert kern.value == pytest.approx(fn(SPEC, *pair).value, rel=1e-12)
     for l_max in (511, 512):
-        with pytest.raises(ResourceLimitError, match=f"l_max={l_max} exceeds the kernel cap 510"):
+        with pytest.raises(ResourceLimitError, match=f"l_max={l_max} needs Bessel order "
+                                                     f"{l_max + 2}, above the hard cap 512"):
             fn(SPEC, *pair, l_max=l_max)
 
 
